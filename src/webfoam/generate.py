@@ -189,11 +189,7 @@ def add_kink(d: Diagram, arc, cross_id, rng: random.Random) -> Diagram:
 
 
 def _face_arcs(d: Diagram) -> list[list]:
-    occ = d.endpoints()
-    arc_of = {}
-    for a, pair in occ.items():
-        for dart in pair:
-            arc_of[dart] = a
+    arc_of = {dart: a for a, pair in d.arc_ends.items() for dart in pair}
     return [[arc_of[dart] for dart in face] for face in d.faces]
 
 
@@ -212,7 +208,7 @@ def add_poke(d: Diagram, rng: random.Random, tag: str) -> Diagram | None:
         for flip in (False, True):
             try:
                 return _poke(d, r, s, flip, tag)
-            except Exception:
+            except ValueError:  # WebError included: the poke is not planar
                 continue
     return None
 

@@ -92,10 +92,6 @@ def intersect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return column_space(vecs)
 
 
-def kernel_of_operator(u: np.ndarray) -> np.ndarray:
-    return nullspace(u)
-
-
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One solution x of a @ x = b (vectors), or None."""
     aug = np.concatenate([a, b.reshape(-1, 1)], axis=1)
@@ -114,15 +110,6 @@ def det(a: np.ndarray) -> int:
     if n != m:
         raise ValueError("determinant needs a square matrix")
     return 1 if rank(a) == n else 0
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    aug = np.concatenate([a, identity(n)], axis=1)
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over GF(2)")
-    return red[:, n:].copy()
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -232,14 +232,6 @@ def quotient_module(p: Presentation, degree_bound: int = 8) -> F2Module:
 # edge decomposition
 
 
-def _op_kernel(m: np.ndarray) -> np.ndarray:
-    return gf2.nullspace(m)
-
-
-def _op_image(m: np.ndarray) -> np.ndarray:
-    return gf2.column_space(m)
-
-
 @dataclass(frozen=True)
 class EdgeDecomposition:
     summands: dict = field(default_factory=dict)  # frozenset of edges -> dim
@@ -259,8 +251,8 @@ def edge_decomposition(mod: F2Module, edges=None) -> EdgeDecomposition:
     for e in edges:
         if e not in mod.operators:
             raise ModuleError(f"no operator for edge {e!r}")
-    kernels = {e: _op_kernel(mod.operators[e]) for e in edges}
-    images = {e: _op_image(mod.operators[e]) for e in edges}
+    kernels = {e: gf2.nullspace(mod.operators[e]) for e in edges}
+    images = {e: gf2.column_space(mod.operators[e]) for e in edges}
     summands = {}
     total = 0
     for mask in product((0, 1), repeat=len(edges)):
@@ -287,16 +279,12 @@ def restrict_to_subspace(mod: F2Module, basis_cols: np.ndarray) -> F2Module:
         mat = gf2.zeros(k, k)
         img = gf2.matmul(m, basis_cols)
         for j in range(k):
-            x = _solve_in_span(basis_cols, img[:, j])
+            x = gf2.solve(basis_cols, img[:, j])
             if x is None:
                 raise ModuleError(f"subspace is not invariant under {name!r}")
             mat[:, j] = x
         ops[name] = mat
     return F2Module(k, tuple(f"b{i}" for i in range(k)), ops)
-
-
-def _solve_in_span(basis_cols: np.ndarray, vec: np.ndarray):
-    return gf2.solve(basis_cols, vec)
 
 
 def subspace_for(mod: F2Module, s, edges) -> np.ndarray:
@@ -363,10 +351,7 @@ def _theta_ops() -> tuple[tuple, dict]:
             else:
                 # u2^2 = 1 + u1^2 + u1 u2
                 for da, db in ((0, 0), (2, 0), (1, 1)):
-                    emit2(a + da, b - 2 + db)
-
-        def emit2(a, b):
-            emit(a, b)
+                    emit(a + da, b - 2 + db)
 
         emit(a, b)
         return out

@@ -7,22 +7,24 @@ planar diagram evaluates to its Tait coloring count.  The pairing of
 smoothings with inserted-edge webs is fixed by calibration on the kinked
 unknot, the Hopf link and the trefoil; see ``CALIBRATED_PAIRING``.
 
-The expansion runs on a compact splice structure rather than full
-validated diagrams; it agrees with the public ``resolve_crossing`` path
-(asserted in the tests) and with the signed Tait count oracle.
+The expansion steps a ``webs.Splice``, the same resolution engine that
+``webs.resolve_crossing`` runs once and turns back into a validated
+diagram, and counts each leaf with the Tait counter behind
+``tait.tait_count``.  Its value agrees with the signed Tait count oracle
+and with expanding one crossing by ``resolve_crossing`` (asserted in the
+tests).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .tait import tait_count
+from .tait import _count, tait_count
 from .webs import (
     Diagram,
     EDGE_A,
     EDGE_B,
     SMOOTH_A,
     SMOOTH_B,
+    Splice,
     Web,
     WebError,
     make_web,
@@ -35,171 +37,48 @@ from .webs import (
 CALIBRATED_PAIRING = {SMOOTH_A: EDGE_B, SMOOTH_B: EDGE_A}
 ALIGNED_PAIRING = {SMOOTH_A: EDGE_A, SMOOTH_B: EDGE_B}
 
-_PAIRS = {SMOOTH_A: ((0, 1), (2, 3)), SMOOTH_B: ((1, 2), (3, 0))}
 
-
-@dataclass
-class SkeinState:
-    """Worklist of signed states; the signed sum of values is invariant."""
-
-    pending: list = field(default_factory=list)
-    accumulator: int = 0
-    leaves: int = 0
-
-    def settle(self, value: int, sign: int) -> None:
-        self.accumulator += sign * value
-        self.leaves += 1
-
-
-class _Splice:
-    """Strand involution on node slots, plus free-circle count.
-
-    Slots are (node id, position); ``verts`` holds trivalent node ids,
-    ``crossings`` the 4-valent ones.
-    """
-
-    __slots__ = ("links", "verts", "crossings", "circles", "fresh")
-
-    def __init__(self, links, verts, crossings, circles, fresh):
-        self.links = links
-        self.verts = verts
-        self.crossings = crossings
-        self.circles = circles
-        self.fresh = fresh
-
-    @staticmethod
-    def from_diagram(d: Diagram) -> "_Splice":
-        links: dict = {}
-        for occ in d.endpoints().values():
-            (n1, p1), (n2, p2) = occ
-            links[(n1, p1)] = (n2, p2)
-            links[(n2, p2)] = (n1, p1)
-        return _Splice(
-            links,
-            frozenset(n.id for n in d.vertices),
-            frozenset(c.id for c in d.crossings),
-            len(d.circles),
-            0,
-        )
-
-    def copy(self) -> "_Splice":
-        return _Splice(dict(self.links), self.verts, self.crossings, self.circles, self.fresh)
-
-    def smooth(self, cid, kind: str) -> "_Splice":
-        out = self.copy()
-        for p, q in _PAIRS[kind]:
-            a = out.links.pop((cid, p))
-            if a == (cid, q):
-                out.links.pop((cid, q), None)
-                out.circles += 1
-            else:
-                b = out.links.pop((cid, q))
-                out.links[a] = b
-                out.links[b] = a
-        out.crossings = self.crossings - {cid}
-        return out
-
-    def insert_edge(self, cid, kind: str) -> "_Splice":
-        out = self.copy()
-        w1 = ("w", cid, out.fresh)
-        w2 = ("w", cid, out.fresh + 1)
-        out.fresh += 2
-        groups = _PAIRS[SMOOTH_A if kind == EDGE_A else SMOOTH_B]
-        rehome = {}
-        for vid, (p, q) in zip((w1, w2), groups):
-            rehome[(cid, p)] = (vid, 0)
-            rehome[(cid, q)] = (vid, 1)
-        for s, new_s in rehome.items():
-            partner = out.links.pop(s)
-            if partner in rehome:
-                out.links[new_s] = rehome[partner]
-            else:
-                out.links[new_s] = partner
-                out.links[partner] = new_s
-        out.links[(w1, 2)] = (w2, 2)
-        out.links[(w2, 2)] = (w1, 2)
-        out.verts = self.verts | {w1, w2}
-        out.crossings = self.crossings - {cid}
-        return out
-
-    def leaf_tait(self) -> int:
-        """Tait count of the crossing-free state."""
-        ends = []
-        seen = set()
-        for ep in self.links:
-            if ep in seen:
-                continue
-            q = self.links[ep]
-            seen.add(ep)
+def _leaf_count(sp: Splice) -> int:
+    """Tait count of a crossing-free splice."""
+    ends = []
+    seen = set()
+    for ep, q in sp.links.items():
+        if ep not in seen:
             seen.add(q)
-            if ep[0] == q[0]:
-                return 0  # loop edge
             ends.append((ep[0], q[0]))
-        # connectivity-aware ordering for effective pruning
-        order = []
-        remaining = list(range(len(ends)))
-        covered: set = set()
-        while remaining:
-            pick = None
-            for idx in remaining:
-                u, v = ends[idx]
-                if u in covered or v in covered:
-                    pick = idx
-                    break
-            if pick is None:
-                pick = remaining[0]
-            remaining.remove(pick)
-            order.append(ends[pick])
-            covered.update(ends[pick])
-        used = {v: 0 for v in self.verts}
-        n = len(order)
-
-        def backtrack(i: int) -> int:
-            if i == n:
-                return 1
-            u, v = order[i]
-            free = ~(used[u] | used[v])
-            total = 0
-            for bit in (1, 2, 4):
-                if free & bit:
-                    used[u] |= bit
-                    used[v] |= bit
-                    total += backtrack(i + 1)
-                    used[u] ^= bit
-                    used[v] ^= bit
-            return total
-
-        return backtrack(0) * 3 ** self.circles
+    return _count(ends) * 3 ** sp.circles
 
 
-def _expand(d: Diagram, smooth_kind: str, pairing=CALIBRATED_PAIRING) -> SkeinState:
-    state = SkeinState()
+def _expand(d: Diagram, smooth_kind: str, pairing=CALIBRATED_PAIRING) -> tuple[int, int]:
+    """Signed sum of the leaf Tait counts, and the number of leaves."""
     edge_kind = pairing[smooth_kind]
-    state.pending.append((_Splice.from_diagram(d), +1))
-    while state.pending:
-        sp, sign = state.pending.pop()
+    pending = [(Splice.from_diagram(d), +1)]
+    total = leaves = 0
+    while pending:
+        sp, sign = pending.pop()
         if sp.crossings:
             cid = min(sp.crossings, key=str)
-            state.pending.append((sp.smooth(cid, smooth_kind), sign))
-            state.pending.append((sp.insert_edge(cid, edge_kind), -sign))
+            pending.append((sp.smooth(cid, smooth_kind), sign))
+            pending.append((sp.insert_edge(cid, edge_kind), -sign))
         else:
-            state.settle(sp.leaf_tait(), sign)
-    return state
+            total += sign * _leaf_count(sp)
+            leaves += 1
+    return total, leaves
 
 
 def euler_char(d: Diagram, pairing=CALIBRATED_PAIRING) -> int:
     """Euler characteristic of the homology of the diagrammed web."""
-    return _expand(d, SMOOTH_A, pairing).accumulator
+    return _expand(d, SMOOTH_A, pairing)[0]
 
 
 def euler_char_dual(d: Diagram, pairing=CALIBRATED_PAIRING) -> int:
     """Same value computed with the quarter-turn-rotated relation."""
-    return _expand(d, SMOOTH_B, pairing).accumulator
+    return _expand(d, SMOOTH_B, pairing)[0]
 
 
 def euler_char_report(d: Diagram) -> dict:
-    state = _expand(d, SMOOTH_A)
-    return {"chi": state.accumulator, "expansion_leaves": state.leaves}
+    chi, leaves = _expand(d, SMOOTH_A)
+    return {"chi": chi, "expansion_leaves": leaves}
 
 
 # ---------------------------------------------------------------------------

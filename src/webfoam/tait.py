@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .webs import Diagram, Web, diagram_vertex_orders, underlying_web
+from .webs import Diagram, Web, _union_find, diagram_vertex_orders, underlying_web
 
 COLORS = (1, 2, 3)
 
@@ -61,40 +61,35 @@ def tait_colorings(w: Web):
         yield from with_circles(base)
 
 
-def _connectivity_order(w: Web) -> list:
-    """Regular edges ordered so each shares a vertex with an earlier one."""
-    remaining = set(w.edge_ends)
+def _count(ends: list) -> int:
+    """Tait colorings of the graph whose edges are the vertex pairs ``ends``.
+
+    The one bitmask counter: edges are colored in connectivity order
+    (next comes the first edge in ``ends`` meeting an edge already
+    colored, else the first left), so the search prunes early.  A loop
+    admits no coloring.
+    """
+    if any(u == v for u, v in ends):
+        return 0
     order = []
+    remaining = list(ends)
     covered: set = set()
     while remaining:
-        nxt = None
-        for e in sorted(remaining, key=str):
-            (u, _), (v, _) = w.edge_ends[e]
+        pick = 0
+        for idx, (u, v) in enumerate(remaining):
             if u in covered or v in covered:
-                nxt = e
+                pick = idx
                 break
-        if nxt is None:
-            nxt = min(remaining, key=str)
-        remaining.discard(nxt)
-        order.append(nxt)
-        (u, _), (v, _) = w.edge_ends[nxt]
-        covered.update((u, v))
-    return order
-
-
-def tait_count(w: Web) -> int:
-    """Number of Tait colorings; vertexless circles contribute a factor 3."""
-    if w.has_loop():
-        return 0
-    order = _connectivity_order(w)
-    ends = [(w.edge_ends[e][0][0], w.edge_ends[e][1][0]) for e in order]
-    used = {v: 0 for v in w.vertices}
+        edge = remaining.pop(pick)
+        order.append(edge)
+        covered.update(edge)
+    used = dict.fromkeys(covered, 0)
     n = len(order)
 
     def backtrack(i: int) -> int:
         if i == n:
             return 1
-        u, v = ends[i]
+        u, v = order[i]
         free = ~(used[u] | used[v])
         total = 0
         for bit in (1, 2, 4):
@@ -106,7 +101,13 @@ def tait_count(w: Web) -> int:
                 used[v] ^= bit
         return total
 
-    return backtrack(0) * 3 ** len(w.circles)
+    return backtrack(0)
+
+
+def tait_count(w: Web) -> int:
+    """Number of Tait colorings; vertexless circles contribute a factor 3."""
+    ends = [(w.edge_ends[e][0][0], w.edge_ends[e][1][0]) for e in sorted(w.edge_ends, key=str)]
+    return _count(ends) * 3 ** len(w.circles)
 
 
 def vertex_sign(colors_ccw) -> int:
@@ -187,32 +188,17 @@ def complement_components(w: Web, s) -> list[dict]:
     component is a circle (each vertex keeps exactly two incidences).
     """
     comp_edges = [e for e in w.edge_ends if e not in s]
-    comp_circles = [c for c in w.circles if c not in s]
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in comp_edges:
-        (u, _), (v, _) = w.edge_ends[e]
-        union(("v", u), ("e", e))
-        union(("v", v), ("e", e))
+    root = _union_find(w.vertices, ((w.edge_ends[e][0][0], w.edge_ends[e][1][0]) for e in comp_edges))
     groups: dict = {}
     for e in comp_edges:
-        groups.setdefault(find(("e", e)), {"edges": set(), "vertices": set()})["edges"].add(e)
-        for v, _ in w.edge_ends[e]:
-            groups[find(("e", e))]["vertices"].add(v)
+        (u, _), (v, _) = w.edge_ends[e]
+        group = groups.setdefault(root[u], {"edges": set(), "vertices": set()})
+        group["edges"].add(e)
+        group["vertices"].update((u, v))
     out = list(groups.values())
-    for c in comp_circles:
-        out.append({"edges": {c}, "vertices": set()})
+    for c in w.circles:
+        if c not in s:
+            out.append({"edges": {c}, "vertices": set()})
     return out
 
 

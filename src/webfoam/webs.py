@@ -9,14 +9,16 @@ every arc label occurs exactly twice among the node slots (or not at all,
 for a free circle).
 
 All structures are immutable after construction; every operation returns
-a new object.
+a new object.  Crossings are resolved on a ``Splice``, the strand
+involution on node slots, which ``Splice.to_diagram`` turns back into a
+validated diagram.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Iterable, Mapping
 
 
@@ -77,17 +79,6 @@ class Web:
     def ends(self, e):
         return self.edge_ends[e]
 
-    @property
-    def darts(self) -> list:
-        return [(e, i) for e in sorted(self.edge_ends, key=str) for i in (0, 1)]
-
-    def dart_vertex(self, dart):
-        e, i = dart
-        return self.edge_ends[e][i][0]
-
-    def dart_edge(self, dart):
-        return dart[0]
-
     def vertex_edges(self, v) -> list:
         """Edges at ``v`` in slot order 0, 1, 2 (a loop appears twice)."""
         out = {}
@@ -133,31 +124,53 @@ def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:
     return make_web(tuple(vertex_edges), edges, circles)
 
 
+def _load(text: str, what: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise WebError(f"{what} document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise WebError(f"{what} document must be a JSON object")
+    return doc
+
+
+def _items(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise WebError(f"{what} must be a list, not {x!r}")
+    return x
+
+
+def _ident(x, what: str):
+    if isinstance(x, (list, dict)):
+        raise WebError(f"{what} {x!r} must be a string or a number")
+    return x
+
+
 def parse_web(text: str) -> Web:
     """Parse the JSON web format.
 
     ``{"vertices": [ids], "edges": [{"id": e, "ends": [[v, slot], [v, slot]]}
     | {"id": e, "circle": true}]}``
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WebError(f"web document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "edges" not in doc:
+    doc = _load(text, "web")
+    if "edges" not in doc:
         raise WebError("web document must be an object with an 'edges' list")
-    vertices = tuple(doc.get("vertices", []))
+    vertices = tuple(_ident(v, "vertex id") for v in _items(doc.get("vertices", []), "'vertices'"))
     edges = []
     circles = []
-    for rec in doc["edges"]:
-        if "id" not in rec:
+    for rec in _items(doc["edges"], "'edges'"):
+        if not isinstance(rec, dict) or "id" not in rec:
             raise WebError("every edge record needs an 'id'")
+        e = _ident(rec["id"], "edge id")
         if rec.get("circle"):
-            circles.append(rec["id"])
+            circles.append(e)
         else:
             ends = rec.get("ends")
-            if not ends or len(ends) != 2:
-                raise WebError(f"edge {rec['id']!r}: need 'ends' with 2 entries or 'circle': true")
-            edges.append((rec["id"], tuple(ends[0]), tuple(ends[1])))
+            if not isinstance(ends, list) or len(ends) != 2 or any(
+                not isinstance(end, list) or len(end) != 2 for end in ends
+            ):
+                raise WebError(f"edge {e!r}: need 'ends' with 2 [vertex, slot] entries or 'circle': true")
+            edges.append((e, tuple(ends[0]), tuple(ends[1])))
     return make_web(vertices, edges, circles)
 
 
@@ -171,27 +184,31 @@ def serialize_web(w: Web) -> str:
     return json.dumps({"vertices": list(w.vertices), "edges": recs}, default=str)
 
 
-def web_component_count(w: Web) -> int:
-    """Connected components; vertexless circles count singly."""
-    parent: dict = {}
+def _union_find(nodes, pairs) -> dict:
+    """Map each of ``nodes`` to the root of its connected component.
+
+    Each pair joins the components of its two nodes (all among ``nodes``);
+    the root of the second becomes the root of the union.
+    """
+    parent = {x: x for x in nodes}
 
     def find(x):
-        while parent.setdefault(x, x) != x:
+        while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a, b):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
+    return {x: find(x) for x in parent}
 
-    for v in w.vertices:
-        parent.setdefault(("v", v), ("v", v))
-    for e, ((u, _), (v, _)) in w.edge_ends.items():
-        union(("v", u), ("v", v))
-    roots = {find(("v", v)) for v in w.vertices}
-    return len(roots) + len(w.circles)
+
+def web_component_count(w: Web) -> int:
+    """Connected components; vertexless circles count singly."""
+    root = _union_find(w.vertices, ((u, v) for (u, _), (v, _) in w.edge_ends.values()))
+    return len(set(root.values())) + len(w.circles)
 
 
 def disjoint_union_webs(a: Web, b: Web, tags=("A", "B")) -> Web:
@@ -228,12 +245,18 @@ class Crossing:
 
 @dataclass(frozen=True)
 class Diagram:
-    """Planar diagram: trivalent vertices, crossings, free circles."""
+    """Planar diagram: trivalent vertices, crossings, free circles.
+
+    ``arc_ends`` maps each attached arc to its two (node id, position)
+    ends, vertices first; ``faces`` lists the faces as tuples of such
+    darts.  Both are derived on construction.
+    """
 
     vertices: tuple = ()
     crossings: tuple = ()
     circles: tuple = ()
     faces: tuple = field(init=False, default=())
+    arc_ends: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [n.id for n in self.vertices] + [c.id for c in self.crossings]
@@ -260,19 +283,11 @@ class Diagram:
         for a in self.circles:
             if a in occurrences:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
+        object.__setattr__(self, "arc_ends", occurrences)
         object.__setattr__(self, "faces", _trace_faces(self))
         _check_euler(self)
 
     # -- structure ---------------------------------------------------------
-
-    def node(self, node_id):
-        for n in self.vertices:
-            if n.id == node_id:
-                return n
-        for c in self.crossings:
-            if c.id == node_id:
-                return c
-        raise KeyError(node_id)
 
     def crossing(self, cid) -> Crossing:
         for c in self.crossings:
@@ -282,27 +297,11 @@ class Diagram:
 
     @property
     def arcs(self) -> list:
-        out = set(self.circles)
-        for n in self.vertices:
-            out.update(n.arcs)
-        for c in self.crossings:
-            out.update(c.arcs)
-        return sorted(out, key=str)
-
-    def endpoints(self) -> dict:
-        """arc id -> list of (node id, position) occurrences."""
-        occ: dict = {}
-        for n in self.vertices:
-            for pos, a in enumerate(n.arcs):
-                occ.setdefault(a, []).append((n.id, pos))
-        for c in self.crossings:
-            for pos, a in enumerate(c.arcs):
-                occ.setdefault(a, []).append((c.id, pos))
-        return occ
+        return sorted({*self.circles, *self.arc_ends}, key=str)
 
 
-def _node_degree(d: Diagram, node_id) -> int:
-    return len(d.node(node_id).arcs)
+def _dart_key(dart) -> tuple:
+    return str(dart[0]), dart[1]
 
 
 def _dart_partner_map(d: Diagram) -> dict:
@@ -311,8 +310,7 @@ def _dart_partner_map(d: Diagram) -> dict:
     A kink-style arc with both ends on one node pairs its two positions.
     """
     partner: dict = {}
-    for occ in d.endpoints().values():
-        (n1, p1), (n2, p2) = occ
+    for (n1, p1), (n2, p2) in d.arc_ends.values():
         partner[(n1, p1)] = (n2, p2)
         partner[(n2, p2)] = (n1, p1)
     return partner
@@ -321,18 +319,19 @@ def _dart_partner_map(d: Diagram) -> dict:
 def _trace_faces(d: Diagram) -> tuple:
     """Faces of the combinatorial map as tuples of darts (node, pos)."""
     partner = _dart_partner_map(d)
-    unseen = set(partner)
+    degree = {n.id: len(n.arcs) for nodes in (d.vertices, d.crossings) for n in nodes}
+    seen = set()
     faces = []
-    while unseen:
-        start = min(unseen, key=lambda t: (str(t[0]), t[1]))
+    for start in sorted(partner, key=_dart_key):
+        if start in seen:
+            continue
         face = []
         dart = start
         while True:
             face.append(dart)
-            unseen.discard(dart)
+            seen.add(dart)
             n, p = partner[dart]
-            deg = _node_degree(d, n)
-            dart = (n, (p + 1) % deg)
+            dart = (n, (p + 1) % degree[n])
             if dart == start:
                 break
         faces.append(tuple(face))
@@ -341,46 +340,17 @@ def _trace_faces(d: Diagram) -> tuple:
 
 def _check_euler(d: Diagram) -> None:
     """Euler formula V - E + F = 2, per connected component."""
-    parents: dict = {}
-
-    def find(x):
-        while parents.get(x, x) != x:
-            parents[x] = parents.get(parents[x], parents[x])
-            x = parents[x]
-        return x
-
-    def union(x, y):
-        parents.setdefault(x, x)
-        parents.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parents[rx] = ry
-
-    node_ids = [n.id for n in d.vertices] + [c.id for c in d.crossings]
-    for nid in node_ids:
-        parents.setdefault(nid, nid)
-    for occ in d.endpoints().values():
-        (n1, _), (n2, _) = occ
-        union(n1, n2)
-
-    comp_v: dict = {}
-    comp_e: dict = {}
-    comp_f: dict = {}
-    for nid in node_ids:
-        comp_v[find(nid)] = comp_v.get(find(nid), 0) + 1
-    for a, occ in d.endpoints().items():
-        root = find(occ[0][0])
-        comp_e[root] = comp_e.get(root, 0) + 1
-    for face in d.faces:
-        root = find(face[0][0])
-        comp_f[root] = comp_f.get(root, 0) + 1
-    for root in comp_v:
-        v = comp_v[root]
-        e = comp_e.get(root, 0)
-        f = comp_f.get(root, 0)
+    root = _union_find(
+        [n.id for n in d.vertices] + [c.id for c in d.crossings],
+        ((n1, n2) for (n1, _), (n2, _) in d.arc_ends.values()),
+    )
+    comp_e = Counter(root[occ[0][0]] for occ in d.arc_ends.values())
+    comp_f = Counter(root[face[0][0]] for face in d.faces)
+    for r, v in Counter(root.values()).items():
+        e, f = comp_e[r], comp_f[r]
         if v - e + f != 2:
             raise WebError(
-                f"non-planar face structure: component of {root!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
+                f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
             )
 
 
@@ -395,41 +365,32 @@ def parse_diagram(text: str) -> Diagram:
     explicit ``"strands": [[d1, d2], ...]`` list may be given instead, in
     which case dart labels are treated as unique endpoint names.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WebError(f"diagram document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise WebError("diagram document must be a JSON object")
-
+    doc = _load(text, "diagram")
     rename = {}
-    if "strands" in doc:
-        for pair in doc["strands"]:
-            if len(pair) != 2:
-                raise WebError("each strand must pair exactly 2 darts")
-            a, b = pair
-            label = str(min(a, b, key=str))
-            rename[a] = label
-            rename[b] = label
+    for pair in _items(doc.get("strands", []), "'strands'"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise WebError("each strand must pair exactly 2 darts")
+        a, b = (_ident(x, "dart") for x in pair)
+        label = str(min(a, b, key=str))
+        rename[a] = label
+        rename[b] = label
 
-    def lab(x):
-        return rename.get(x, x)
-
-    vertices = []
-    for rec in doc.get("vertices", []):
+    def node(rec, kind: str) -> tuple:
+        if not isinstance(rec, dict) or "id" not in rec:
+            raise WebError(f"every {kind} record needs an 'id'")
         arcs = rec.get("darts") or rec.get("arcs")
         if arcs is None:
-            raise WebError(f"vertex {rec.get('id')!r} needs a 'darts' list")
-        vertices.append(Vertex(rec["id"], tuple(lab(a) for a in arcs)))
-    crossings = []
-    for rec in doc.get("crossings", []):
-        arcs = rec.get("darts") or rec.get("arcs")
-        if arcs is None:
-            raise WebError(f"crossing {rec.get('id')!r} needs a 'darts' list")
-        crossings.append(
-            Crossing(rec["id"], tuple(lab(a) for a in arcs), tuple(rec.get("over", (0, 2))))
-        )
-    return Diagram(tuple(vertices), tuple(crossings), tuple(doc.get("circles", ())))
+            raise WebError(f"{kind} {rec['id']!r} needs a 'darts' list")
+        arcs = [_ident(a, "arc") for a in _items(arcs, f"'darts' of {kind} {rec['id']!r}")]
+        return _ident(rec["id"], f"{kind} id"), tuple(rename.get(a, a) for a in arcs)
+
+    vertices = [Vertex(*node(rec, "vertex")) for rec in _items(doc.get("vertices", []), "'vertices'")]
+    crossings = [
+        Crossing(*node(rec, "crossing"), tuple(_items(rec.get("over", [0, 2]), "'over'")))
+        for rec in _items(doc.get("crossings", []), "'crossings'")
+    ]
+    circles = tuple(_ident(a, "circle") for a in _items(doc.get("circles", []), "'circles'"))
+    return Diagram(tuple(vertices), tuple(crossings), circles)
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -451,85 +412,45 @@ def _merge_label(ids) -> str:
     return str(min(ids, key=str))
 
 
-def _erase_nodes(d: Diagram, welds: Mapping) -> tuple[list, list, list]:
-    """Remove nodes, welding their darts through in the prescribed way.
+def underlying_web(d: Diagram) -> Web:
+    """Erase all crossings, concatenating the strands passing through.
 
-    ``welds`` maps a node id to a list of position pairs to be joined,
-    covering all of the node's positions.  Returns (surviving vertex
-    records, merged arc list, new circle ids): each merged arc is
-    (label, (node, pos), (node, pos)) between surviving nodes, and each
-    element of the circle list is a label of a closed strand created by
-    the welding.  Existing free circles are not included.
+    A web edge or circle made of several arcs is labelled by the least of
+    their labels (compared as strings).
     """
     partner = _dart_partner_map(d)
-    weld_next: dict = {}
-    for nid, pairs in welds.items():
-        for p, q in pairs:
-            weld_next[(nid, p)] = (nid, q)
-            weld_next[(nid, q)] = (nid, p)
-
-    erased = set(welds)
-    survivors = [n for n in d.vertices if n.id not in erased]
-    surviving_darts = {
-        (n.id, pos) for n in survivors for pos in range(3)
-    } | {
-        (c.id, pos) for c in d.crossings if c.id not in erased for pos in range(4)
-    }
-
-    arc_of_dart = {}
-    for a, occ in d.endpoints().items():
-        for dart in occ:
-            arc_of_dart[dart] = a
-
-    merged_arcs = []
-    circles = []
-    done = set()
-    consumed = set()  # erased-node darts swallowed by open chains
-    # open chains: walk from each surviving dart
-    for start in sorted(surviving_darts, key=lambda t: (str(t[0]), t[1])):
-        if start in done:
-            continue
-        labels = [arc_of_dart[start]]
-        dart = partner[start]
-        while dart not in surviving_darts:
-            consumed.add(dart)
-            dart = weld_next[dart]
-            consumed.add(dart)
-            labels.append(arc_of_dart[dart])
-            dart = partner[dart]
-        done.add(start)
-        done.add(dart)
-        merged_arcs.append((_merge_label(labels), start, dart))
-    # closed chains entirely inside the erased nodes
-    visited = set(consumed)
-    for dart in sorted(weld_next, key=lambda t: (str(t[0]), t[1])):
-        if dart in visited:
-            continue
-        labels = []
-        cur = dart
-        while cur not in visited:
-            visited.add(cur)
-            visited.add(weld_next[cur])
-            labels.append(arc_of_dart[cur])
-            cur = partner[weld_next[cur]]
-        circles.append(_merge_label(labels))
-    return survivors, merged_arcs, circles
-
-
-def underlying_web(d: Diagram) -> Web:
-    """Erase all crossings, concatenating the strands passing through."""
-    welds = {c.id: [(0, 2), (1, 3)] for c in d.crossings}
-    survivors, merged_arcs, circles = _erase_nodes(d, welds)
-    vertex_ids = [n.id for n in survivors]
+    arc_of = {dart: a for a, occ in d.arc_ends.items() for dart in occ}
+    crossings = {c.id for c in d.crossings}
     edges = []
-    for label, (n1, p1), (n2, p2) in merged_arcs:
-        edges.append((label, (n1, p1), (n2, p2)))
-    all_circles = list(d.circles) + circles
+    walked = set()  # vertex darts ending an edge, crossing darts passed through
+    for start in sorted(((n.id, pos) for n in d.vertices for pos in range(3)), key=_dart_key):
+        if start in walked:
+            continue
+        labels = [arc_of[start]]
+        dart = partner[start]
+        while dart[0] in crossings:  # go straight through: position p exits at p ^ 2
+            walked.update((dart, (dart[0], dart[1] ^ 2)))
+            dart = (dart[0], dart[1] ^ 2)
+            labels.append(arc_of[dart])
+            dart = partner[dart]
+        walked.update((start, dart))
+        edges.append((_merge_label(labels), start, dart))
+    circles = list(d.circles)
+    # closed strands running through crossings only
+    for start in sorted(((c, pos) for c in crossings for pos in range(4)), key=_dart_key):
+        labels = []
+        cur = start
+        while cur not in walked:
+            walked.update((cur, (cur[0], cur[1] ^ 2)))
+            labels.append(arc_of[cur])
+            cur = partner[(cur[0], cur[1] ^ 2)]
+        if labels:
+            circles.append(_merge_label(labels))
     # guard against a merged edge label colliding with a circle label
-    labels = [e[0] for e in edges] + all_circles
+    labels = [e[0] for e in edges] + circles
     if len(labels) != len(set(labels)):
         edges = [(f"e{idx}:{lbl}", a, b) for idx, (lbl, a, b) in enumerate(edges)]
-    return make_web(vertex_ids, edges, all_circles)
+    return make_web([n.id for n in d.vertices], edges, circles)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +463,116 @@ EDGE_B = "edge_b"
 
 RESOLUTIONS = (SMOOTH_A, SMOOTH_B, EDGE_A, EDGE_B)
 
-_fresh = count()
+# crossing positions joined by each smoothing, and grouped alike by the
+# matching inserted edge
+_PAIRS = {
+    SMOOTH_A: ((0, 1), (2, 3)),
+    SMOOTH_B: ((1, 2), (3, 0)),
+    EDGE_A: ((0, 1), (2, 3)),
+    EDGE_B: ((1, 2), (3, 0)),
+}
+
+
+class Splice:
+    """A diagram under resolution: the strand involution on node slots.
+
+    ``links`` pairs each slot (node id, position) with the slot at the
+    other end of its arc; ``verts`` and ``crossings`` hold the ids of the
+    trivalent and 4-valent nodes, and ``circles`` counts free circles.
+    Each step returns a new splice; a vertex added by ``insert_edge`` has
+    the id ("w", crossing id, k), with k counted by ``fresh``.
+    """
+
+    __slots__ = ("links", "verts", "crossings", "circles", "fresh")
+
+    def __init__(self, links, verts, crossings, circles, fresh):
+        self.links = links
+        self.verts = verts
+        self.crossings = crossings
+        self.circles = circles
+        self.fresh = fresh
+
+    @staticmethod
+    def from_diagram(d: Diagram) -> "Splice":
+        return Splice(
+            _dart_partner_map(d),
+            frozenset(n.id for n in d.vertices),
+            frozenset(c.id for c in d.crossings),
+            len(d.circles),
+            0,
+        )
+
+    def copy(self) -> "Splice":
+        return Splice(dict(self.links), self.verts, self.crossings, self.circles, self.fresh)
+
+    def smooth(self, cid, kind: str) -> "Splice":
+        out = self.copy()
+        for p, q in _PAIRS[kind]:
+            a = out.links.pop((cid, p))
+            if a == (cid, q):
+                out.links.pop((cid, q), None)
+                out.circles += 1
+            else:
+                b = out.links.pop((cid, q))
+                out.links[a] = b
+                out.links[b] = a
+        out.crossings = self.crossings - {cid}
+        return out
+
+    def insert_edge(self, cid, kind: str) -> "Splice":
+        out = self.copy()
+        w1 = ("w", cid, out.fresh)
+        w2 = ("w", cid, out.fresh + 1)
+        out.fresh += 2
+        rehome = {}
+        for vid, (p, q) in zip((w1, w2), _PAIRS[kind]):
+            rehome[(cid, p)] = (vid, 0)
+            rehome[(cid, q)] = (vid, 1)
+        for s, new_s in rehome.items():
+            partner = out.links.pop(s)
+            if partner in rehome:
+                out.links[new_s] = rehome[partner]
+            else:
+                out.links[new_s] = partner
+                out.links[partner] = new_s
+        out.links[(w1, 2)] = (w2, 2)
+        out.links[(w2, 2)] = (w1, 2)
+        out.verts = self.verts | {w1, w2}
+        out.crossings = self.crossings - {cid}
+        return out
+
+    def to_diagram(self, d: Diagram) -> Diagram:
+        """The validated diagram of this splice of ``d``, labelled as
+        ``resolve_crossing`` describes."""
+        used = {str(x) for x in d.arcs}
+        used.update(str(n.id) for nodes in (d.vertices, d.crossings) for n in nodes)
+
+        def fresh(base: str) -> str:
+            k = 0
+            while f"{base}{k}" in used:
+                k += 1
+            used.add(f"{base}{k}")
+            return f"{base}{k}"
+
+        arc_at = {dart: a for a, occ in d.arc_ends.items() for dart in occ}
+        label: dict = {}
+        for s, t in self.links.items():
+            if s not in label:
+                kept = [arc_at[x] for x in (s, t) if x in arc_at]
+                label[s] = label[t] = min(kept, key=str) if kept else fresh("s")
+        new = sorted(self.verts.difference(n.id for n in d.vertices), key=lambda v: v[2])
+        vertices = [
+            Vertex(n.id, tuple(label[(n.id, k)] for k in range(3)))
+            for n in d.vertices
+            if n.id in self.verts
+        ] + [Vertex(fresh(f"{v[1]}.w"), tuple(label[(v, k)] for k in range(3))) for v in new]
+        crossings = [
+            Crossing(c.id, tuple(label[(c.id, k)] for k in range(4)), c.over)
+            for c in d.crossings
+            if c.id in self.crossings
+        ]
+        circles = list(d.circles) + [fresh("s") for _ in range(self.circles - len(d.circles))]
+        return Diagram(tuple(vertices), tuple(crossings), tuple(circles))
 
 
 def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:
@@ -553,91 +583,21 @@ def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:
     edge between two new trivalent vertices grouped like the matching
     smoothing; the new vertices inherit counterclockwise order from the
     plane.
+
+    Labels depend on ``d`` alone.  Nodes and free circles of ``d`` keep
+    their ids.  An arc keeps the label of an arc of ``d`` that ended
+    where it ends, the least as a string if two did (a smoothing joins
+    two arcs into one).  The new vertices take the first unused names
+    ``"<cid>.w0"``, ``"<cid>.w1"``, ...; the inserted edge, any other arc
+    with both ends at the crossing, and any circle closed by a smoothing
+    take the first unused names ``"s0"``, ``"s1"``, ...
     """
-    c = d.crossing(cid)
-    if kind in (SMOOTH_A, SMOOTH_B):
-        pairs = [(0, 1), (2, 3)] if kind == SMOOTH_A else [(1, 2), (3, 0)]
-        survivors, merged_arcs, new_circles = _erase_nodes(d, {cid: pairs})
-        return _rebuild(d, cid, survivors, merged_arcs, new_circles, extra_vertices=())
-    if kind not in (EDGE_A, EDGE_B):
+    d.crossing(cid)  # an unknown crossing id raises WebError
+    if kind not in RESOLUTIONS:
         raise WebError(f"unknown resolution kind {kind!r}")
-
-    n = next(_fresh)
-    w1, w2, bar = f"{cid}.w{n}a", f"{cid}.w{n}b", f"{cid}.bar{n}"
-    groups = [(0, 1), (2, 3)] if kind == EDGE_A else [(1, 2), (3, 0)]
-    partner = _dart_partner_map(d)
-
-    # each crossing dart re-attaches to one of the new vertices
-    reattach = {}
-    for vid, (p, q) in zip((w1, w2), groups):
-        reattach[(cid, p)] = (vid, 0)
-        reattach[(cid, q)] = (vid, 1)
-
-    def moved(dart):
-        return reattach.get(dart, dart)
-
-    new_vertices = list(d.vertices) + [
-        Vertex(w1, (f"{bar}.s0", f"{bar}.s1", bar)),
-        Vertex(w2, (f"{bar}.s2", f"{bar}.s3", bar)),
-    ]
-    # rebuild arc occurrence table with the crossing's darts re-homed
-    occ = d.endpoints()
-    arc_slots: dict = {}
-    for a, pair in occ.items():
-        if a in c.arcs:
-            continue
-        arc_slots[a] = [moved(x) for x in pair]
-    for p in range(4):
-        a = c.arcs[p]
-        if a in arc_slots:
-            continue
-        pair = occ[a]
-        arc_slots[a] = [moved(x) for x in pair]
-
-    # place arcs into the new vertices in ccw order:
-    #   w1 gets (arc at p, arc at q, bar); w2 likewise; bar joins slot 2 of both
-    slot_arc: dict = {}
-    for a, pair in arc_slots.items():
-        for node, pos in pair:
-            slot_arc[(node, pos)] = a
-    slot_arc[(w1, 2)] = bar
-    slot_arc[(w2, 2)] = bar
-
-    vertex_records = []
-    for v in new_vertices:
-        if v.id in (w1, w2):
-            vertex_records.append(Vertex(v.id, tuple(slot_arc[(v.id, k)] for k in range(3))))
-        else:
-            vertex_records.append(v)
-    crossings = tuple(x for x in d.crossings if x.id != cid)
-    return Diagram(tuple(vertex_records), crossings, d.circles)
-
-
-def _rebuild(d, cid, survivors, merged_arcs, new_circles, extra_vertices):
-    slot_arc: dict = {}
-    for label, (n1, p1), (n2, p2) in merged_arcs:
-        slot_arc[(n1, p1)] = label
-        slot_arc[(n2, p2)] = label
-    vertex_records = [
-        Vertex(v.id, tuple(slot_arc[(v.id, k)] for k in range(3))) for v in survivors
-    ]
-    crossing_records = []
-    for c in d.crossings:
-        if c.id == cid:
-            continue
-        crossing_records.append(
-            Crossing(c.id, tuple(slot_arc[(c.id, k)] for k in range(4)), c.over)
-        )
-    circles = list(d.circles) + list(new_circles)
-    # keep circle labels distinct
-    seen = set()
-    final_circles = []
-    for x in circles:
-        while x in seen:
-            x = f"{x}'"
-        seen.add(x)
-        final_circles.append(x)
-    return Diagram(tuple(vertex_records) + tuple(extra_vertices), tuple(crossing_records), tuple(final_circles))
+    sp = Splice.from_diagram(d)
+    sp = sp.smooth(cid, kind) if kind in (SMOOTH_A, SMOOTH_B) else sp.insert_edge(cid, kind)
+    return sp.to_diagram(d)
 
 
 def flip_crossing(d: Diagram, cid) -> Diagram:

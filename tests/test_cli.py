@@ -107,6 +107,28 @@ class TestExitCodes:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"edges": [{"id": [1], "circle": True}]},
+        {"edges": 5},
+        {"vertices": ["u"], "edges": [{"id": "a", "ends": 5}]},
+        {"vertices": [{"darts": ["a", "b", "c"]}]},
+        {"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": 5}]},
+        {"circles": 5},
+        {"circles": [["a"]]},
+        # a string of darts is not a list of three arcs (it would parse as a theta)
+        {"vertices": [{"id": "u", "darts": "abc"}, {"id": "w", "darts": "acb"}]},
+    ],
+)
+def test_malformed_input_is_a_domain_error(capsys, tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "tait", str(bad))
+    assert code == 1
+    assert out == "" and err.startswith("error: ")
+
+
 def test_console_script_runs():
     out = subprocess.run(
         [sys.executable, "-m", "webfoam.cli", "foam-eval", "sphere 2"],
@@ -123,6 +145,24 @@ def test_golden_outputs(capsys):
         ("euler", data_path("trefoil.diagram.json")): '{"chi": 3, "expansion_leaves": 8}',
         ("foam-eval", "theta 0 1 2"): '{"value": 1}',
         ("dims", "--kappa", "0", "--chi", "4", "--t", "2"): '{"dim": "-2", "dim_mod6": "4", "parity": 0}',
+        # the one_sets edge names come from underlying_web's label merge
+        ("tait", data_path("hopf.diagram.json")): (
+            '{"count": 9, "one_sets": [{"edges": [], "even": true, "n": 2}, '
+            '{"edges": ["a"], "even": true, "n": 1}, {"edges": ["a", "c"], "even": true, "n": 0}, '
+            '{"edges": ["c"], "even": true, "n": 1}], "planar_dim": 9, "signed": 9}'
+        ),
+        ("tait", data_path("lhc.diagram.json")): (
+            '{"count": 0, "one_sets": [{"edges": ["bar"], "even": false, "n": 2}], '
+            '"planar_dim": 0, "signed": 0}'
+        ),
+        ("tait", data_path("k33.diagram.json")): (
+            '{"count": 12, "one_sets": [{"edges": ["d1a", "d2a", "d3"], "even": true, "n": 1}, '
+            '{"edges": ["d1a", "h2", "h5"], "even": true, "n": 1}, '
+            '{"edges": ["d2a", "h3", "h6"], "even": true, "n": 1}, '
+            '{"edges": ["d3", "h1", "h4"], "even": true, "n": 1}, '
+            '{"edges": ["h1", "h3", "h5"], "even": true, "n": 1}, '
+            '{"edges": ["h2", "h4", "h6"], "even": true, "n": 1}], "planar_dim": 12, "signed": 0}'
+        ),
     }
     for argv, expected in golden.items():
         code = main(list(argv))

@@ -1,6 +1,9 @@
 import json
 import random
 
+import pytest
+
+from webfoam import generate
 from webfoam.generate import (
     add_kink,
     add_poke,
@@ -93,3 +96,13 @@ def test_random_diagrams_valid_and_bounded():
         d = random_diagram(seeds, 6, rng)
         assert len(d.crossings) <= 6
         underlying_web(d)  # validates
+
+
+def test_poke_failure_other_than_value_error_propagates(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("bug in _poke")
+
+    monkeypatch.setattr(generate, "_poke", broken)
+    theta = {"vertices": [{"id": "u", "darts": ["e2", "e1", "e3"]}, {"id": "w", "darts": ["e1", "e2", "e3"]}]}
+    with pytest.raises(RuntimeError):
+        add_poke(parse_diagram(json.dumps(theta)), random.Random(0), "t")

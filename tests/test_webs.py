@@ -17,6 +17,7 @@ from webfoam.webs import (
     parse_diagram,
     parse_web,
     resolve_crossing,
+    serialize_diagram,
     serialize_web,
     underlying_web,
     web_component_count,
@@ -232,6 +233,22 @@ class TestResolveCrossing:
             for kind in (SMOOTH_A, SMOOTH_B):
                 got = web_component_count(underlying_web(resolve_crossing(d, c.id, kind)))
                 assert abs(got - base) <= 1
+
+    def test_labels_do_not_depend_on_call_history(self):
+        d = hopf_diagram()
+        first = serialize_diagram(resolve_crossing(d, "c1", EDGE_A))
+        for kind in RESOLUTIONS:
+            resolve_crossing(trefoil_diagram(), trefoil_diagram().crossings[0].id, kind)
+        assert serialize_diagram(resolve_crossing(d, "c1", EDGE_A)) == first
+
+    def test_labels_kept_and_fresh(self):
+        d = hopf_diagram()
+        r = resolve_crossing(d, "c1", EDGE_A)
+        assert [n.id for n in r.vertices] == ["c1.w0", "c1.w1"]
+        assert r.crossing("c2") == d.crossing("c2")
+        assert sorted(r.arcs) == ["a", "b", "c", "d", "s0"]
+        # a smoothing joins two arcs under the lesser label
+        assert resolve_crossing(d, "c1", SMOOTH_A).crossing("c2").arcs == ("b", "b", "a", "a")
 
     def test_resolution_kinds_closed(self):
         assert set(RESOLUTIONS) == {SMOOTH_A, SMOOTH_B, EDGE_A, EDGE_B}
