@@ -377,6 +377,8 @@ def sphere_closure_oracle(max_dots: int = 12) -> dict:
 # ---------------------------------------------------------------------------
 # prefix mini-language
 
+MAX_NESTING = 200
+
 
 def parse_expr(text: str) -> FoamExpr:
     """Parse the prefix mini-language for foam expressions.
@@ -384,6 +386,10 @@ def parse_expr(text: str) -> FoamExpr:
     Examples: ``theta 0 1 2``, ``sphere 4``, ``(sum-t2 (sphere 0))``,
     ``(plus (sphere 2) (union (sphere 2) (theta 0 1 2)))``,
     ``surface 2 0``, ``crosscap 1 1 0``, ``(sum-r+ (theta 0 1 2) 1)``.
+
+    Expressions nest at most ``MAX_NESTING`` (200) levels deep, each
+    opening parenthesis and each constructor counting as one level;
+    deeper ones raise ``FoamError``.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
@@ -408,10 +414,12 @@ def parse_expr(text: str) -> FoamExpr:
         except ValueError as exc:
             raise FoamError(f"expected an integer, got {tok!r}") from exc
 
-    def parse_node() -> FoamExpr:
+    def parse_node(depth: int = 1) -> FoamExpr:
+        if depth > MAX_NESTING:
+            raise FoamError(f"expression nests more than {MAX_NESTING} levels deep")
         tok = take()
         if tok == "(":
-            inner = parse_node()
+            inner = parse_node(depth + 1)
             if take() != ")":
                 raise FoamError("expected ')'")
             return inner
@@ -428,7 +436,7 @@ def parse_expr(text: str) -> FoamExpr:
             return FoamExpr.atom(CrossCapSurface(parse_int(), parse_int(), parse_int()))
         if head in ("sum-t2", "sum-r+", "sum-r-"):
             deco = {"sum-t2": SUM_T2, "sum-r+": SUM_R_PLUS, "sum-r-": SUM_R_MINUS}[head]
-            inner = parse_node()
+            inner = parse_node(depth + 1)
             facet = 0
             if peek() not in (None, ")"):
                 facet = parse_int()
@@ -441,12 +449,12 @@ def parse_expr(text: str) -> FoamExpr:
         if head in ("plus", "+"):
             out = FoamExpr.zero()
             while peek() not in (None, ")"):
-                out = out + parse_node()
+                out = out + parse_node(depth + 1)
             return out
         if head in ("union", "*"):
             out = FoamExpr.one()
             while peek() not in (None, ")"):
-                out = out * parse_node()
+                out = out * parse_node(depth + 1)
             return out
         raise FoamError(f"unknown foam constructor {head!r}")
 

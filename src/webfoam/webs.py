@@ -99,7 +99,16 @@ class Web:
 
 
 def make_web(vertices: Iterable, edges: Iterable, circles: Iterable = ()) -> Web:
-    """Build a web from (edge_id, (v, slot), (v, slot)) triples."""
+    """Build a web from (edge_id, (v, slot), (v, slot)) triples.
+
+    A repeated edge or circle id raises ``WebError``.
+    """
+    edges = list(edges)
+    circles = list(circles)
+    for what, ids in (("edge", [e for e, _, _ in edges]), ("circle", circles)):
+        repeated = [x for x, k in Counter(ids).items() if k > 1]
+        if repeated:
+            raise WebError(f"{what} id {repeated[0]!r} is used more than once")
     ends = {e: (tuple(a), tuple(b)) for e, a, b in edges}
     return Web(tuple(vertices), ends, frozenset(circles))
 
@@ -280,6 +289,9 @@ class Diagram:
         for a, occ in occurrences.items():
             if len(occ) != 2:
                 raise WebError(f"arc {a!r} has {len(occ)} endpoints, expected 2 (unmatched darts)")
+        repeated = [a for a, k in Counter(self.circles).items() if k > 1]
+        if repeated:
+            raise WebError(f"circle {repeated[0]!r} is listed more than once")
         for a in self.circles:
             if a in occurrences:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
@@ -479,18 +491,17 @@ class Splice:
     ``links`` pairs each slot (node id, position) with the slot at the
     other end of its arc; ``verts`` and ``crossings`` hold the ids of the
     trivalent and 4-valent nodes, and ``circles`` counts free circles.
-    Each step returns a new splice; a vertex added by ``insert_edge`` has
-    the id ("w", crossing id, k), with k counted by ``fresh``.
+    Each step returns a new splice; ``insert_edge`` at crossing ``cid``
+    adds the vertices ("w", cid, 0) and ("w", cid, 1).
     """
 
-    __slots__ = ("links", "verts", "crossings", "circles", "fresh")
+    __slots__ = ("links", "verts", "crossings", "circles")
 
-    def __init__(self, links, verts, crossings, circles, fresh):
+    def __init__(self, links, verts, crossings, circles):
         self.links = links
         self.verts = verts
         self.crossings = crossings
         self.circles = circles
-        self.fresh = fresh
 
     @staticmethod
     def from_diagram(d: Diagram) -> "Splice":
@@ -499,11 +510,10 @@ class Splice:
             frozenset(n.id for n in d.vertices),
             frozenset(c.id for c in d.crossings),
             len(d.circles),
-            0,
         )
 
     def copy(self) -> "Splice":
-        return Splice(dict(self.links), self.verts, self.crossings, self.circles, self.fresh)
+        return Splice(dict(self.links), self.verts, self.crossings, self.circles)
 
     def smooth(self, cid, kind: str) -> "Splice":
         out = self.copy()
@@ -521,9 +531,7 @@ class Splice:
 
     def insert_edge(self, cid, kind: str) -> "Splice":
         out = self.copy()
-        w1 = ("w", cid, out.fresh)
-        w2 = ("w", cid, out.fresh + 1)
-        out.fresh += 2
+        w1, w2 = ("w", cid, 0), ("w", cid, 1)
         rehome = {}
         for vid, (p, q) in zip((w1, w2), _PAIRS[kind]):
             rehome[(cid, p)] = (vid, 0)

@@ -106,6 +106,11 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "foam-eval", "wedge 3")
         assert code == 1
 
+    def test_deep_expression_is_one(self, capsys):
+        code, out, err = run_cli(capsys, "foam-eval", "(plus " * 3000 + "(sphere 2)" + ")" * 3000)
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "doc",
@@ -119,6 +124,17 @@ class TestExitCodes:
         {"circles": [["a"]]},
         # a string of darts is not a list of three arcs (it would parse as a theta)
         {"vertices": [{"id": "u", "darts": "abc"}, {"id": "w", "darts": "acb"}]},
+        # repeated labels are refused, not merged
+        {"circles": ["a", "a"]},
+        {"edges": [{"id": "a", "circle": True}, {"id": "a", "circle": True}]},
+        {
+            "vertices": ["u", "w"],
+            "edges": [
+                {"id": "e", "ends": [["u", 0], ["w", 0]]},
+                {"id": "e", "ends": [["u", 1], ["w", 1]]},
+                {"id": "f", "ends": [["u", 2], ["w", 2]]},
+            ],
+        },
     ],
 )
 def test_malformed_input_is_a_domain_error(capsys, tmp_path, doc):

@@ -4,6 +4,7 @@ import pytest
 
 from webfoam import gf2
 from webfoam.foams import (
+    MAX_NESTING,
     NECK_TERMS,
     SUM_R_MINUS,
     SUM_R_PLUS,
@@ -273,6 +274,19 @@ class TestExpressions:
         for bad in ("", "sphere", "wedge 1", "(sphere 1", "sphere 1 2"):
             with pytest.raises(FoamError):
                 parse_expr(bad)
+
+    def test_nesting_limit(self):
+        # each "(plus" opens two levels and the innermost "(sphere 2)" two more
+        at_limit = "(plus " * (MAX_NESTING // 2 - 1) + "(sphere 2)" + ")" * (MAX_NESTING // 2 - 1)
+        assert parse_expr(at_limit).value() == 1
+        for deep in (
+            "(plus " * (MAX_NESTING // 2) + "(sphere 2)" + ")" * (MAX_NESTING // 2),
+            "(plus " * 3000 + "(sphere 2)" + ")" * 3000,
+            "plus " * 3000 + "sphere 2",
+            "sum-t2 " * 3000 + "sphere 0",
+        ):
+            with pytest.raises(FoamError, match="levels deep"):
+                parse_expr(deep)
 
     def test_cross_cap_atom(self):
         assert FoamExpr.atom(CrossCapSurface(0, 1, 0)).value() == 1

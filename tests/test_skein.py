@@ -31,6 +31,18 @@ from webfoam.webs import (
 KINK = json.dumps({"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": [0, 2]}]})
 
 
+def leaf_expansion(d, smooth_kind, edge_kind):
+    """The skein expansion as the paper states it: resolve crossings one at
+    a time with the validated public operation, then count the Tait
+    colorings of each crossing-free leaf."""
+    if not d.crossings:
+        return tait_count(underlying_web(d))
+    cid = min((c.id for c in d.crossings), key=str)
+    return leaf_expansion(resolve_crossing(d, cid, smooth_kind), smooth_kind, edge_kind) - (
+        leaf_expansion(resolve_crossing(d, cid, edge_kind), smooth_kind, edge_kind)
+    )
+
+
 def seed_diagrams():
     return [
         parse_diagram(json.dumps({"circles": ["a"]})),
@@ -120,11 +132,34 @@ class TestInvariance:
             n = len(d.vertices)
             assert euler_char(d) == (-1) ** (n // 2) * signed_tait(d)
 
+    def test_signed_tait_identity_up_to_20_crossings(self):
+        rng = random.Random(29)
+        seeds = seed_diagrams()
+        largest = 0
+        for _ in range(50):
+            d = random_diagram(seeds, 20, rng)
+            largest = max(largest, len(d.crossings))
+            n = len(d.vertices)
+            assert euler_char(d) == (-1) ** (n // 2) * signed_tait(d)
+        assert largest == 20
+
     def test_multiplicativity(self):
         d1 = catalogue.load_diagram(catalogue.get("hopf"))
         d2 = catalogue.load_diagram(catalogue.get("trefoil"))
         u = disjoint_union_diagrams(d1, d2)
         assert euler_char(u) == euler_char(d1) * euler_char(d2)
+
+    @pytest.mark.parametrize("pairing", [CALIBRATED_PAIRING, ALIGNED_PAIRING])
+    def test_state_sum_matches_leaf_expansion(self, pairing):
+        rng = random.Random(3)
+        seeds = seed_diagrams()
+        crossings = 0
+        for _ in range(100):
+            d = random_diagram(seeds, 5, rng)
+            crossings += len(d.crossings)
+            assert euler_char(d, pairing) == leaf_expansion(d, SMOOTH_A, pairing[SMOOTH_A])
+            assert euler_char_dual(d, pairing) == leaf_expansion(d, SMOOTH_B, pairing[SMOOTH_B])
+        assert crossings > 100
 
     def test_fast_engine_matches_public_resolutions(self):
         # expand one crossing by hand with the validated public operation

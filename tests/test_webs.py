@@ -284,3 +284,29 @@ def test_make_web_rejects_reused_slot():
     with pytest.raises(WebError):
         make_web(("v", "w"), [("a", ("v", 0), ("w", 0)), ("b", ("v", 0), ("w", 1)),
                              ("c", ("v", 1), ("w", 2))])
+
+
+class TestRepeatedLabels:
+    def test_make_web_rejects_repeated_circle(self):
+        with pytest.raises(WebError, match="circle id 'a'"):
+            make_web((), [], ["a", "a"])
+
+    def test_make_web_rejects_repeated_edge(self):
+        with pytest.raises(WebError, match="edge id 'e'"):
+            make_web(("u", "w"), [("e", ("u", 0), ("w", 0)), ("e", ("u", 1), ("w", 1)),
+                                  ("f", ("u", 2), ("w", 2))])
+
+    def test_parse_web_rejects_repeated_circle_record(self):
+        doc = {"edges": [{"id": "a", "circle": True}, {"id": "a", "circle": True}]}
+        with pytest.raises(WebError, match="circle id 'a'"):
+            parse_web(json.dumps(doc))
+
+    def test_parse_web_rejects_repeated_edge_record(self):
+        doc = json.loads(THETA_DOC)
+        doc["edges"][1]["id"] = "e1"
+        with pytest.raises(WebError, match="edge id 'e1'"):
+            parse_web(json.dumps(doc))
+
+    def test_diagram_rejects_repeated_circle(self):
+        with pytest.raises(WebError, match="circle 'a'"):
+            parse_diagram(json.dumps({"circles": ["a", "a"]}))
