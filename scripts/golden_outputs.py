@@ -1,11 +1,13 @@
 """Print deterministic JSON of Tait counts and Euler characteristics.
 
 The document holds the output of ``webfoam tait`` on every bundled data
-file, of ``webfoam euler`` on every bundled diagram file, and
+file, of ``webfoam euler`` on every bundled diagram file,
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
-of 200 random diagrams (seed 20250809, up to 10 crossings).  Run it on
-two checkouts and ``diff`` the outputs to show that a change leaves
-these values alone:
+of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
+counts of the four Tutte-site modifications (``skein.site_modifications``)
+at every ordered pair of distinct edges of ``planar_cubic_webs(6)``.
+Run it on two checkouts and ``diff`` the outputs to show that a change
+leaves these values alone:
 
     python scripts/golden_outputs.py > golden.json
 """
@@ -20,7 +22,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from webfoam import catalogue, cli, skein, webs  # noqa: E402
-from webfoam.generate import random_diagram  # noqa: E402
+from webfoam.generate import planar_cubic_webs, random_diagram  # noqa: E402
+from webfoam.tait import tait_count  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "webfoam" / "data"
 STREAM_SEED = 20250809
@@ -46,6 +49,16 @@ def stream():
         yield random_diagram(seeds, 10, rng)
 
 
+def tutte_sites():
+    for i, w in enumerate(planar_cubic_webs(6)):
+        for e in w.edges:
+            for f in w.edges:
+                if e != f:
+                    mods = skein.site_modifications(w, e, f)
+                    counts = {k: tait_count(m) for k, m in mods.items()}
+                    yield {"web": i, "site": [e, f], "counts": counts}
+
+
 def main() -> None:
     files = sorted(DATA.glob("*.json"))
     doc = {
@@ -54,6 +67,7 @@ def main() -> None:
         "criterion_3": [
             {"report": skein.euler_char_report(d), "dual": skein.euler_char_dual(d)} for d in stream()
         ],
+        "tutte_sites": list(tutte_sites()),
     }
     print(json.dumps(doc, indent=1, sort_keys=True))
 

@@ -189,6 +189,9 @@ class FoamExpr:
         return FoamExpr(self.terms ^ other.terms)
 
     def __mul__(self, other: "FoamExpr") -> "FoamExpr":
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > MAX_TERMS:  # refused before any term is built
+            raise FoamError(f"a union would pair {pairs} terms, more than MAX_TERMS = {MAX_TERMS}")
         out = set()
         for s in self.terms:
             for t in other.terms:
@@ -378,6 +381,7 @@ def sphere_closure_oracle(max_dots: int = 12) -> dict:
 # prefix mini-language
 
 MAX_NESTING = 200
+MAX_TERMS = 4096  # term pairs one disjoint union may multiply out
 
 
 def parse_expr(text: str) -> FoamExpr:
@@ -389,7 +393,9 @@ def parse_expr(text: str) -> FoamExpr:
 
     Expressions nest at most ``MAX_NESTING`` (200) levels deep, each
     opening parenthesis and each constructor counting as one level;
-    deeper ones raise ``FoamError``.
+    deeper ones raise ``FoamError``.  A ``union`` is multiplied out, and
+    one whose product would pair more than ``MAX_TERMS`` (4096) terms
+    raises ``FoamError`` too.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:

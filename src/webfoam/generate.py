@@ -19,7 +19,7 @@ from itertools import combinations_with_replacement
 
 import networkx as nx
 
-from .webs import Crossing, Diagram, Vertex, Web, web_from_incidences
+from .webs import Crossing, Diagram, Vertex, Web, fresh_namer, web_from_incidences
 
 
 # ---------------------------------------------------------------------------
@@ -140,52 +140,23 @@ def planar_cubic_webs(max_vertices: int = 8, allow_loops: bool = False):
 # random diagram generation
 
 
-def _fresh_names(d: Diagram, base: str, k: int) -> list[str]:
-    used = set(map(str, d.arcs))
-    for n in d.vertices:
-        used.add(str(n.id))
-    for c in d.crossings:
-        used.add(str(c.id))
-    out = []
-    i = 0
-    while len(out) < k:
-        name = f"{base}{i}"
-        if name not in used:
-            out.append(name)
-            used.add(name)
-        i += 1
-    return out
-
-
 def add_kink(d: Diagram, arc, cross_id, rng: random.Random) -> Diagram:
     """Twist a small loop into the given arc (one new crossing)."""
-    k, r1, r2 = _fresh_names(d, f"k{cross_id}_", 3)
+    fresh = fresh_namer(d)
+    k, r1, r2 = (fresh(f"k{cross_id}_") for _ in range(3))
     over = rng.choice([(0, 2), (1, 3)])
     if arc in d.circles:
         crossing = Crossing(cross_id, (k, k, r1, r1), over)
         circles = tuple(x for x in d.circles if x != arc)
         return Diagram(d.vertices, d.crossings + (crossing,), circles)
-    vertices = []
-    crossings = []
-    replaced = 0
-    for n in d.vertices:
-        arcs = list(n.arcs)
-        for i, a in enumerate(arcs):
-            if a == arc and replaced < 2:
-                arcs[i] = r1 if replaced == 0 else r2
-                replaced += 1
-        vertices.append(Vertex(n.id, tuple(arcs)))
-    for c in d.crossings:
-        arcs = list(c.arcs)
-        for i, a in enumerate(arcs):
-            if a == arc and replaced < 2:
-                arcs[i] = r1 if replaced == 0 else r2
-                replaced += 1
-        crossings.append(Crossing(c.id, tuple(arcs), c.over))
-    if replaced != 2:
+    records = list(d.vertices) + list(d.crossings)
+    records, circles, found = _split_arc(records, d.circles, arc, (r1, r2))
+    if found != 2:
         raise ValueError(f"arc {arc!r} does not have two endpoints")
+    vertices = tuple(rec for rec in records if isinstance(rec, Vertex))
+    crossings = tuple(rec for rec in records if isinstance(rec, Crossing))
     crossing = Crossing(cross_id, (k, k, r1, r2), over)
-    return Diagram(tuple(vertices), tuple(crossings) + (crossing,), d.circles)
+    return Diagram(vertices, crossings + (crossing,), tuple(circles))
 
 
 def _face_arcs(d: Diagram) -> list[list]:
@@ -231,7 +202,8 @@ def _split_arc(records, circles, arc, pieces):
 
 def _poke(d: Diagram, r, s, flip: bool, tag: str) -> Diagram:
     x_id, y_id = f"px{tag}", f"py{tag}"
-    r1, rm, r2, s1, sm, s2 = _fresh_names(d, f"p{tag}_", 6)
+    fresh = fresh_namer(d)
+    r1, rm, r2, s1, sm, s2 = (fresh(f"p{tag}_") for _ in range(6))
     records = list(d.vertices) + list(d.crossings)
     circles = list(d.circles)
     records, circles, found_r = _split_arc(records, circles, r, (r1, r2))

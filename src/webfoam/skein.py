@@ -33,9 +33,9 @@ from .webs import (
     EDGE_B,
     SMOOTH_A,
     SMOOTH_B,
+    Splice,
     Web,
     WebError,
-    make_web,
     underlying_web,
 )
 
@@ -131,90 +131,7 @@ def euler_char_report(d: Diagram) -> dict:
 # the Tutte relation at a marked planar site
 
 
-def _cut_edge(w: Web, e):
-    """Remove edge ``e``; return the two loose endpoint descriptors.
-
-    For a regular edge these are its (vertex, slot) ends; for a circle,
-    two fresh symbolic ends of the cut strand.
-    """
-    if w.is_circle(e):
-        return ("cut", e, 0), ("cut", e, 1)
-    return w.edge_ends[e]
-
-
-def _site_web(w: Web, e, f, joins, bar=None):
-    """Rebuild ``w`` with edges e, f replaced per the join instructions.
-
-    ``joins`` pairs the four loose ends.  With ``bar`` set, two new
-    trivalent vertices are created instead, each absorbing one pair,
-    joined by a fresh edge.
-    """
-    verts = list(w.vertices)
-    edges = [(x, a, b) for x, (a, b) in w.edge_ends.items() if x not in (e, f)]
-    circles = [c for c in w.circles if c not in (e, f)]
-    counter = 0
-
-    def fresh_edge():
-        nonlocal counter
-        counter += 1
-        return f"site.{counter}"
-
-    if bar is None:
-        cut_links = {}
-        for a, b in joins:
-            cut_links[a] = b
-            cut_links[b] = a
-        real_ends = [p for pair in joins for p in pair if p[0] != "cut"]
-        seen = set()
-        for start in real_ends:
-            if start in seen:
-                continue
-            cur = cut_links[start]
-            while cur[0] == "cut":
-                _, circ, side = cur
-                cur = cut_links[("cut", circ, 1 - side)]
-            seen.add(start)
-            seen.add(cur)
-            if start == cur:
-                raise WebError("degenerate site")
-            edges.append((fresh_edge(), start, cur))
-        visited = set(seen)
-        for a, b in joins:
-            for p in (a, b):
-                if p[0] == "cut" and p not in visited:
-                    cur = p
-                    while cur not in visited:
-                        visited.add(cur)
-                        visited.add(cut_links[cur])
-                        _, circ, side = cut_links[cur]
-                        cur = ("cut", circ, 1 - side)
-                    circles.append(fresh_edge())
-    else:
-        w1, w2 = f"{bar}.v1", f"{bar}.v2"
-        verts += [w1, w2]
-        pend = []
-        for vid, (a, b) in zip((w1, w2), joins):
-            for slot, p in enumerate((a, b)):
-                if p[0] == "cut":
-                    pend.append((p[1], p[2], (vid, slot)))
-                else:
-                    edges.append((fresh_edge(), (vid, slot), p))
-        edges.append((bar, (w1, 2), (w2, 2)))
-        halves: dict = {}
-        for circ, side, slot_end in pend:
-            halves.setdefault(circ, {})[side] = slot_end
-        for circ, sides in halves.items():
-            if len(sides) != 2:
-                raise WebError("invalid site on a circle edge")
-            edges.append((f"{circ}.arc", sides[0], sides[1]))
-    used = set()
-    final = []
-    for name, a, b in edges:
-        while name in used:
-            name = f"{name}'"
-        used.add(name)
-        final.append((name, a, b))
-    return make_web(verts, final, circles)
+_SITE = ("site",)  # the virtual crossing of a Tutte site; no parsed id is a tuple
 
 
 def site_modifications(w: Web, e, f) -> dict:
@@ -223,18 +140,43 @@ def site_modifications(w: Web, e, f) -> dict:
     Returns the webs for the two reconnections and the two inserted-edge
     webs, keyed 'recon_a', 'recon_b', 'bar_a', 'bar_b'; bar_x groups the
     strand ends exactly like recon_x.
+
+    The site is one virtual crossing on a ``Splice`` of ``w``: the ends
+    of ``e`` sit at its positions 0 and 2 and those of ``f`` at 1 and 3
+    (a circle links its two positions to each other).  recon_x is its
+    smoothing ``smooth_x`` and bar_x its inserted edge ``edge_x``, so
+    recon_a and bar_a pair the first ends of ``e`` and ``f`` and the
+    second ends, and recon_b and bar_b pair each end of ``e`` with the
+    other end of ``f``.  An id that is not an edge of ``w`` raises
+    ``WebError``.
     """
+    for x in (e, f):
+        if x not in w.edge_ends and not w.is_circle(x):
+            raise WebError(f"invalid site ({e!r}, {f!r}): {x!r} is not an edge of the web")
     if e == f:
         raise WebError("site needs two distinct edges")
-    e0, e1 = _cut_edge(w, e)
-    f0, f1 = _cut_edge(w, f)
-    ja = [(e0, f0), (e1, f1)]
-    jb = [(e0, f1), (e1, f0)]
+    links = {}
+
+    def join(a, b):
+        links[a] = b
+        links[b] = a
+
+    for x, (a, b) in w.edge_ends.items():
+        if x not in (e, f):
+            join(a, b)
+    for x, (p, q) in ((e, (0, 2)), (f, (1, 3))):
+        if w.is_circle(x):
+            join((_SITE, p), (_SITE, q))
+        else:
+            a, b = w.edge_ends[x]
+            join(a, (_SITE, p))
+            join(b, (_SITE, q))
+    sp = Splice(links, frozenset(w.vertices), frozenset({_SITE}), len(w.circles - {e, f}))
     return {
-        "recon_a": _site_web(w, e, f, ja),
-        "recon_b": _site_web(w, e, f, jb),
-        "bar_a": _site_web(w, e, f, ja, bar="barA"),
-        "bar_b": _site_web(w, e, f, jb, bar="barB"),
+        "recon_a": sp.smooth(_SITE, SMOOTH_A).to_web(),
+        "recon_b": sp.smooth(_SITE, SMOOTH_B).to_web(),
+        "bar_a": sp.insert_edge(_SITE, EDGE_A).to_web(),
+        "bar_b": sp.insert_edge(_SITE, EDGE_B).to_web(),
     }
 
 
@@ -247,10 +189,7 @@ def tutte_check(d: Diagram, site) -> bool:
     if d.crossings:
         raise WebError("the Tutte relation site lives on a crossing-free diagram")
     w = underlying_web(d)
-    e, f = site
-    if e not in w.edges or f not in w.edges:
-        raise WebError(f"invalid site {site!r}: not edges of the web")
-    mods = site_modifications(w, e, f)
+    mods = site_modifications(w, *site)
     lhs = tait_count(mods["bar_a"]) + tait_count(mods["recon_a"])
     rhs = tait_count(mods["bar_b"]) + tait_count(mods["recon_b"])
     return lhs == rhs

@@ -9,9 +9,9 @@ every arc label occurs exactly twice among the node slots (or not at all,
 for a free circle).
 
 All structures are immutable after construction; every operation returns
-a new object.  Crossings are resolved on a ``Splice``, the strand
-involution on node slots, which ``Splice.to_diagram`` turns back into a
-validated diagram.
+a new object.  One strand-rewrite engine, ``Splice`` (the strand
+involution on node slots), serves ``resolve_crossing`` (read back as a
+diagram) and the Tutte-site modifications of ``skein`` (read back as webs).
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ class Web:
 
     def is_circle(self, e) -> bool:
         return e in self.circles
-
-    def ends(self, e):
-        return self.edge_ends[e]
 
     def vertex_edges(self, v) -> list:
         """Edges at ``v`` in slot order 0, 1, 2 (a loop appears twice)."""
@@ -485,14 +482,33 @@ _PAIRS = {
 }
 
 
+def fresh_namer(d: Diagram):
+    """Function ``fresh(base)`` giving the first name ``"<base><k>"``, k =
+    0, 1, ..., that is neither an arc label or node id of ``d`` (compared
+    as strings) nor given out by an earlier call."""
+    used = {str(x) for x in d.arcs}
+    used.update(str(n.id) for nodes in (d.vertices, d.crossings) for n in nodes)
+
+    def fresh(base: str) -> str:
+        k = 0
+        while f"{base}{k}" in used:
+            k += 1
+        used.add(f"{base}{k}")
+        return f"{base}{k}"
+
+    return fresh
+
+
 class Splice:
-    """A diagram under resolution: the strand involution on node slots.
+    """A diagram or web under local moves: the strand involution on node slots.
 
     ``links`` pairs each slot (node id, position) with the slot at the
     other end of its arc; ``verts`` and ``crossings`` hold the ids of the
     trivalent and 4-valent nodes, and ``circles`` counts free circles.
     Each step returns a new splice; ``insert_edge`` at crossing ``cid``
-    adds the vertices ("w", cid, 0) and ("w", cid, 1).
+    adds the vertices ("w", cid, 0) and ("w", cid, 1).  It serves
+    ``resolve_crossing`` (``to_diagram``) and the Tutte sites of
+    ``skein.site_modifications``, a virtual crossing on a web (``to_web``).
     """
 
     __slots__ = ("links", "verts", "crossings", "circles")
@@ -552,16 +568,7 @@ class Splice:
     def to_diagram(self, d: Diagram) -> Diagram:
         """The validated diagram of this splice of ``d``, labelled as
         ``resolve_crossing`` describes."""
-        used = {str(x) for x in d.arcs}
-        used.update(str(n.id) for nodes in (d.vertices, d.crossings) for n in nodes)
-
-        def fresh(base: str) -> str:
-            k = 0
-            while f"{base}{k}" in used:
-                k += 1
-            used.add(f"{base}{k}")
-            return f"{base}{k}"
-
+        fresh = fresh_namer(d)
         arc_at = {dart: a for a, occ in d.arc_ends.items() for dart in occ}
         label: dict = {}
         for s, t in self.links.items():
@@ -581,6 +588,19 @@ class Splice:
         ]
         circles = list(d.circles) + [fresh("s") for _ in range(self.circles - len(d.circles))]
         return Diagram(tuple(vertices), tuple(crossings), tuple(circles))
+
+    def to_web(self) -> Web:
+        """The web of a crossing-free splice.  Vertices are sorted as
+        strings; edge ``"s<k>"`` joins the k-th unvisited slot, in slot
+        order, to its partner, and the circles come after the edges."""
+        edges = []
+        done = set()
+        for s in sorted(self.links, key=_dart_key):
+            if s not in done:
+                done.update((s, self.links[s]))
+                edges.append((f"s{len(edges)}", s, self.links[s]))
+        circles = [f"s{k}" for k in range(len(edges), len(edges) + self.circles)]
+        return make_web(sorted(self.verts, key=str), edges, circles)
 
 
 def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:

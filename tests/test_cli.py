@@ -111,6 +111,13 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and err.startswith("error: ")
 
+    def test_runaway_union_is_one(self, capsys):
+        # 40 distinct two-term factors would multiply out to 2^40 terms
+        sums = (f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(40))
+        code, out, err = run_cli(capsys, "foam-eval", "(union " + " ".join(sums) + ")")
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "doc",

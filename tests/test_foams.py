@@ -5,6 +5,7 @@ import pytest
 from webfoam import gf2
 from webfoam.foams import (
     MAX_NESTING,
+    MAX_TERMS,
     NECK_TERMS,
     SUM_R_MINUS,
     SUM_R_PLUS,
@@ -287,6 +288,19 @@ class TestExpressions:
         ):
             with pytest.raises(FoamError, match="levels deep"):
                 parse_expr(deep)
+
+    def test_term_limit(self):
+        # a union of k distinct two-term sums multiplies out to 2^k terms
+        def union(k):
+            sums = (f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(k))
+            return "(union " + " ".join(sums) + ")"
+
+        k = MAX_TERMS.bit_length() - 1  # 2^k == MAX_TERMS
+        assert len(parse_expr(union(k)).terms) == MAX_TERMS
+        with pytest.raises(FoamError, match="more than"):
+            parse_expr(union(k + 1))
+        with pytest.raises(FoamError, match="more than"):
+            parse_expr(union(40))
 
     def test_cross_cap_atom(self):
         assert FoamExpr.atom(CrossCapSurface(0, 1, 0)).value() == 1

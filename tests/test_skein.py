@@ -26,6 +26,7 @@ from webfoam.webs import (
     parse_diagram,
     resolve_crossing,
     underlying_web,
+    web_from_incidences,
 )
 
 KINK = json.dumps({"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": [0, 2]}]})
@@ -173,6 +174,12 @@ class TestInvariance:
             assert direct == via_public
 
 
+def site_values(w, e, f):
+    """Tait counts of recon_a, recon_b, bar_a, bar_b at the site (e, f)."""
+    mods = site_modifications(w, e, f)
+    return [tait_count(mods[k]) for k in ("recon_a", "recon_b", "bar_a", "bar_b")]
+
+
 class TestTutte:
     def test_theta_site(self):
         d = catalogue.load_diagram(catalogue.get("theta"))
@@ -196,6 +203,50 @@ class TestTutte:
                 lhs = tait_count(mods["bar_a"]) + tait_count(mods["recon_a"])
                 rhs = tait_count(mods["bar_b"]) + tait_count(mods["recon_b"])
                 assert lhs == rhs
+
+    def test_all_sites(self):
+        for w in planar_cubic_webs(6):
+            for e in w.edges:
+                for f in w.edges:
+                    if e != f:
+                        mods = site_modifications(w, e, f)
+                        lhs = tait_count(mods["bar_a"]) + tait_count(mods["recon_a"])
+                        rhs = tait_count(mods["bar_b"]) + tait_count(mods["recon_b"])
+                        assert lhs == rhs
+
+    def test_circle_and_edge_site(self):
+        # a theta edge and a free circle: either reconnection splices the
+        # circle into the edge (a theta, 6); either bar gives 12
+        theta = catalogue.load_diagram(catalogue.get("theta"))
+        d = disjoint_union_diagrams(theta, parse_diagram(json.dumps({"circles": ["c"]})))
+        w = underlying_web(d)
+        for site in (("A:e1", "B:c"), ("B:c", "A:e2")):
+            assert site_values(w, *site) == [6, 6, 12, 12]
+            assert tutte_check(d, site)
+
+    def test_loop_site(self):
+        # handcuffs: reconnecting or barring its two loops gives a theta or a
+        # tetrahedron; a loop with the bridge keeps a bridge
+        w = catalogue.load_web(catalogue.get("handcuffs"))
+        assert site_values(w, "l1", "l2") == [6, 6, 6, 6]
+        assert site_values(w, "l1", "b") == [0, 0, 0, 0]
+
+    def test_parallel_edge_site(self):
+        # two digons joined in a ring (12 colorings); recon_a turns the
+        # digon p into two loops, recon_b rebuilds it
+        w = web_from_incidences(
+            {"a": ["p1", "p2", "x"], "b": ["p1", "p2", "y"], "c": ["x", "q1", "q2"],
+             "d": ["y", "q1", "q2"]}
+        )
+        assert tait_count(w) == 12
+        assert site_values(w, "p1", "p2") == [0, 12, 24, 12]
+        assert site_values(w, "p1", "q1") == [12, 6, 6, 12]
+
+    def test_unknown_site_edge(self):
+        w = catalogue.load_web(catalogue.get("theta"))
+        for site in (("e1", "nope"), ("nope", "e1")):
+            with pytest.raises(WebError, match="not an edge"):
+                site_modifications(w, *site)
 
     def test_site_on_crossing_diagram_rejected(self):
         d = catalogue.load_diagram(catalogue.get("hopf"))
