@@ -312,3 +312,61 @@ def chern_nu(N: int, order: int = 10) -> tuple[int, int]:
         raise AdhmError("chern series fails the defining identity")
     nu = series[1]  # coefficient of h^2
     return nu, nu % 2
+
+
+# ---------------------------------------------------------------------------
+# the full check
+
+
+def verify_report(N: int) -> dict:
+    """Check the rank-N construction end to end and report the margins.
+
+    Solves the reduced equations on a 10 x 10 log grid of |t1|, |t2| in
+    [0.1, 100] (seeded random phases), records the worst residual of each
+    ADHM equation relative to max(1, |t1 t2|) and the smallest singular
+    value of alpha_z, beta_z at a random z, computes nu_N exactly, and
+    gives the smallest singular value of each map at its degenerate
+    point.  ``pass`` holds when the residuals are below TOL_EQ, the rank
+    margin is above TOL_RANK and nu_N == N.
+    """
+    rep = build_rep(N)
+    inter = find_intertwiners(rep)
+    worst_complex = 0.0
+    worst_moment = 0.0
+    worst_rank_margin = float("inf")
+    rng = np.random.default_rng(0)
+    grid = [10.0 ** (k / 3 - 1) for k in range(10)]
+    for t1m in grid:
+        for t2m in grid:
+            t1 = t1m * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            t2 = t2m * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            d = scalar_solution(inter, t1, t2)
+            res = adhm_residuals(d)
+            scale = max(1.0, abs(t1 * t2))
+            worst_complex = max(worst_complex, res["complex"] / scale)
+            worst_moment = max(worst_moment, res["moment"] / scale)
+            z = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+            sa, sb = min_singular_values(d, z)
+            worst_rank_margin = min(worst_rank_margin, sa, sb)
+    nu, nu_mod2 = chern_nu(N)
+    degenerate = {}
+    for label, point in (("alpha", DEGENERATE_ALPHA_POINT), ("beta", DEGENERATE_BETA_POINT)):
+        alpha, beta = homogeneous_operators(inter, point)
+        sv = np.linalg.svd(alpha if label == "alpha" else beta, compute_uv=False)
+        degenerate[f"{label}_min_sv_at_degenerate_point"] = float(sv[-1])
+    ok = (
+        worst_complex < TOL_EQ
+        and worst_moment < TOL_EQ
+        and worst_rank_margin > TOL_RANK
+        and nu == N
+    )
+    return {
+        "rank": N,
+        "max_complex_residual": worst_complex,
+        "max_moment_residual": worst_moment,
+        "min_rank_margin": worst_rank_margin,
+        "nu": nu,
+        "nu_mod2": nu_mod2,
+        **degenerate,
+        "pass": bool(ok),
+    }

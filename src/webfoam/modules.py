@@ -108,6 +108,33 @@ def tensor(a: F2Module, b: F2Module, tags=("1", "2")) -> F2Module:
     return F2Module(dim, basis, ops, grading)
 
 
+def min_poly(m: np.ndarray) -> str:
+    """Minimal polynomial over GF(2) of an operator satisfying u^3 + u = 0.
+
+    Returned as a string in u, highest power first, e.g. ``"u^2 + 1"``;
+    the zero-dimensional operator gives ``"1"``.
+    """
+    n = m.shape[0]
+    if n == 0:
+        return "1"
+    powers = [gf2.identity(n)]
+    for _ in range(3):
+        powers.append(gf2.matmul(powers[-1], m))
+    for degree in range(1, 4):
+        mat = np.stack([p.ravel() for p in powers[: degree + 1]], axis=1)
+        ker = gf2.nullspace(mat)
+        for j in range(ker.shape[1]):
+            if ker[degree, j]:
+                coeffs = ker[:, j]
+                terms = [
+                    ("1" if k == 0 else "u" if k == 1 else f"u^{k}")
+                    for k in range(degree, -1, -1)
+                    if coeffs[k]
+                ]
+                return " + ".join(terms)
+    return "u^3 + u"
+
+
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -384,6 +411,10 @@ KNOWN_WEBS = (
     "kinoshita_theta",
 )
 
+# unlink_N is a dense 3^N-dimensional module: unlink_5 (243) builds and
+# decomposes in a few seconds, unlink_6 (729) takes over a minute.
+MAX_UNLINK = 5
+
 
 def known_module(name: str) -> F2Module:
     """Module structures of the webs computed in the source calculus.
@@ -393,8 +424,11 @@ def known_module(name: str) -> F2Module:
     """
     if name == "unknot":
         return F2Module(3, ("1", "u", "u^2"), {"e": _unknot_op()}, (0, 0, 0))
-    if name.startswith("unlink_"):
-        n = int(name.split("_")[1])
+    unlink = re.fullmatch(r"unlink_([0-9]+)", name)
+    if unlink:
+        n = int(unlink.group(1))
+        if not 1 <= n <= MAX_UNLINK:
+            raise ModuleError(f"{name!r}: unlink_N needs 1 <= N <= {MAX_UNLINK}")
         single = known_module("unknot")
         out = F2Module(3, single.basis, {"e1": single.operators["e"]}, single.grading)
         for k in range(2, n + 1):
@@ -439,4 +473,7 @@ def known_module(name: str) -> F2Module:
         return F2Module(0, (), {"cuff1": z, "cuff2": z, "chain": z}, ())
     if name == "k33":
         return F2Module(12, tuple(f"x{i}" for i in range(12)), {}, (0,) * 6 + (1,) * 6)
-    raise ModuleError(f"unknown web name {name!r}")
+    raise ModuleError(
+        f"unknown web name {name!r}; known: {', '.join(sorted(KNOWN_WEBS))}, "
+        f"or unlink_N with 1 <= N <= {MAX_UNLINK}"
+    )

@@ -4,17 +4,28 @@ A Tait coloring assigns one of three colors to every edge so that all
 three colors appear at each vertex.  For a planar web the number of Tait
 colorings equals the dimension of the instanton homology, computed
 independently here as a sum of powers of two over even 1-sets.
+Webs with more than ``MAX_EDGES`` regular edges are refused with a
+``WebError``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .webs import Diagram, Web, _union_find, diagram_vertex_orders, underlying_web
+from .webs import Diagram, Web, WebError, _union_find, diagram_vertex_orders, underlying_web
 
 COLORS = (1, 2, 3)
 
+# The colouring and 1-set searches recurse once per regular edge, and
+# Python stops at 1000 frames; 500 leaves room for the caller's frames.
+MAX_EDGES = 500
+
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+
+
+def _check_size(n_edges: int) -> None:
+    if n_edges > MAX_EDGES:
+        raise WebError(f"web has {n_edges} regular edges; the Tait searches take at most {MAX_EDGES}")
 
 
 def tait_colorings(w: Web):
@@ -23,6 +34,7 @@ def tait_colorings(w: Web):
     Backtracking over edges in sorted order with forward checking.
     Vertexless circles take a free color.
     """
+    _check_size(len(w.edge_ends))
     regular = sorted(w.edge_ends, key=str)
     circles = sorted(w.circles, key=str)
     vertex_slots = {v: w.vertex_edges(v) for v in w.vertices}
@@ -69,6 +81,7 @@ def _count(ends: list) -> int:
     colored, else the first left), so the search prunes early.  A loop
     admits no coloring.
     """
+    _check_size(len(ends))
     if any(u == v for u, v in ends):
         return 0
     order = []
@@ -141,6 +154,7 @@ def signed_tait(d: Diagram) -> int:
 
 def one_sets(w: Web) -> list[frozenset]:
     """All 1-sets (perfect matchings); circle edges appear freely."""
+    _check_size(len(w.edge_ends))
     regular = sorted(w.edge_ends, key=str)
     circles = sorted(w.circles, key=str)
     results = []

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -111,6 +112,12 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("name", ["unlink_0", "unlink_-1", "unlink_1_2", "unlink_x", "unlink_6", "unlink_9"])
+    def test_bad_unlink_name_is_one(self, capsys, name):
+        code, out, err = run_cli(capsys, "module", "--web", name, "--decompose")
+        assert code == 1
+        assert out == "" and err.startswith("error: ")
+
     def test_runaway_union_is_one(self, capsys):
         # 40 distinct two-term factors would multiply out to 2^40 terms
         sums = (f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(40))
@@ -160,6 +167,34 @@ def test_console_script_runs():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"value": 1}
+
+
+def test_light_commands_load_no_numpy():
+    """tait, euler, foam-eval and dims import neither numpy nor the numpy layers.
+
+    Runs in a fresh interpreter: other tests import numpy into this one.
+    """
+    import webfoam
+
+    src = str(pathlib.Path(webfoam.__file__).resolve().parents[1])
+    heavy = ["numpy", "networkx", "webfoam.gf2", "webfoam.modules", "webfoam.adhm"]
+    script = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from webfoam.cli import main
+for argv in {[
+        ["tait", data_path("hopf.diagram.json")],
+        ["euler", data_path("trefoil.diagram.json")],
+        ["foam-eval", "theta 0 1 2"],
+        ["dims", "--chi", "4", "--t", "2"],
+    ]!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded = [m for m in {heavy!r} if m in sys.modules]
+    assert not loaded, (argv[0], loaded)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_golden_outputs(capsys):

@@ -5,12 +5,14 @@ from webfoam import gf2
 from webfoam.modules import (
     F2Module,
     KNOWN_WEBS,
+    MAX_UNLINK,
     ModuleError,
     Presentation,
     QuotientError,
     edge_decomposition,
     is_cyclic,
     known_module,
+    min_poly,
     quotient_module,
     restrict_to_subspace,
     subspace_for,
@@ -193,8 +195,25 @@ class TestKnownModules:
         assert sorted(mod.operators) == ["e1", "e2", "e3"]
 
     def test_unknown_name(self):
-        with pytest.raises(ModuleError):
+        with pytest.raises(ModuleError) as exc:
             known_module("mystery")
+        # the error is where the known names are listed
+        assert all(name in str(exc.value) for name in KNOWN_WEBS)
+        assert f"1 <= N <= {MAX_UNLINK}" in str(exc.value)
+
+    @pytest.mark.parametrize("name", ["unlink_0", "unlink_-1", "unlink_1_2", "unlink_", f"unlink_{MAX_UNLINK + 1}"])
+    def test_bad_unlink_refused(self, name):
+        with pytest.raises(ModuleError):
+            known_module(name)
+
+    def test_min_poly(self):
+        unknot = known_module("unknot").operators["e"]
+        swap = known_module("trefoil").operators["e"][1:3, 1:3]
+        assert min_poly(unknot) == "u^3 + u"
+        assert min_poly(swap) == "u^2 + 1"
+        assert min_poly(gf2.identity(2)) == "u + 1"
+        assert min_poly(gf2.zeros(2, 2)) == "u"
+        assert min_poly(gf2.zeros(0, 0)) == "1"
 
     def test_shift_toggles(self):
         m = known_module("trefoil").shift()

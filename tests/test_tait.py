@@ -1,10 +1,13 @@
 import json
+import time
 
 import pytest
 
 from webfoam import catalogue
+from webfoam.cli import main
 from webfoam.generate import multigraph_to_web, planar_cubic_webs
 from webfoam.tait import (
+    MAX_EDGES,
     complement_components,
     is_even_one_set,
     is_one_set,
@@ -16,10 +19,12 @@ from webfoam.tait import (
     tait_count,
 )
 from webfoam.webs import (
+    WebError,
     diagram_vertex_orders,
     disjoint_union_webs,
     make_web,
     parse_diagram,
+    serialize_web,
     underlying_web,
     web_from_incidences,
 )
@@ -35,6 +40,39 @@ def unknot_web():
 
 def handcuffs_web():
     return web_from_incidences({"v1": ["l1", "l1", "b"], "v2": ["l2", "b", "l2"]})
+
+
+def prism_web(k: int):
+    """The k-sided prism: two k-cycles joined by k spokes (3k edges)."""
+    return web_from_incidences(
+        {
+            **{f"a{i}": [f"p{i}", f"p{(i - 1) % k}", f"s{i}"] for i in range(k)},
+            **{f"b{i}": [f"q{i}", f"q{(i - 1) % k}", f"s{i}"] for i in range(k)},
+        }
+    )
+
+
+class TestSizeLimit:
+    """The searches recurse once per edge; past MAX_EDGES they refuse, not crash."""
+
+    def test_prism_over_limit_refused(self):
+        w = prism_web(MAX_EDGES // 3 + 1)
+        assert len(w.edge_ends) > MAX_EDGES
+        start = time.perf_counter()
+        for search in (tait_count, one_sets, planar_lsharp_dim, lambda w: next(tait_colorings(w))):
+            with pytest.raises(WebError, match="at most"):
+                search(w)
+        # refused before any search: unchecked, this prism's searches run for ages
+        assert time.perf_counter() - start < 1.0
+
+    # just over the limit, and deep enough to overflow the stack unchecked
+    @pytest.mark.parametrize("sides", [MAX_EDGES // 3 + 1, 800])
+    def test_cli_exits_one(self, capsys, tmp_path, sides):
+        path = tmp_path / "prism.web.json"
+        path.write_text(serialize_web(prism_web(sides)))
+        assert main(["tait", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(MAX_EDGES) in err
 
 
 class TestTaitCount:
