@@ -2,12 +2,13 @@
 
 The document holds the output of ``webfoam tait`` on every bundled data
 file, of ``webfoam euler`` on every bundled diagram file, of ``module
---web W --decompose`` for every name in ``modules.KNOWN_WEBS``, of
+--web W --decompose`` for every name in ``modules.KNOWN_WEBS`` and for
+``unlink_3`` and ``unlink_5``, of
 ``catalogue`` and ``catalogue --verify``, of ``foam-eval`` and ``dims``
 on fixed argument lists, the ``pass``, ``rank``, ``nu`` and ``nu_mod2``
 fields of ``adhm-verify --rank 3``, and the exit code and ``error:``
 line of malformed inputs (the ones ``tests/test_cli.py`` checks, bad
-module names, and a 2,400-edge prism web).  It also holds
+module names, a bad ``dims`` fraction, and a 2,400-edge prism web).  It also holds
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
 counts of the four Tutte-site modifications (``skein.site_modifications``)
@@ -95,6 +96,7 @@ MALFORMED = [
         },
     ]),
     *((["module", "--web", name], "") for name in ["mystery", "unlink_0", "unlink_-1", "unlink_1_2", "unlink_x"]),
+    (["dims", "--kappa", "abc"], ""),
     (["tait", "-"], prism_web(800)),
 ]
 
@@ -156,7 +158,10 @@ def main() -> None:
     doc = {
         "tait": {p.name: run_cli("tait", str(p)) for p in files},
         "euler": {p.name: run_cli("euler", str(p)) for p in files if p.name.endswith(".diagram.json")},
-        "module": {name: run_cli("module", "--web", name, "--decompose") for name in modules.KNOWN_WEBS},
+        "module": {
+            name: run_cli("module", "--web", name, "--decompose")
+            for name in (*modules.KNOWN_WEBS, "unlink_3", "unlink_5")
+        },
         "catalogue": run_cli("catalogue"),
         "catalogue_verify": run_cli("catalogue", "--verify"),
         "foam_eval": {text: run_cli("foam-eval", text) for text in FOAM_EXPRS},

@@ -3,14 +3,14 @@
 Each entry records the values the calculators must reproduce: the Tait
 count and planar dimension where the web is planar, the homology
 dimension and Euler characteristic where the module structure is known.
+The table is plain data: the calculators are imported by the functions
+that load or verify an entry, so listing it loads no computation layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-
-from . import modules, skein, tait, webs
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ def data_text(filename: str) -> str:
 
 
 def load_web(entry: Entry) -> webs.Web:
+    from . import webs
+
     if entry.web_file:
         return webs.parse_web(data_text(entry.web_file))
     if entry.diagram_file:
@@ -66,6 +68,8 @@ def load_web(entry: Entry) -> webs.Web:
 
 
 def load_diagram(entry: Entry) -> webs.Diagram:
+    from . import webs
+
     if not entry.diagram_file:
         raise ValueError(f"entry {entry.name} carries no diagram")
     return webs.parse_diagram(data_text(entry.diagram_file))
@@ -80,6 +84,8 @@ def get(name: str) -> Entry:
 
 def verify_entry(entry: Entry) -> list[str]:
     """Recompute every stored expectation; return failure messages."""
+    from . import modules, skein, tait
+
     problems = []
     web = load_web(entry)
     if entry.tait_count is not None:

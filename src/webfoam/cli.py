@@ -4,8 +4,9 @@ Output is JSON by default (stable key order) or an aligned table with
 ``--format table``.  Exit codes: 0 success, 1 domain error, 2 usage
 error.
 
-Each command imports only the layers it uses, so the light commands
-(``tait``, ``euler``, ``foam-eval``, ``dims``) never load numpy.
+Each command imports only the layers it uses.  Only ``adhm-verify``
+loads numpy: the exact GF(2) layers behind ``module`` and ``catalogue``
+work on packed Python integers, and no command loads networkx.
 """
 
 from __future__ import annotations
@@ -42,8 +43,13 @@ def _load_web_or_diagram(text: str):
     return webs.underlying_web(d), d
 
 
-def _frac(s: str) -> Fraction:
-    return Fraction(s)
+def fraction(text: str) -> Fraction:
+    """argparse type of the rational options; argparse names it in a
+    usage error ("invalid fraction value")."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
 
 
 def cmd_tait(args) -> dict:
@@ -89,14 +95,14 @@ def cmd_module(args) -> dict:
     out: dict = {
         "web": args.web,
         "dim": mod.dim,
-        "operators": {name: modules.min_poly(m) for name, m in sorted(mod.operators.items())},
+        "operators": {name: modules.min_poly(m) for name, m in sorted(mod.ops.items())},
     }
     if mod.grading is not None:
         even, odd = mod.graded_dims()
         out["dim_even"] = even
         out["dim_odd"] = odd
         out["chi"] = mod.euler_characteristic()
-    if args.decompose and mod.operators:
+    if args.decompose and mod.ops:
         dec = modules.edge_decomposition(mod)
         out["decomposition"] = {
             ",".join(sorted(map(str, s))) or "(none)": dim for s, dim in dec.summands.items()
@@ -182,10 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_module)
 
     p = sub.add_parser("dims", help="moduli dimension formulas")
-    p.add_argument("--kappa", type=_frac, default=Fraction(0))
+    p.add_argument("--kappa", type=fraction, default=Fraction(0))
     p.add_argument("--bplus", type=int, default=0)
     p.add_argument("--b1", type=int, default=0)
-    p.add_argument("--sigma2", type=_frac, default=Fraction(0))
+    p.add_argument("--sigma2", type=fraction, default=Fraction(0))
     p.add_argument("--chi", type=int, default=0)
     p.add_argument("--t", type=int, default=0)
     p.set_defaults(func=cmd_dims)

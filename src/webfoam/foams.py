@@ -317,8 +317,6 @@ def theta_closure_oracle(max_dots: int = 8) -> dict:
     zero).  The resulting GF(2) linear system is solved exactly; a raise
     means the grid up to ``max_dots`` per facet is underdetermined.
     """
-    import numpy as np
-
     from . import gf2
 
     limit = max_dots + 2
@@ -328,10 +326,9 @@ def theta_closure_oracle(max_dots: int = 8) -> dict:
     rows = []
 
     def equation(vars_, rhs):
-        row = np.zeros(nvars + 1, dtype=np.uint8)
+        row = rhs << nvars
         for v in vars_:
-            row[index[v]] ^= 1
-        row[nvars] = rhs
+            row ^= 1 << index[v]
         rows.append(row)
 
     for t in triples:
@@ -353,7 +350,7 @@ def theta_closure_oracle(max_dots: int = 8) -> dict:
                 trip.append(tuple(u))
             equation(trip, 0)
 
-    red, pivots = gf2.rref(np.stack(rows))
+    red, pivots = gf2.rref(gf2.Mat(len(rows), nvars + 1, tuple(rows)))
     if nvars in pivots:
         raise FoamError("the relation set is inconsistent")
     pivot_row = {c: r for r, c in enumerate(pivots)}
@@ -362,10 +359,10 @@ def theta_closure_oracle(max_dots: int = 8) -> dict:
         c = index[t]
         if c not in pivot_row:
             raise FoamError(f"relation closure failed to determine {t}")
-        row = red[pivot_row[c]]
-        if np.any(row[:nvars]) and np.nonzero(row[:nvars])[0].tolist() != [c]:
+        row = red.rows[pivot_row[c]]
+        if row & ((1 << nvars) - 1) != 1 << c:
             raise FoamError(f"relation closure failed to determine {t}")
-        values[t] = int(row[nvars])
+        values[t] = row >> nvars
     return values
 
 

@@ -320,7 +320,7 @@ def test_criterion_9_module_algebra():
     cyclicity = {}
     for name in ("hopf", "unlink_2"):
         mod = known_module(name)
-        edges = sorted(mod.operators)
+        edges = sorted(mod.ops)
         sub = restrict_to_subspace(mod, subspace_for(mod, frozenset(), edges))
         cyclicity[name] = (sub.dim, is_cyclic(sub))
     assert cyclicity["unlink_2"] == (4, True)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from webfoam.cli import main
+from webfoam.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +103,15 @@ class TestExitCodes:
             main(["module"])  # missing --web
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--kappa", "abc"), ("--sigma2", "1/2/3"), ("--kappa", "1/0")])
+    def test_bad_fraction_is_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid fraction value: '{value}'" in err
+        assert "_frac" not in err
+
     def test_bad_expression_is_one(self, capsys):
         code, _, err = run_cli(capsys, "foam-eval", "wedge 3")
         assert code == 1
@@ -169,32 +178,65 @@ def test_console_script_runs():
     assert json.loads(out.stdout) == {"value": 1}
 
 
-def test_light_commands_load_no_numpy():
-    """tait, euler, foam-eval and dims import neither numpy nor the numpy layers.
-
-    Runs in a fresh interpreter: other tests import numpy into this one.
-    """
+def modules_loaded(*argvs) -> list:
+    """Run ``cli.main`` on each argv in turn in a fresh interpreter (other
+    tests import numpy into this one); after each, the names in
+    ``sys.modules`` that start with ``numpy``, ``networkx`` or ``webfoam.``."""
     import webfoam
 
     src = str(pathlib.Path(webfoam.__file__).resolve().parents[1])
-    heavy = ["numpy", "networkx", "webfoam.gf2", "webfoam.modules", "webfoam.adhm"]
     script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 sys.path.insert(0, {src!r})
 from webfoam.cli import main
-for argv in {[
-        ["tait", data_path("hopf.diagram.json")],
-        ["euler", data_path("trefoil.diagram.json")],
-        ["foam-eval", "theta 0 1 2"],
-        ["dims", "--chi", "4", "--t", "2"],
-    ]!r}:
+loaded = []
+for argv in {[list(a) for a in argvs]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    loaded = [m for m in {heavy!r} if m in sys.modules]
-    assert not loaded, (argv[0], loaded)
+    loaded.append(sorted({{m if m.startswith("webfoam.") else m.split(".")[0]
+                          for m in sys.modules if m.startswith(("numpy", "networkx", "webfoam."))}}))
+print(json.dumps(loaded))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+LIGHT = [
+    ["tait", data_path("hopf.diagram.json")],
+    ["euler", data_path("trefoil.diagram.json")],
+    ["foam-eval", "theta 0 1 2"],
+    ["dims", "--chi", "4", "--t", "2"],
+]
+EXACT_GF2 = [
+    ["module", "--web", "theta", "--decompose"],
+    ["module", "--web", "unlink_2"],
+    ["catalogue"],
+    ["catalogue", "--verify"],
+]
+
+
+def test_light_commands_load_no_numpy():
+    """tait, euler, foam-eval and dims load neither numpy, networkx nor a
+    GF(2) layer; module and catalogue load neither numpy nor networkx."""
+    loaded = modules_loaded(*LIGHT, *EXACT_GF2)
+    for argv, names in zip(LIGHT, loaded):
+        assert not {"numpy", "networkx", "webfoam.gf2", "webfoam.modules", "webfoam.adhm"} & set(names), argv
+    for argv, names in zip(EXACT_GF2, loaded[len(LIGHT) :]):
+        assert not {"numpy", "networkx", "webfoam.adhm"} & set(names), argv
+
+
+def test_catalogue_listing_loads_no_layer():
+    (names,) = modules_loaded(["catalogue"])
+    assert names == ["webfoam.catalogue", "webfoam.cli"]
+
+
+def test_only_adhm_verify_loads_numpy():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    runs = LIGHT + EXACT_GF2 + [["adhm-verify", "--rank", "3"]]
+    assert {argv[0] for argv in runs} == set(sub.choices)  # every command is run
+    loaded = modules_loaded(*runs)
+    assert ["numpy" in names for names in loaded] == [False] * (len(runs) - 1) + [True]
 
 
 def test_golden_outputs(capsys):

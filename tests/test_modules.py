@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from webfoam.modules import (
     ModuleError,
     Presentation,
     QuotientError,
+    direct_sum,
     edge_decomposition,
     is_cyclic,
     known_module,
@@ -34,9 +37,9 @@ class TestQuotientModule:
     def test_unknot_dim_and_operator(self):
         m = quotient_module(UNKNOT_PRES)
         assert m.dim == 3
-        u = m.operators["u"]
+        u = m.ops["u"]
         cube = gf2.matmul(gf2.matmul(u, u), u)
-        assert np.array_equal(cube, u)  # companion relation u^3 = u
+        assert cube == u  # companion relation u^3 = u
 
     def test_theta_dim_and_basis(self):
         m = quotient_module(THETA_PRES)
@@ -52,8 +55,8 @@ class TestQuotientModule:
     def test_m_module(self):
         m = quotient_module(M_PRES)
         assert m.dim == 2
-        assert np.array_equal(m.operators["v"], gf2.zeros(2, 2))
-        assert np.array_equal(m.operators["u1"], m.operators["u2"])
+        assert m.ops["v"] == gf2.zeros(2, 2)
+        assert m.ops["u1"] == m.ops["u2"]
 
     def test_nonterminating_reported(self):
         p = Presentation.parse(["x", "y"], ["x*y"])  # infinite-dimensional quotient
@@ -69,13 +72,21 @@ class TestModuleInvariants:
     @pytest.mark.parametrize("name", [n for n in KNOWN_WEBS])
     def test_cube_relation_and_split(self, name):
         mod = known_module(name)
-        for op_name, u in mod.operators.items():
+        for op_name, u in mod.ops.items():
             cube = gf2.matmul(gf2.matmul(u, u), u)
-            assert np.array_equal(cube, u), (name, op_name)
+            assert cube == u, (name, op_name)
             ker = gf2.nullspace(u)
             img = gf2.column_space(u)
             assert ker.shape[1] + img.shape[1] == mod.dim
             assert gf2.intersect(ker, img).shape[1] == 0
+
+    def test_each_relation_enforced(self):
+        nilpotent = [[0, 1], [0, 0]]  # u^3 = 0 != u
+        with pytest.raises(ModuleError, match=r"u\^3 \+ u"):
+            F2Module(2, ("x", "y"), {"p": nilpotent})
+        swap, idempotent = [[0, 1], [1, 0]], [[1, 0], [0, 0]]  # each satisfies u^3 = u
+        with pytest.raises(ModuleError, match="do not commute"):
+            F2Module(2, ("x", "y"), {"p": swap, "q": idempotent})
 
     def test_commutation_enforced(self):
         a = gf2.asmat([[0, 1], [1, 0]])
@@ -187,12 +198,12 @@ class TestKnownModules:
     def test_tetrahedron_opposite_edges(self):
         mod = known_module("tetrahedron")
         for i in (1, 2, 3):
-            assert np.array_equal(mod.operators[f"e{i}"], mod.operators[f"f{i}"])
+            assert mod.ops[f"e{i}"] == mod.ops[f"f{i}"]
 
     def test_unlink_3(self):
         mod = known_module("unlink_3")
         assert mod.dim == 27
-        assert sorted(mod.operators) == ["e1", "e2", "e3"]
+        assert sorted(mod.ops) == ["e1", "e2", "e3"]
 
     def test_unknown_name(self):
         with pytest.raises(ModuleError) as exc:
@@ -207,8 +218,8 @@ class TestKnownModules:
             known_module(name)
 
     def test_min_poly(self):
-        unknot = known_module("unknot").operators["e"]
-        swap = known_module("trefoil").operators["e"][1:3, 1:3]
+        unknot = known_module("unknot").ops["e"]
+        swap = gf2.asmat([row[1:3] for row in known_module("trefoil").ops["e"].tolist()[1:3]])
         assert min_poly(unknot) == "u^3 + u"
         assert min_poly(swap) == "u^2 + 1"
         assert min_poly(gf2.identity(2)) == "u + 1"
@@ -221,14 +232,126 @@ class TestKnownModules:
         assert m.euler_characteristic() == -3
 
 
+def cyclic_by_search(mod: F2Module) -> bool:
+    """Oracle for ``is_cyclic``: try every nonzero vector, coordinate 0
+    in bit 0, and close its span under the operators."""
+    if mod.dim == 0:
+        return True
+    ops_t = [m.T for m in mod.ops.values()]
+    for v in range(1, 1 << mod.dim):
+        span = [v]
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for w in frontier:
+                for m in ops_t:
+                    u = gf2.matmul(gf2.Mat(1, mod.dim, (w,)), m).rows[0]
+                    if gf2.rank(gf2.Mat(len(span) + 1, mod.dim, tuple(span) + (u,))) > len(span):
+                        span.append(u)
+                        nxt.append(u)
+            frontier = nxt
+        if len(span) == mod.dim:
+            return True
+    return False
+
+
+def decomposition_by_intersection(mod: F2Module, edges) -> dict:
+    """Oracle for ``edge_decomposition``: V(s) as the intersection of the
+    kernels of u_e, e in s, with the images of u_e, e outside s."""
+    out = {}
+    for mask in product((0, 1), repeat=len(edges)):
+        space = gf2.identity(mod.dim)
+        for e, bit in zip(edges, mask):
+            m = mod.ops[e]
+            space = gf2.intersect(space, gf2.nullspace(m) if bit else gf2.column_space(m))
+        if space.ncols:
+            out[frozenset(e for e, bit in zip(edges, mask) if bit)] = space
+    return out
+
+
+UNLINKS = [f"unlink_{n}" for n in range(1, MAX_UNLINK + 1)]
+
+
+class TestOperatorExport:
+    """``operators`` stays a dict of numpy uint8 arrays for numpy callers."""
+
+    @pytest.mark.parametrize("name", list(KNOWN_WEBS) + UNLINKS)
+    def test_export_matches_packed(self, name):
+        mod = known_module(name)
+        assert sorted(mod.operators) == sorted(mod.ops)
+        for e, m in mod.ops.items():
+            arr = mod.operators[e]
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.uint8
+            assert arr.shape == (mod.dim, mod.dim)
+            assert arr.tolist() == m.tolist()
+
+    @pytest.mark.parametrize("k", range(1, MAX_UNLINK + 1))
+    def test_unlink_is_u_on_one_factor(self, k):
+        u = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]], dtype=np.uint8)
+        mod = known_module(f"unlink_{k}")
+        for i in range(1, k + 1):
+            want = np.eye(1, dtype=np.uint8)
+            for j in range(1, k + 1):
+                want = np.kron(want, u if j == i else np.eye(3, dtype=np.uint8))
+            assert np.array_equal(mod.operators[f"e{i}"], want)
+
+    def test_numpy_operators_are_packed(self):
+        theta = known_module("theta")
+        again = F2Module(6, theta.basis, dict(theta.operators), theta.grading)
+        assert again.ops == theta.ops
+        assert edge_decomposition(again) == edge_decomposition(theta)
+
+    def test_bad_operator_refused(self):
+        with pytest.raises(ModuleError):
+            F2Module(2, ("x", "y"), {"p": np.zeros((2, 3), dtype=np.uint8)})
+        with pytest.raises(ModuleError):
+            F2Module(2, ("x", "y"), {"p": [[0, 1], [1]]})
+        with pytest.raises(ModuleError):
+            F2Module(2, ("x", "y"), {"p": np.zeros(4, dtype=np.uint8)})
+
+
+class TestDecompositionOracle:
+    @pytest.mark.parametrize("name", list(KNOWN_WEBS) + UNLINKS[:3])
+    def test_matches_intersections(self, name):
+        mod = known_module(name)
+        edges = sorted(mod.ops)
+        want = decomposition_by_intersection(mod, edges)
+        dec = edge_decomposition(mod)
+        assert list(dec.summands) == list(want)  # same subsets, same order
+        assert dec.summands == {s: space.ncols for s, space in want.items()}
+        for s, space in want.items():
+            got = subspace_for(mod, s, edges)
+            # the same subspace, given by independent columns
+            assert gf2.rank(got) == got.ncols == gf2.intersect(got, space).ncols == space.ncols
+
+
 class TestCyclicity:
+    @pytest.mark.parametrize("name", list(KNOWN_WEBS) + UNLINKS[:3])
+    def test_matches_search(self, name):
+        mod = known_module(name)
+        assert is_cyclic(mod) == cyclic_by_search(mod)
+        edges = sorted(mod.ops)
+        for s in edge_decomposition(mod).summands if edges else []:
+            sub = restrict_to_subspace(mod, subspace_for(mod, s, edges))
+            assert is_cyclic(sub) == cyclic_by_search(sub), (name, sorted(s))
+
+    def test_quotients_are_cyclic(self):
+        # a quotient of a polynomial ring is generated by 1
+        for p in (UNKNOT_PRES, THETA_PRES, M_PRES):
+            assert is_cyclic(quotient_module(p))
+
+    def test_direct_square_is_not_cyclic(self):
+        unknot = known_module("unknot")
+        assert not is_cyclic(direct_sum(unknot, unknot))
+        assert not cyclic_by_search(direct_sum(unknot, unknot))
+
     def test_hopf_vs_unlink(self):
         # both eigenvalue-1 pieces are 4-dimensional; only the unlink's is
         # cyclic over its edge operators
         results = {}
         for name in ("hopf", "unlink_2"):
             mod = known_module(name)
-            edges = sorted(mod.operators)
+            edges = sorted(mod.ops)
             cols = subspace_for(mod, frozenset(), edges)
             sub = restrict_to_subspace(mod, cols)
             results[name] = (sub.dim, is_cyclic(sub))
