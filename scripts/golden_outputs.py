@@ -12,7 +12,10 @@ module names, a bad ``dims`` fraction, and a 2,400-edge prism web).  It also hol
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
 counts of the four Tutte-site modifications (``skein.site_modifications``)
-at every ordered pair of distinct edges of ``planar_cubic_webs(6)``.
+at every ordered pair of distinct edges of ``planar_cubic_webs(6)``, and
+``tait_count``, ``planar_lsharp_dim`` and the number of 1-sets of every
+``cubic_multigraphs(n, allow_loops=True)`` graph with n <= 8 and of the
+3- to 9-sided prisms.
 Run it on two checkouts and ``diff`` the outputs to show that a change
 leaves these values alone:
 
@@ -29,8 +32,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from webfoam import catalogue, cli, modules, skein, webs  # noqa: E402
-from webfoam.generate import planar_cubic_webs, random_diagram  # noqa: E402
-from webfoam.tait import tait_count  # noqa: E402
+from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs, random_diagram  # noqa: E402
+from webfoam.tait import one_sets, planar_lsharp_dim, tait_count  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "webfoam" / "data"
 STREAM_SEED = 20250809
@@ -144,6 +147,14 @@ def tutte_sites():
                     yield {"web": i, "site": [e, f], "counts": counts}
 
 
+def tait_numbers():
+    census = [multigraph_to_web(g) for n in range(2, 9, 2) for g in cubic_multigraphs(n, allow_loops=True)]
+    named = [(f"census {i}", w) for i, w in enumerate(census)]
+    named += [(f"prism {k}", webs.parse_web(prism_web(k))) for k in range(3, 10)]
+    for name, w in named:
+        yield {"web": name, "count": tait_count(w), "planar_dim": planar_lsharp_dim(w), "one_sets": len(one_sets(w))}
+
+
 def adhm_fields() -> dict:
     """The exact fields of ``adhm-verify --rank 3`` (the rest are floats)."""
     out = io.StringIO()
@@ -172,6 +183,7 @@ def main() -> None:
             {"report": skein.euler_char_report(d), "dual": skein.euler_char_dual(d)} for d in stream()
         ],
         "tutte_sites": list(tutte_sites()),
+        "tait_numbers": list(tait_numbers()),
     }
     print(json.dumps(doc, indent=1, sort_keys=True))
 

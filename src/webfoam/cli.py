@@ -58,19 +58,13 @@ def cmd_tait(args) -> dict:
     web, diagram = _load_web_or_diagram(_read(args.input))
     sets = []
     for s in tait.one_sets(web):
-        comps = tait.complement_components(web, s)
-        sets.append(
-            {
-                "edges": sorted(map(str, s)),
-                "even": all(len(c["vertices"]) % 2 == 0 for c in comps),
-                "n": len(comps),
-            }
-        )
+        even, n = tait.one_set_summary(web, s)
+        sets.append({"edges": sorted(map(str, s)), "even": even, "n": n})
     return {
         "count": tait.tait_count(web),
         "signed": tait.signed_tait(diagram) if diagram is not None else None,
         "one_sets": sets,
-        "planar_dim": tait.planar_lsharp_dim(web),
+        "planar_dim": sum(2 ** s["n"] for s in sets if s["even"]),
     }
 
 

@@ -9,23 +9,24 @@ unknot, the Hopf link and the trefoil; see ``CALIBRATED_PAIRING``.
 
 The signed sum over the 2^n leaves of that expansion is evaluated as one
 state sum over colorings of the diagram's arcs by {0, 1, 2}.  A vertex
-weighs 1 if its three arcs have distinct colors; a crossing weighs
-[both smoothing pairs agree] - [its inserted edge can be colored], the
-smoothing's strands sharing a color and the inserted edge taking the
-color missing from the pair it joins; a free circle is a factor 3.  By
-distributivity this equals the signed sum of the leaf Tait counts.  The
-sum is contracted node by node over the colorings of the open arcs, so
-its cost grows with the width of that frontier, not with 2^n.  Its value
-agrees with the signed Tait count oracle and with expanding crossings by
-``webs.resolve_crossing`` down to ``tait.tait_count`` (asserted in the
-tests).
+weighs 1 if its three arcs have distinct colors (``tait.VERTEX_WEIGHTS``);
+a crossing weighs [both smoothing pairs agree] - [its inserted edge can
+be colored], the smoothing's strands sharing a color and the inserted
+edge taking the color missing from the pair it joins; a free circle is a
+factor 3.  By distributivity this equals the signed sum of the leaf Tait
+counts.  The sum is contracted node by node by ``tait.contract``, the
+kernel behind ``tait.tait_count`` too, so its cost grows with the width
+of the frontier, not with 2^n.  Its value agrees with the signed Tait
+count oracle and with expanding crossings by ``webs.resolve_crossing``
+down to leaves counted by the ``tait.tait_colorings`` enumeration
+(asserted in the tests); neither oracle runs on the kernel.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 
-from .tait import tait_count
+from .tait import VERTEX_WEIGHTS, contract, tait_count
 from .webs import (
     _PAIRS,
     Diagram,
@@ -44,8 +45,6 @@ from .webs import (
 # aligned pairing fails the calibration targets (see the tests).
 CALIBRATED_PAIRING = {SMOOTH_A: EDGE_B, SMOOTH_B: EDGE_A}
 ALIGNED_PAIRING = {SMOOTH_A: EDGE_A, SMOOTH_B: EDGE_B}
-
-_VERTEX_WEIGHTS = {colors: 1 for colors in permutations(range(3))}
 
 
 def _crossing_weights(smooth_kind: str, edge_kind: str) -> dict:
@@ -66,49 +65,12 @@ _CROSSING_WEIGHTS = {
 }
 
 
-def _picker(idx):
-    """Function taking a tuple to the tuple of its entries at ``idx``."""
-    idx = tuple(idx)
-    return lambda t: tuple(t[i] for i in idx)
-
-
 def _state_sum(d: Diagram, smooth_kind: str, edge_kind: str) -> int:
     """Signed sum of the leaf Tait counts of the skein expansion of ``d``."""
-    nodes = [(n.arcs, _VERTEX_WEIGHTS) for n in d.vertices]
+    nodes = [(n.arcs, VERTEX_WEIGHTS) for n in d.vertices]
     crossing_weights = _CROSSING_WEIGHTS[smooth_kind, edge_kind]
     nodes += [(c.arcs, crossing_weights) for c in d.crossings]
-    todo = list(range(len(nodes)))
-    frontier: list = []  # arcs with exactly one end contracted
-    states = {(): 1}  # frontier coloring -> summed weight
-    while todo and states:
-        open_arcs = set(frontier)
-        k = max(todo, key=lambda i: (len(open_arcs.intersection(nodes[i][0])), -i))
-        todo.remove(k)
-        arcs, weights = nodes[k]
-        old = [a for a in dict.fromkeys(arcs) if a in open_arcs]
-        new = [a for a in dict.fromkeys(arcs) if a not in open_arcs and arcs.count(a) == 1]
-        # colors of the old arcs -> {colors of the new arcs: weight}, arcs
-        # with both ends here summed out
-        local: dict = {}
-        for col, w in weights.items():
-            color = {}
-            if all(color.setdefault(a, x) == x for a, x in zip(arcs, col)):  # one color per arc
-                row = local.setdefault(tuple(color[a] for a in old), {})
-                out = tuple(color[a] for a in new)
-                row[out] = row.get(out, 0) + w
-        pick_old = _picker(frontier.index(a) for a in old)
-        pick_kept = _picker(i for i, a in enumerate(frontier) if a not in old)
-        nxt: dict = {}
-        for state, weight in states.items():
-            moves = local.get(pick_old(state))
-            if moves:
-                kept = pick_kept(state)
-                for colors, w in moves.items():
-                    key = kept + colors
-                    nxt[key] = nxt.get(key, 0) + weight * w
-        states = {key: w for key, w in nxt.items() if w}
-        frontier = [a for a in frontier if a not in old] + new
-    return states.get((), 0) * 3 ** len(d.circles)
+    return contract(nodes) * 3 ** len(d.circles)
 
 
 def euler_char(d: Diagram, pairing=CALIBRATED_PAIRING) -> int:

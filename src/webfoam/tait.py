@@ -3,24 +3,37 @@
 A Tait coloring assigns one of three colors to every edge so that all
 three colors appear at each vertex.  For a planar web the number of Tait
 colorings equals the dimension of the instanton homology, computed
-independently here as a sum of powers of two over even 1-sets.
-Webs with more than ``MAX_EDGES`` regular edges are refused with a
-``WebError``.
+independently here as a sum of powers of two over even 1-sets.  Three
+algorithms give the number, and the tests compare them: ``contract``,
+the one contraction kernel behind ``tait_count`` and ``skein``'s state
+sum, whose cost follows the width of its frontier, not the size of the
+web; matching branching in ``one_sets``, summed by
+``planar_lsharp_dim``; and the brute-force enumeration
+``tait_colorings``, the reference oracle.  ``signed_tait_web`` and
+``signed_tait`` sum over the enumeration, not the kernel, as they are
+the independent check of ``skein.euler_char``.  Webs with more than
+``MAX_EDGES`` regular edges are refused with a ``WebError`` by all four
+searches.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .webs import Diagram, Web, WebError, _union_find, diagram_vertex_orders, underlying_web
 
 COLORS = (1, 2, 3)
 
-# The colouring and 1-set searches recurse once per regular edge, and
-# Python stops at 1000 frames; 500 leaves room for the caller's frames.
+# tait_colorings recurses once per regular edge, and Python stops at 1000
+# frames; 500 leaves room for the caller's frames.  The contraction does
+# not recurse and one_sets recurses once per matched pair, but all four
+# searches keep this one limit.
 MAX_EDGES = 500
 
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+
+# the weight of a Tait vertex in ``contract``: 1 on three distinct colors 0, 1, 2
+VERTEX_WEIGHTS = {colors: 1 for colors in permutations(range(3))}
 
 
 def _check_size(n_edges: int) -> None:
@@ -55,72 +68,95 @@ def tait_colorings(w: Web):
                 yield from backtrack(i + 1, assign)
         del assign[e]
 
-    def with_circles(base):
-        if not circles:
-            yield base
-            return
-        def rec(i, acc):
-            if i == len(circles):
-                yield dict(acc)
-                return
-            for c in COLORS:
-                acc[circles[i]] = c
-                yield from rec(i + 1, acc)
-            del acc[circles[i]]
-        yield from rec(0, dict(base))
-
     for base in backtrack(0, {}):
-        yield from with_circles(base)
+        for colors in product(COLORS, repeat=len(circles)):
+            yield {**base, **dict(zip(circles, colors))}
 
 
-def _count(ends: list) -> int:
-    """Tait colorings of the graph whose edges are the vertex pairs ``ends``.
+def _picker(idx):
+    """Function taking a tuple to the tuple of its entries at ``idx``."""
+    idx = tuple(idx)
+    return lambda t: tuple(t[i] for i in idx)
 
-    The one bitmask counter: edges are colored in connectivity order
-    (next comes the first edge in ``ends`` meeting an edge already
-    colored, else the first left), so the search prunes early.  A loop
-    admits no coloring.
+
+def contract(nodes) -> int:
+    """Sum over colorings of the arcs of the product of the node weights.
+
+    ``nodes`` is a list of ``(arcs, weights)``.  ``arcs`` is a tuple of
+    arc labels, and every label occurs exactly twice among all the nodes
+    (twice in one node for a loop).  ``weights`` maps a tuple of colors,
+    one per entry of ``arcs``, to an integer; a missing tuple weighs 0.
+
+    The nodes are contracted one at a time over a dict from colorings of
+    the frontier (arcs with one end contracted) to summed weight, zero
+    entries dropped, so the cost grows with the width of the frontier,
+    not with the number of arcs.  The next node is the one with the most
+    open arcs; ties go to the node first in breadth-first order over
+    shared arcs, started from the first node of each component, so the
+    contraction sweeps outward instead of following the order of the
+    list.
     """
-    _check_size(len(ends))
-    if any(u == v for u, v in ends):
-        return 0
-    order = []
-    remaining = list(ends)
-    covered: set = set()
-    while remaining:
-        pick = 0
-        for idx, (u, v) in enumerate(remaining):
-            if u in covered or v in covered:
-                pick = idx
-                break
-        edge = remaining.pop(pick)
-        order.append(edge)
-        covered.update(edge)
-    used = dict.fromkeys(covered, 0)
-    n = len(order)
-
-    def backtrack(i: int) -> int:
-        if i == n:
-            return 1
-        u, v = order[i]
-        free = ~(used[u] | used[v])
-        total = 0
-        for bit in (1, 2, 4):
-            if free & bit:
-                used[u] |= bit
-                used[v] |= bit
-                total += backtrack(i + 1)
-                used[u] ^= bit
-                used[v] ^= bit
-        return total
-
-    return backtrack(0)
+    holders: dict = {}  # arc -> positions of the nodes holding it
+    for i, (arcs, _) in enumerate(nodes):
+        for a in arcs:
+            holders.setdefault(a, []).append(i)
+    todo: list = []  # breadth-first order over shared arcs, component by component
+    seen: set = set()
+    for root in range(len(nodes)):
+        if root not in seen:
+            seen.add(root)
+            queue = [root]
+            for i in queue:
+                for a in nodes[i][0]:
+                    for j in holders[a]:
+                        if j not in seen:
+                            seen.add(j)
+                            queue.append(j)
+            todo += queue
+    frontier: list = []  # arcs with exactly one end contracted
+    states = {(): 1}  # frontier coloring -> summed weight
+    while todo and states:
+        open_arcs = set(frontier)
+        k = max(todo, key=lambda i: len(open_arcs.intersection(nodes[i][0])))  # first of the ties
+        todo.remove(k)
+        arcs, weights = nodes[k]
+        old = [a for a in dict.fromkeys(arcs) if a in open_arcs]
+        new = [a for a in dict.fromkeys(arcs) if a not in open_arcs and arcs.count(a) == 1]
+        # colors of the old arcs -> {colors of the new arcs: weight}, arcs
+        # with both ends here summed out
+        local: dict = {}
+        for col, w in weights.items():
+            color = {}
+            if all(color.setdefault(a, x) == x for a, x in zip(arcs, col)):  # one color per arc
+                row = local.setdefault(tuple(color[a] for a in old), {})
+                out = tuple(color[a] for a in new)
+                row[out] = row.get(out, 0) + w
+        pick_old = _picker(frontier.index(a) for a in old)
+        pick_kept = _picker(i for i, a in enumerate(frontier) if a not in old)
+        nxt: dict = {}
+        for state, weight in states.items():
+            moves = local.get(pick_old(state))
+            if moves:
+                kept = pick_kept(state)
+                for colors, w in moves.items():
+                    key = kept + colors
+                    nxt[key] = nxt.get(key, 0) + weight * w
+        states = {key: w for key, w in nxt.items() if w}
+        frontier = [a for a in frontier if a not in old] + new
+    return states.get((), 0)
 
 
 def tait_count(w: Web) -> int:
-    """Number of Tait colorings; vertexless circles contribute a factor 3."""
-    ends = [(w.edge_ends[e][0][0], w.edge_ends[e][1][0]) for e in sorted(w.edge_ends, key=str)]
-    return _count(ends) * 3 ** len(w.circles)
+    """Number of Tait colorings; vertexless circles contribute a factor 3.
+
+    One ``contract`` node per vertex, its edges in slot order, weighing 1
+    on three distinct colors.  A loop meets its vertex twice in one
+    color, so it weighs 0.
+    """
+    _check_size(len(w.edge_ends))
+    slots = {end: e for e, ends in w.edge_ends.items() for end in ends}
+    nodes = [(tuple(slots[v, i] for i in range(3)), VERTEX_WEIGHTS) for v in w.vertices]
+    return contract(nodes) * 3 ** len(w.circles)
 
 
 def vertex_sign(colors_ccw) -> int:
@@ -153,31 +189,29 @@ def signed_tait(d: Diagram) -> int:
 
 
 def one_sets(w: Web) -> list[frozenset]:
-    """All 1-sets (perfect matchings); circle edges appear freely."""
+    """All 1-sets (perfect matchings); circle edges appear freely.
+
+    Branches on the first uncovered vertex over its non-loop edges to
+    uncovered vertices, so the cost follows the number of matchings.
+    """
     _check_size(len(w.edge_ends))
-    regular = sorted(w.edge_ends, key=str)
-    circles = sorted(w.circles, key=str)
+    links: dict = {v: [] for v in w.vertices}  # vertex -> (edge, other end)
+    for e, ((u, _), (v, _)) in w.edge_ends.items():
+        links[u].append((e, v))
+        links[v].append((e, u))
     results = []
 
-    def covered(chosen):
-        cover = {v: 0 for v in w.vertices}
-        for e in chosen:
-            for v, _ in w.edge_ends[e]:
-                cover[v] += 1
-        return cover
-
-    def backtrack(i, chosen):
-        cover = covered(chosen)
-        if any(c > 1 for c in cover.values()):
+    def branch(uncovered: list, chosen: list) -> None:
+        if not uncovered:
+            results.append(frozenset(chosen))
             return
-        if i == len(regular):
-            if all(c == 1 for c in cover.values()):
-                results.append(frozenset(chosen))
-            return
-        backtrack(i + 1, chosen)
-        backtrack(i + 1, chosen + [regular[i]])
+        v, *rest = uncovered
+        for e, u in links[v]:
+            if u in rest:  # never for a loop, whose other end is v
+                branch([x for x in rest if x != u], chosen + [e])
 
-    backtrack(0, [])
+    branch(list(w.vertices), [])
+    circles = sorted(w.circles, key=str)
     out = []
     for base in results:
         for k in range(len(circles) + 1):
@@ -216,11 +250,19 @@ def complement_components(w: Web, s) -> list[dict]:
     return out
 
 
+def one_set_summary(w: Web, s) -> tuple[bool, int]:
+    """``(even, n)`` for the 1-set ``s``: whether every circle of the
+    complementary 2-set has evenly many vertices, and the number of those
+    circles."""
+    comps = complement_components(w, s)
+    return all(len(c["vertices"]) % 2 == 0 for c in comps), len(comps)
+
+
 def is_even_one_set(w: Web, s) -> bool:
     """True iff every circle of the complementary 2-set has evenly many vertices."""
     if not is_one_set(w, s):
         raise ValueError("the given edge set is not a 1-set")
-    return all(len(comp["vertices"]) % 2 == 0 for comp in complement_components(w, s))
+    return one_set_summary(w, s)[0]
 
 
 def planar_lsharp_dim(w: Web) -> int:
@@ -231,7 +273,7 @@ def planar_lsharp_dim(w: Web) -> int:
     """
     total = 0
     for s in one_sets(w):
-        comps = complement_components(w, s)
-        if all(len(c["vertices"]) % 2 == 0 for c in comps):
-            total += 2 ** len(comps)
+        even, n = one_set_summary(w, s)
+        if even:
+            total += 2 ** n
     return total

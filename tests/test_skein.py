@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webfoam import catalogue
 from webfoam.generate import planar_cubic_webs, random_diagram
@@ -14,8 +16,10 @@ from webfoam.skein import (
     site_modifications,
     tutte_check,
 )
-from webfoam.tait import planar_lsharp_dim, signed_tait, tait_count
+from webfoam.tait import planar_lsharp_dim, signed_tait, tait_colorings, tait_count
 from webfoam.webs import (
+    Crossing,
+    Diagram,
     SMOOTH_A,
     SMOOTH_B,
     EDGE_A,
@@ -25,6 +29,7 @@ from webfoam.webs import (
     flip_crossing,
     parse_diagram,
     resolve_crossing,
+    Vertex,
     underlying_web,
     web_from_incidences,
 )
@@ -35,9 +40,11 @@ KINK = json.dumps({"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "ove
 def leaf_expansion(d, smooth_kind, edge_kind):
     """The skein expansion as the paper states it: resolve crossings one at
     a time with the validated public operation, then count the Tait
-    colorings of each crossing-free leaf."""
+    colorings of each crossing-free leaf.  The leaves are counted by the
+    enumeration, since ``tait_count`` and ``euler_char`` share one
+    contraction kernel."""
     if not d.crossings:
-        return tait_count(underlying_web(d))
+        return len(list(tait_colorings(underlying_web(d))))
     cid = min((c.id for c in d.crossings), key=str)
     return leaf_expansion(resolve_crossing(d, cid, smooth_kind), smooth_kind, edge_kind) - (
         leaf_expansion(resolve_crossing(d, cid, edge_kind), smooth_kind, edge_kind)
@@ -172,6 +179,44 @@ class TestInvariance:
                 resolve_crossing(d, cid, EDGE_B)
             )
             assert direct == via_public
+
+
+examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def diagram_pool():
+    rng = random.Random(31)
+    return [random_diagram(seed_diagrams(), 6, rng) for _ in range(30)]
+
+
+POOL = diagram_pool()
+
+
+def relabelled(d, data):
+    """``d`` with its nodes reordered, each vertex's arcs rotated, some
+    crossings turned half way round, and new node and arc labels."""
+    arcs = data.draw(st.permutations(sorted(d.arc_ends, key=str) + sorted(d.circles, key=str)))
+    new_arc = {a: f"a{i}" for i, a in enumerate(arcs)}
+    ids = iter(data.draw(st.permutations(range(len(d.vertices) + len(d.crossings)))))
+
+    def turned(t, k):
+        return tuple(new_arc[a] for a in t[k:] + t[:k])
+
+    vertices = [Vertex(next(ids), turned(v.arcs, data.draw(st.integers(0, 2)))) for v in d.vertices]
+    crossings = [Crossing(next(ids), turned(c.arcs, data.draw(st.sampled_from([0, 2]))), c.over) for c in d.crossings]
+    return Diagram(
+        tuple(data.draw(st.permutations(vertices))),
+        tuple(data.draw(st.permutations(crossings))),
+        tuple(data.draw(st.permutations([new_arc[a] for a in d.circles]))),
+    )
+
+
+@examples
+@given(st.sampled_from(POOL), st.data())
+def test_euler_char_ignores_labels(d, data):
+    e = relabelled(d, data)
+    assert euler_char(e) == euler_char(d)
+    assert euler_char_dual(e) == euler_char_dual(d)
 
 
 def site_values(w, e, f):

@@ -1,11 +1,14 @@
 import json
 import time
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webfoam import catalogue
 from webfoam.cli import main
-from webfoam.generate import multigraph_to_web, planar_cubic_webs
+from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs
 from webfoam.tait import (
     MAX_EDGES,
     complement_components,
@@ -42,14 +45,22 @@ def handcuffs_web():
     return web_from_incidences({"v1": ["l1", "l1", "b"], "v2": ["l2", "b", "l2"]})
 
 
-def prism_web(k: int):
-    """The k-sided prism: two k-cycles joined by k spokes (3k edges)."""
-    return web_from_incidences(
-        {
-            **{f"a{i}": [f"p{i}", f"p{(i - 1) % k}", f"s{i}"] for i in range(k)},
-            **{f"b{i}": [f"q{i}", f"q{(i - 1) % k}", f"s{i}"] for i in range(k)},
-        }
-    )
+def prism_web(k: int, by_rings: bool = True):
+    """The k-sided prism: two k-cycles joined by k spokes (3k edges).
+
+    Its vertices are listed ring by ring (a0 .. a{k-1}, b0 .. b{k-1}), or
+    else rung by rung (a0, b0, a1, b1, ...).
+    """
+    a = {f"a{i}": [f"p{i}", f"p{(i - 1) % k}", f"s{i}"] for i in range(k)}
+    b = {f"b{i}": [f"q{i}", f"q{(i - 1) % k}", f"s{i}"] for i in range(k)}
+    if by_rings:
+        return web_from_incidences({**a, **b})
+    return web_from_incidences({v: inc[v] for i in range(k) for inc, v in ((a, f"a{i}"), (b, f"b{i}"))})
+
+
+def prism_tait(k: int) -> int:
+    """Closed form of the prism's Tait count."""
+    return 2 ** k + 8 if k % 2 == 0 else 2 ** k - 2
 
 
 class TestSizeLimit:
@@ -73,6 +84,21 @@ class TestSizeLimit:
         assert main(["tait", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(MAX_EDGES) in err
+
+
+class TestPrism:
+    """The contraction's order must not follow the vertex list: listed
+    ring by ring, ties broken by position alone contract one whole ring
+    first, and the frontier grows as wide as the ring."""
+
+    def test_closed_form_matches_enumeration(self):
+        for k in range(3, 9):
+            assert len(list(tait_colorings(prism_web(k)))) == prism_tait(k)
+
+    @pytest.mark.parametrize("by_rings", [True, False])
+    def test_closed_form_up_to_100_sides(self, by_rings):
+        for k in range(3, 101):
+            assert tait_count(prism_web(k, by_rings)) == prism_tait(k), k
 
 
 class TestTaitCount:
@@ -231,3 +257,68 @@ class TestPlanarDim:
             if w.has_loop():
                 assert tait_count(w) == 0
                 assert planar_lsharp_dim(w) == 0
+
+
+class TestThreeWayIdentity:
+    """The contraction (``tait_count``), the matching sum
+    (``planar_lsharp_dim``) and the enumeration (``tait_colorings``) are
+    three algorithms for one number, on every cubic web, planar or not."""
+
+    @staticmethod
+    def three_ways(w):
+        return tait_count(w), planar_lsharp_dim(w), len(list(tait_colorings(w)))
+
+    def test_census_with_loops(self):
+        graphs = [g for n in range(2, 9, 2) for g in cubic_multigraphs(n, allow_loops=True)]
+        assert len(graphs) >= 69
+        for g in graphs:
+            count, dim, listed = self.three_ways(multigraph_to_web(g))
+            assert count == dim == listed
+
+    def test_petersen(self):
+        assert self.three_ways(multigraph_to_web(nx.MultiGraph(nx.petersen_graph()))) == (0, 0, 0)
+
+
+examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def web_pool():
+    webs = [multigraph_to_web(g) for n in (2, 4, 6) for g in cubic_multigraphs(n, allow_loops=True)]
+    theta = theta_web()
+    theta_circle = make_web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], ["c"])
+    return webs + [prism_web(5), unknot_web(), theta_circle]
+
+
+POOL = web_pool()
+
+
+def relabelled(w, data):
+    """``w`` with its vertices, edges and slots reordered and new labels,
+    integers or strings."""
+    vertices = data.draw(st.permutations(w.vertices))
+    edges = data.draw(st.permutations(sorted(w.edge_ends, key=str)))
+    circles = data.draw(st.permutations(sorted(w.circles, key=str)))
+    names = data.draw(st.permutations(range(len(vertices) + len(edges) + len(circles))))
+    if data.draw(st.booleans()):
+        names = [f"x{i}" for i in names]
+    new = dict(zip([*vertices, *edges, *circles], names))
+    slot = {v: data.draw(st.permutations((0, 1, 2))) for v in vertices}
+    ends = [(new[e], *((new[v], slot[v][i]) for v, i in w.edge_ends[e])) for e in edges]
+    return make_web([new[v] for v in vertices], ends, [new[c] for c in circles])
+
+
+@examples
+@given(st.sampled_from(POOL), st.data())
+def test_counts_ignore_labels(w, data):
+    v = relabelled(w, data)
+    assert tait_count(v) == tait_count(w)
+    assert planar_lsharp_dim(v) == planar_lsharp_dim(w)
+
+
+@examples
+@given(st.sampled_from(POOL), st.sampled_from(POOL), st.data())
+def test_counts_multiply_under_disjoint_union(a, b, data):
+    # relabelled, so the two components' vertices interleave
+    u = relabelled(disjoint_union_webs(a, b), data)
+    assert tait_count(u) == tait_count(a) * tait_count(b)
+    assert planar_lsharp_dim(u) == planar_lsharp_dim(a) * planar_lsharp_dim(b)
