@@ -8,7 +8,10 @@ file, of ``webfoam euler`` on every bundled diagram file, of ``module
 on fixed argument lists, the ``pass``, ``rank``, ``nu`` and ``nu_mod2``
 fields of ``adhm-verify --rank 3``, and the exit code and ``error:``
 line of malformed inputs (the ones ``tests/test_cli.py`` checks, bad
-module names, a bad ``dims`` fraction, and a 2,400-edge prism web).  It also holds
+module names, a bad ``dims`` fraction, a 2,400-edge prism web, the
+30-sided prism web with more than ``tait.MAX_ONE_SETS`` 1-sets, and a
+random cubic web on 100 vertices whose contraction frontier passes
+``tait.MAX_WIDTH``).  It also holds
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
 counts of the four Tutte-site modifications (``skein.site_modifications``)
@@ -28,6 +31,8 @@ import json
 import pathlib
 import random
 import sys
+
+import networkx as nx
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -70,6 +75,11 @@ def prism_web(k: int) -> str:
     return webs.serialize_web(webs.web_from_incidences(inc))
 
 
+def wide_web() -> str:
+    """Web document of a random cubic graph on 100 vertices (150 edges)."""
+    return webs.serialize_web(multigraph_to_web(nx.MultiGraph(nx.random_regular_graph(3, 100, seed=1))))
+
+
 # (argv, stdin) of inputs the CLI must refuse with exit code 1 or 2
 MALFORMED = [
     (["euler", "-"], '{"vertices": [{"id": "v", "darts": ["a", "a", "a"]}]}'),
@@ -101,6 +111,8 @@ MALFORMED = [
     *((["module", "--web", name], "") for name in ["mystery", "unlink_0", "unlink_-1", "unlink_1_2", "unlink_x"]),
     (["dims", "--kappa", "abc"], ""),
     (["tait", "-"], prism_web(800)),
+    (["tait", "-"], prism_web(30)),
+    (["tait", "-"], wide_web()),
 ]
 
 

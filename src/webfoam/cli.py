@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -43,9 +42,12 @@ def _load_web_or_diagram(text: str):
     return webs.underlying_web(d), d
 
 
-def fraction(text: str) -> Fraction:
+def fraction(text: str):
     """argparse type of the rational options; argparse names it in a
-    usage error ("invalid fraction value")."""
+    usage error ("invalid fraction value").  Only ``dims`` uses it, so
+    ``fractions`` is imported here, not by every command."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -62,7 +64,7 @@ def cmd_tait(args) -> dict:
         sets.append({"edges": sorted(map(str, s)), "even": even, "n": n})
     return {
         "count": tait.tait_count(web),
-        "signed": tait.signed_tait(diagram) if diagram is not None else None,
+        "signed": tait.signed_tait_count(diagram) if diagram is not None else None,
         "one_sets": sets,
         "planar_dim": sum(2 ** s["n"] for s in sets if s["even"]),
     }
@@ -182,10 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_module)
 
     p = sub.add_parser("dims", help="moduli dimension formulas")
-    p.add_argument("--kappa", type=fraction, default=Fraction(0))
+    p.add_argument("--kappa", type=fraction, default="0")
     p.add_argument("--bplus", type=int, default=0)
     p.add_argument("--b1", type=int, default=0)
-    p.add_argument("--sigma2", type=fraction, default=Fraction(0))
+    p.add_argument("--sigma2", type=fraction, default="0")
     p.add_argument("--chi", type=int, default=0)
     p.add_argument("--t", type=int, default=0)
     p.set_defaults(func=cmd_dims)

@@ -16,10 +16,13 @@ edge taking the color missing from the pair it joins; a free circle is a
 factor 3.  By distributivity this equals the signed sum of the leaf Tait
 counts.  The sum is contracted node by node by ``tait.contract``, the
 kernel behind ``tait.tait_count`` too, so its cost grows with the width
-of the frontier, not with 2^n.  Its value agrees with the signed Tait
-count oracle and with expanding crossings by ``webs.resolve_crossing``
-down to leaves counted by the ``tait.tait_colorings`` enumeration
-(asserted in the tests); neither oracle runs on the kernel.
+of the frontier, not with 2^n.  The four crossing tables, like the
+vertex table, are tuples of ``(colors, weight)`` items, so the kernel
+memoizes their expansion by value across diagrams.  Its value agrees
+with the signed Tait count oracle and with expanding crossings by
+``webs.resolve_crossing`` down to leaves counted by the
+``tait.tait_colorings`` enumeration (asserted in the tests); neither
+oracle runs on the kernel.
 """
 
 from __future__ import annotations
@@ -47,17 +50,17 @@ CALIBRATED_PAIRING = {SMOOTH_A: EDGE_B, SMOOTH_B: EDGE_A}
 ALIGNED_PAIRING = {SMOOTH_A: EDGE_A, SMOOTH_B: EDGE_B}
 
 
-def _crossing_weights(smooth_kind: str, edge_kind: str) -> dict:
-    """Nonzero crossing weights keyed by the colors at positions 0-3."""
+def _crossing_weights(smooth_kind: str, edge_kind: str) -> tuple:
+    """Nonzero crossing weights, as (colors at positions 0-3, weight) items."""
     (p, q), (r, s) = _PAIRS[smooth_kind]
     (a, b), (c, d) = _PAIRS[edge_kind]
-    table = {}
+    table = []
     for col in product(range(3), repeat=4):
         smooth = col[p] == col[q] and col[r] == col[s]
         edge = col[a] != col[b] and {col[a], col[b]} == {col[c], col[d]}
         if smooth != edge:
-            table[col] = 1 if smooth else -1
-    return table
+            table.append((col, 1 if smooth else -1))
+    return tuple(table)
 
 
 _CROSSING_WEIGHTS = {

@@ -5,20 +5,33 @@ three colors appear at each vertex.  For a planar web the number of Tait
 colorings equals the dimension of the instanton homology, computed
 independently here as a sum of powers of two over even 1-sets.  Three
 algorithms give the number, and the tests compare them: ``contract``,
-the one contraction kernel behind ``tait_count`` and ``skein``'s state
-sum, whose cost follows the width of its frontier, not the size of the
-web; matching branching in ``one_sets``, summed by
+the one contraction kernel behind ``tait_count``, ``signed_tait_count``
+and ``skein``'s state sum, whose cost follows the width of its frontier,
+not the size of the web; matching branching in ``one_sets``, summed by
 ``planar_lsharp_dim``; and the brute-force enumeration
 ``tait_colorings``, the reference oracle.  ``signed_tait_web`` and
 ``signed_tait`` sum over the enumeration, not the kernel, as they are
-the independent check of ``skein.euler_char``.  Webs with more than
-``MAX_EDGES`` regular edges are refused with a ``WebError`` by all four
-searches.
+the independent check of ``skein.euler_char``.
+
+``contract`` expands each node's weight table into rows keyed by the
+colors of its open arcs.  The expansion depends only on the weight table,
+the node's arc-multiplicity shape and which of its arcs are open, so it
+is memoized on those three values (an LRU cache of ``LOCAL_TABLES``
+entries, keyed by value, never by identity): a run over many diagrams
+expands a few dozen tables, not one per contraction step.  The weight
+tables are tuples of ``(colors, weight)`` items so that they can be keys.
+
+Limits, each refused with a ``WebError`` before the work starts: webs
+with more than ``MAX_EDGES`` regular edges, by all four searches; a
+contraction whose frontier would be wider than ``MAX_WIDTH`` arcs; and a
+1-set list longer than ``MAX_ONE_SETS``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from .webs import Diagram, Web, WebError, _union_find, diagram_vertex_orders, underlying_web
 
@@ -30,10 +43,32 @@ COLORS = (1, 2, 3)
 # searches keep this one limit.
 MAX_EDGES = 500
 
+# Widest frontier ``contract`` accepts.  Every catalogue entry, the census,
+# the prisms up to 166 sides and criterion 3's diagrams stay within 8 arcs;
+# a Tait count at width 16 takes about 2 s and 90 MB, and each further arc
+# multiplies that by two to three.
+MAX_WIDTH = 16
+
+# Longest 1-set list ``one_sets`` builds: the 18-sided prism (5,780 sets)
+# is listed by ``webfoam tait`` in under a second, the 20-sided one
+# (15,129 sets, 2.4 MB of JSON) is refused.
+MAX_ONE_SETS = 10_000
+
+# bound of the cache of expanded node tables behind ``contract``
+LOCAL_TABLES = 512
+
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 
-# the weight of a Tait vertex in ``contract``: 1 on three distinct colors 0, 1, 2
-VERTEX_WEIGHTS = {colors: 1 for colors in permutations(range(3))}
+# weight tables of a vertex in ``contract``, as (colors of its slots, weight)
+# items over the colors 0, 1, 2: a Tait vertex weighs 1 on three distinct
+# colors; a signed one +1 on an even and -1 on an odd permutation of its
+# counterclockwise colors; a matched one 1 when exactly one slot is in the
+# matching (color 1)
+VERTEX_WEIGHTS = tuple((colors, 1) for colors in permutations(range(3)))
+SIGNED_VERTEX_WEIGHTS = tuple(
+    (colors, 1 if tuple(c + 1 for c in colors) in _EVEN_PERMS else -1) for colors in permutations(range(3))
+)
+MATCHING_WEIGHTS = tuple((colors, 1) for colors in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def _check_size(n_edges: int) -> None:
@@ -73,10 +108,40 @@ def tait_colorings(w: Web):
             yield {**base, **dict(zip(circles, colors))}
 
 
-def _picker(idx):
-    """Function taking a tuple to the tuple of its entries at ``idx``."""
-    idx = tuple(idx)
-    return lambda t: tuple(t[i] for i in idx)
+def _picker(idx: list):
+    """Function taking a tuple to the tuple of its entries at ``idx``.
+
+    Both cases run in C.  A run of consecutive indices (one index or none
+    included, where ``itemgetter`` would return a bare entry or fail) is a
+    slice; anything else is an ``itemgetter`` of two or more indices.
+    """
+    if idx and idx != list(range(idx[0], idx[0] + len(idx))):
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + len(idx)) if idx else slice(0))
+
+
+@lru_cache(maxsize=LOCAL_TABLES)
+def _local_table(weights: tuple, shape: tuple, is_open: tuple) -> dict:
+    """One node's weight table with its open arcs as the row key.
+
+    ``shape`` gives, per position of the node's arcs, the index of its arc
+    among the node's distinct arcs (in order of first occurrence), and
+    ``is_open`` says per distinct arc whether it is on the frontier.
+    Returns colors of the open arcs -> tuple of (colors of the new arcs,
+    weight), where the new arcs are the closed ones met once; arcs met
+    twice are summed out, and a coloring that gives one arc two colors
+    weighs 0.  The result is shared by every caller and never modified.
+    """
+    old = [u for u, o in enumerate(is_open) if o]
+    new = [u for u, o in enumerate(is_open) if not o and shape.count(u) == 1]
+    local: dict = {}
+    for col, w in weights:
+        color: dict = {}
+        if all(color.setdefault(u, x) == x for u, x in zip(shape, col)):
+            row = local.setdefault(tuple(color[u] for u in old), {})
+            out = tuple(color[u] for u in new)
+            row[out] = row.get(out, 0) + w
+    return {key: tuple(row.items()) for key, row in local.items()}
 
 
 def contract(nodes) -> int:
@@ -84,8 +149,9 @@ def contract(nodes) -> int:
 
     ``nodes`` is a list of ``(arcs, weights)``.  ``arcs`` is a tuple of
     arc labels, and every label occurs exactly twice among all the nodes
-    (twice in one node for a loop).  ``weights`` maps a tuple of colors,
-    one per entry of ``arcs``, to an integer; a missing tuple weighs 0.
+    (twice in one node for a loop).  ``weights`` is a tuple of
+    ``(colors, weight)`` items: a tuple of colors, one per entry of
+    ``arcs``, and an integer; a missing tuple weighs 0.
 
     The nodes are contracted one at a time over a dict from colorings of
     the frontier (arcs with one end contracted) to summed weight, zero
@@ -94,7 +160,15 @@ def contract(nodes) -> int:
     open arcs; ties go to the node first in breadth-first order over
     shared arcs, started from the first node of each component, so the
     contraction sweeps outward instead of following the order of the
-    list.
+    list.  The order and every frontier depend on the arcs alone, so they
+    are fixed before any state is built, and a frontier wider than
+    ``MAX_WIDTH`` arcs (up to 3^width states) is refused with a
+    ``WebError``.
+
+    Each step reads its node's table from ``_local_table``, an LRU cache
+    of at most ``LOCAL_TABLES`` entries keyed by value: the weight table,
+    the node's arc-multiplicity shape and which of its arcs are open.  A
+    result does not depend on what the process computed before.
     """
     holders: dict = {}  # arc -> positions of the nodes holding it
     for i, (arcs, _) in enumerate(nodes):
@@ -113,50 +187,75 @@ def contract(nodes) -> int:
                             seen.add(j)
                             queue.append(j)
             todo += queue
+    steps: list = []  # (table key, frontier positions of the open arcs, of the kept arcs)
     frontier: list = []  # arcs with exactly one end contracted
-    states = {(): 1}  # frontier coloring -> summed weight
-    while todo and states:
-        open_arcs = set(frontier)
-        k = max(todo, key=lambda i: len(open_arcs.intersection(nodes[i][0])))  # first of the ties
+    n_open = [0] * len(nodes)  # open arcs of each node
+    width = 0
+    while todo:
+        k = max(todo, key=n_open.__getitem__)  # first of the ties
         todo.remove(k)
         arcs, weights = nodes[k]
-        old = [a for a in dict.fromkeys(arcs) if a in open_arcs]
-        new = [a for a in dict.fromkeys(arcs) if a not in open_arcs and arcs.count(a) == 1]
-        # colors of the old arcs -> {colors of the new arcs: weight}, arcs
-        # with both ends here summed out
-        local: dict = {}
-        for col, w in weights.items():
-            color = {}
-            if all(color.setdefault(a, x) == x for a, x in zip(arcs, col)):  # one color per arc
-                row = local.setdefault(tuple(color[a] for a in old), {})
-                out = tuple(color[a] for a in new)
-                row[out] = row.get(out, 0) + w
-        pick_old = _picker(frontier.index(a) for a in old)
-        pick_kept = _picker(i for i, a in enumerate(frontier) if a not in old)
+        unique = list(dict.fromkeys(arcs))
+        is_open = tuple(a in frontier for a in unique)
+        old = [frontier.index(a) for a, o in zip(unique, is_open) if o]
+        kept = [i for i in range(len(frontier)) if i not in old]
+        new = [a for a, o in zip(unique, is_open) if not o and arcs.count(a) == 1]
+        for a in new:
+            for j in holders[a]:
+                n_open[j] += 1
+        steps.append(((weights, tuple(map(unique.index, arcs)), is_open), old, kept))
+        frontier = [frontier[i] for i in kept] + new
+        width = max(width, len(frontier))
+    if width > MAX_WIDTH:
+        raise WebError(
+            f"contraction frontier would reach {width} arcs; the Tait and skein counts take at most {MAX_WIDTH}"
+        )
+    states = {(): 1}  # frontier coloring -> summed weight
+    for table, old, kept in steps:
+        local = _local_table(*table)
+        pick_old, pick_kept = _picker(old), _picker(kept)
         nxt: dict = {}
         for state, weight in states.items():
             moves = local.get(pick_old(state))
             if moves:
-                kept = pick_kept(state)
-                for colors, w in moves.items():
-                    key = kept + colors
+                head = pick_kept(state)
+                for colors, w in moves:
+                    key = head + colors
                     nxt[key] = nxt.get(key, 0) + weight * w
         states = {key: w for key, w in nxt.items() if w}
-        frontier = [a for a in frontier if a not in old] + new
+        if not states:
+            break
     return states.get((), 0)
+
+
+def _vertex_nodes(w: Web, weights: tuple) -> list:
+    """One ``contract`` node per vertex of ``w``: its edges in slot order,
+    weighted by ``weights``."""
+    _check_size(len(w.edge_ends))
+    slots = {end: e for e, ends in w.edge_ends.items() for end in ends}
+    return [(tuple(slots[v, i] for i in range(3)), weights) for v in w.vertices]
 
 
 def tait_count(w: Web) -> int:
     """Number of Tait colorings; vertexless circles contribute a factor 3.
 
-    One ``contract`` node per vertex, its edges in slot order, weighing 1
-    on three distinct colors.  A loop meets its vertex twice in one
-    color, so it weighs 0.
+    One ``contract`` node per vertex, weighing 1 on three distinct
+    colors.  A loop meets its vertex twice in one color, so it weighs 0.
     """
-    _check_size(len(w.edge_ends))
-    slots = {end: e for e, ends in w.edge_ends.items() for end in ends}
-    nodes = [(tuple(slots[v, i] for i in range(3)), VERTEX_WEIGHTS) for v in w.vertices]
-    return contract(nodes) * 3 ** len(w.circles)
+    return contract(_vertex_nodes(w, VERTEX_WEIGHTS)) * 3 ** len(w.circles)
+
+
+def signed_tait_count(d: Diagram) -> int:
+    """Signed Tait count of a diagram by the contraction kernel.
+
+    The value of ``signed_tait``: one ``contract`` node per vertex of the
+    underlying web, whose slot order is the counterclockwise order of
+    ``diagram_vertex_orders``, weighing the sign of the permutation its
+    colors make; a factor 3 per circle.  ``signed_tait`` stays on the
+    enumeration as the oracle of ``skein.euler_char``.
+    """
+    w = underlying_web(d)
+    return contract(_vertex_nodes(w, SIGNED_VERTEX_WEIGHTS)) * 3 ** len(w.circles)
 
 
 def vertex_sign(colors_ccw) -> int:
@@ -192,9 +291,13 @@ def one_sets(w: Web) -> list[frozenset]:
     """All 1-sets (perfect matchings); circle edges appear freely.
 
     Branches on the first uncovered vertex over its non-loop edges to
-    uncovered vertices, so the cost follows the number of matchings.
+    uncovered vertices, so the cost follows the number of matchings.  The
+    1-sets are counted by ``contract`` first, and a web with more than
+    ``MAX_ONE_SETS`` is refused with a ``WebError``.
     """
-    _check_size(len(w.edge_ends))
+    count = contract(_vertex_nodes(w, MATCHING_WEIGHTS)) << len(w.circles)
+    if count > MAX_ONE_SETS:
+        raise WebError(f"web has {count} 1-sets; the 1-set list holds at most {MAX_ONE_SETS}")
     links: dict = {v: [] for v in w.vertices}  # vertex -> (edge, other end)
     for e, ((u, _), (v, _)) in w.edge_ends.items():
         links[u].append((e, v))

@@ -181,7 +181,8 @@ def test_console_script_runs():
 def modules_loaded(*argvs) -> list:
     """Run ``cli.main`` on each argv in turn in a fresh interpreter (other
     tests import numpy into this one); after each, the names in
-    ``sys.modules`` that start with ``numpy``, ``networkx`` or ``webfoam.``."""
+    ``sys.modules`` that start with ``numpy``, ``networkx``, ``fractions``
+    or ``webfoam.``."""
     import webfoam
 
     src = str(pathlib.Path(webfoam.__file__).resolve().parents[1])
@@ -194,7 +195,7 @@ for argv in {[list(a) for a in argvs]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     loaded.append(sorted({{m if m.startswith("webfoam.") else m.split(".")[0]
-                          for m in sys.modules if m.startswith(("numpy", "networkx", "webfoam."))}}))
+                          for m in sys.modules if m.startswith(("numpy", "networkx", "fractions", "webfoam."))}}))
 print(json.dumps(loaded))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -237,6 +238,24 @@ def test_only_adhm_verify_loads_numpy():
     assert {argv[0] for argv in runs} == set(sub.choices)  # every command is run
     loaded = modules_loaded(*runs)
     assert ["numpy" in names for names in loaded] == [False] * (len(runs) - 1) + [True]
+
+
+def test_only_dims_loads_fractions():
+    """``fractions`` (and ``decimal`` with it) is imported by ``dims``'s
+    argument type alone, not at start-up."""
+    runs = LIGHT + EXACT_GF2 + [["adhm-verify", "--rank", "3"]]
+    dims = [argv for argv in runs if argv[0] == "dims"]
+    runs = [argv for argv in runs if argv[0] != "dims"] + dims
+    loaded = modules_loaded(*runs)
+    assert ["fractions" in names for names in loaded] == [False] * (len(runs) - 1) + [True]
+
+
+def test_dims_defaults_are_fractions():
+    from fractions import Fraction
+
+    args = build_parser().parse_args(["dims"])
+    assert type(args.kappa) is type(args.sigma2) is Fraction
+    assert args.kappa == args.sigma2 == 0
 
 
 def test_golden_outputs(capsys):

@@ -1,12 +1,15 @@
 import json
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webfoam import catalogue
-from webfoam.generate import planar_cubic_webs, random_diagram
+from webfoam import catalogue, tait
+from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs, random_diagram
 from webfoam.skein import (
     ALIGNED_PAIRING,
     CALIBRATED_PAIRING,
@@ -16,7 +19,7 @@ from webfoam.skein import (
     site_modifications,
     tutte_check,
 )
-from webfoam.tait import planar_lsharp_dim, signed_tait, tait_colorings, tait_count
+from webfoam.tait import planar_lsharp_dim, signed_tait, signed_tait_count, tait_colorings, tait_count
 from webfoam.webs import (
     Crossing,
     Diagram,
@@ -59,6 +62,17 @@ def seed_diagrams():
         catalogue.load_diagram(catalogue.get("tetrahedron")),
         catalogue.load_diagram(catalogue.get("handcuffs")),
     ]
+
+
+def criterion_3_stream():
+    """Criterion 3's 200 random diagrams (seed 20250809, up to 10 crossings)."""
+    rng = random.Random(20250809)
+    seeds = seed_diagrams()
+    return [random_diagram(seeds, 10, rng) for _ in range(200)]
+
+
+def census_webs():
+    return [multigraph_to_web(g) for n in range(2, 9, 2) for g in cubic_multigraphs(n, allow_loops=True)]
 
 
 class TestBaseCases:
@@ -151,6 +165,10 @@ class TestInvariance:
             assert euler_char(d) == (-1) ** (n // 2) * signed_tait(d)
         assert largest == 20
 
+    def test_kernel_signed_count_matches_oracle(self):
+        for d in criterion_3_stream():
+            assert signed_tait_count(d) == signed_tait(d)
+
     def test_multiplicativity(self):
         d1 = catalogue.load_diagram(catalogue.get("hopf"))
         d2 = catalogue.load_diagram(catalogue.get("trefoil"))
@@ -179,6 +197,38 @@ class TestInvariance:
                 resolve_crossing(d, cid, EDGE_B)
             )
             assert direct == via_public
+
+
+def stream_values(diagrams) -> list:
+    return [[euler_char_report(d)["chi"], euler_char_dual(d)] for d in diagrams]
+
+
+def test_results_ignore_process_history():
+    """In this process, whose table cache earlier tests have filled, the
+    criterion-3 stream forward, then backward between census Tait counts,
+    gives the values a fresh interpreter computes."""
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    src = str(pathlib.Path(tait.__file__).resolve().parents[1])
+    script = f"""
+import json, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from test_skein import census_webs, criterion_3_stream, stream_values
+from webfoam import tait
+assert tait._local_table.cache_info().currsize == 0
+print(json.dumps([stream_values(criterion_3_stream()), [tait.tait_count(w) for w in census_webs()]]))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    fresh_stream, fresh_census = json.loads(out.stdout)
+    stream, census = criterion_3_stream(), census_webs()
+    assert stream_values(stream) == fresh_stream
+    backward, counts = [], []
+    for i, d in enumerate(reversed(stream)):
+        backward += stream_values([d])
+        counts.append(tait.tait_count(census[i % len(census)]))
+    assert backward[::-1] == fresh_stream
+    assert counts == [fresh_census[i % len(census)] for i in range(len(stream))]
+    assert tait._local_table.cache_info().currsize > 0
 
 
 examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -6,17 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webfoam import catalogue
+from webfoam import catalogue, tait
 from webfoam.cli import main
 from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs
 from webfoam.tait import (
+    LOCAL_TABLES,
     MAX_EDGES,
+    MAX_ONE_SETS,
+    MAX_WIDTH,
+    SIGNED_VERTEX_WEIGHTS,
+    VERTEX_WEIGHTS,
     complement_components,
+    contract,
     is_even_one_set,
     is_one_set,
     one_sets,
     planar_lsharp_dim,
     signed_tait,
+    signed_tait_count,
     signed_tait_web,
     tait_colorings,
     tait_count,
@@ -27,6 +34,7 @@ from webfoam.webs import (
     disjoint_union_webs,
     make_web,
     parse_diagram,
+    serialize_diagram,
     serialize_web,
     underlying_web,
     web_from_incidences,
@@ -63,6 +71,20 @@ def prism_tait(k: int) -> int:
     return 2 ** k + 8 if k % 2 == 0 else 2 ** k - 2
 
 
+def prism_diagram(k: int):
+    """Plane diagram of the k-sided prism: the outer ring's vertices list
+    their darts counterclockwise as (next, previous, spoke), the inner
+    ring's as (previous, next, spoke)."""
+    vertices = [{"id": f"a{i}", "darts": [f"p{i}", f"p{(i - 1) % k}", f"s{i}"]} for i in range(k)]
+    vertices += [{"id": f"b{i}", "darts": [f"q{(i - 1) % k}", f"q{i}", f"s{i}"]} for i in range(k)]
+    return parse_diagram(json.dumps({"vertices": vertices}))
+
+
+def wide_web():
+    """A random cubic web on 100 vertices: its contraction frontier passes 20 arcs."""
+    return multigraph_to_web(nx.MultiGraph(nx.random_regular_graph(3, 100, seed=1)))
+
+
 class TestSizeLimit:
     """The searches recurse once per edge; past MAX_EDGES they refuse, not crash."""
 
@@ -84,6 +106,92 @@ class TestSizeLimit:
         assert main(["tait", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(MAX_EDGES) in err
+
+
+class TestWidthLimit:
+    """A contraction whose frontier would pass MAX_WIDTH arcs is refused
+    from the arcs alone, before any state is built."""
+
+    def test_refused_before_contracting(self):
+        w = wide_web()
+        assert len(w.edge_ends) <= MAX_EDGES
+        start = time.perf_counter()
+        for search in (tait_count, one_sets, planar_lsharp_dim):
+            with pytest.raises(WebError, match=f"at most {MAX_WIDTH}$"):
+                search(w)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cli_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "wide.web.json"
+        path.write_text(serialize_web(wide_web()))
+        assert main(["tait", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: contraction frontier") and str(MAX_WIDTH) in captured.err
+
+    @pytest.mark.parametrize("by_rings", [True, False])
+    def test_prisms_up_to_166_sides(self, by_rings):
+        # 166 sides is the largest prism under MAX_EDGES
+        for k in range(101, 167):
+            assert tait_count(prism_web(k, by_rings)) == prism_tait(k), k
+        assert len(prism_web(167).edge_ends) > MAX_EDGES
+
+
+class TestOneSetLimit:
+    """The 1-sets are counted by the contraction before they are listed."""
+
+    def test_prism_within_limit(self):
+        sets = one_sets(prism_web(18))
+        assert len(sets) == 5780 <= MAX_ONE_SETS
+        assert len(set(sets)) == len(sets) and all(len(s) == 18 for s in sets)
+
+    @pytest.mark.parametrize("w", [prism_web(20), make_web((), [], [f"c{i}" for i in range(14)])])
+    def test_refused_before_listing(self, w):
+        start = time.perf_counter()
+        for search in (one_sets, planar_lsharp_dim):
+            with pytest.raises(WebError, match=f"1-set list holds at most {MAX_ONE_SETS}"):
+                search(w)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cli_exits_one(self, capsys, tmp_path):
+        # the 30-sided prism web: L_30 + 2 = 1,860,500 1-sets (Lucas number L_30)
+        path = tmp_path / "prism.web.json"
+        path.write_text(serialize_web(prism_web(30)))
+        assert main(["tait", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: web has 1860500 1-sets; the 1-set list holds at most {MAX_ONE_SETS}\n"
+
+
+class TestLocalTableCache:
+    """``contract`` memoizes each node's expanded table by value: an equal
+    table gives the same results, a different one is never served a stale
+    expansion, and the cache stays within its bound."""
+
+    def test_equal_table_gives_equal_results(self):
+        copy = tuple((tuple(colors), w) for colors, w in VERTEX_WEIGHTS)
+        assert copy == VERTEX_WEIGHTS and copy is not VERTEX_WEIGHTS
+        for w in POOL:
+            assert contract(tait._vertex_nodes(w, copy)) * 3 ** len(w.circles) == tait_count(w)
+
+    def test_other_tables_are_not_served_stale(self):
+        for w in POOL:
+            count = tait_count(w)
+            doubled = tuple((colors, 2 * x) for colors, x in VERTEX_WEIGHTS)
+            assert contract(tait._vertex_nodes(w, doubled)) * 3 ** len(w.circles) == 2 ** len(w.vertices) * count
+            nodes = tait._vertex_nodes(w, SIGNED_VERTEX_WEIGHTS)
+            orders = {v: arcs for v, (arcs, _) in zip(w.vertices, nodes)}
+            assert contract(nodes) * 3 ** len(w.circles) == signed_tait_web(w, orders)
+            assert tait_count(w) == count
+
+    def test_bounded(self):
+        assert tait._local_table.cache_info().maxsize == LOCAL_TABLES
+        theta = theta_web()
+        for m in range(1, LOCAL_TABLES + 50):
+            scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
+            assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
+        assert tait._local_table.cache_info().currsize <= LOCAL_TABLES
+        assert tait_count(theta) == 6
 
 
 class TestPrism:
@@ -170,6 +278,36 @@ class TestSignedTait:
                 continue
             d = catalogue.load_diagram(entry)
             assert abs(signed_tait(d)) <= tait_count(underlying_web(d))
+
+
+class TestSignedTaitCount:
+    """The kernel's signed count against the enumeration oracle."""
+
+    def test_catalogue_diagrams(self):
+        diagrams = [e for e in catalogue.CATALOGUE if e.diagram_file]
+        assert len(diagrams) >= 10
+        for entry in diagrams:
+            d = catalogue.load_diagram(entry)
+            assert signed_tait_count(d) == signed_tait(d), entry.name
+
+    def test_prism_diagram_is_plane(self):
+        # the planar sign identity: signed = (-1)^{n/2} tait, n = 2k vertices
+        for k in range(3, 8):
+            d = prism_diagram(k)
+            assert signed_tait(d) == signed_tait_count(d) == (-1) ** k * prism_tait(k)
+
+    def test_22_sided_prism(self):
+        # 4,194,312 colourings: through the enumeration, `webfoam tait` did not finish in 30 s
+        start = time.perf_counter()
+        assert signed_tait_count(prism_diagram(22)) == prism_tait(22)
+        assert time.perf_counter() - start < 5.0
+
+    def test_cli_signed_field(self, capsys, tmp_path):
+        path = tmp_path / "prism.diagram.json"
+        path.write_text(serialize_diagram(prism_diagram(16)))
+        assert main(["tait", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["signed"] == doc["count"] == doc["planar_dim"] == prism_tait(16)
 
 
 class TestOneSets:
