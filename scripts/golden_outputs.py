@@ -9,9 +9,10 @@ on fixed argument lists, the ``pass``, ``rank``, ``nu`` and ``nu_mod2``
 fields of ``adhm-verify --rank 3``, and the exit code and ``error:``
 line of malformed inputs (the ones ``tests/test_cli.py`` checks, bad
 module names, a bad ``dims`` fraction, a 2,400-edge prism web, the
-30-sided prism web with more than ``tait.MAX_ONE_SETS`` 1-sets, and a
+30-sided prism web with more than ``tait.MAX_ONE_SETS`` 1-sets, a
 random cubic web on 100 vertices whose contraction frontier passes
-``tait.MAX_WIDTH``).  It also holds
+``tait.MAX_WIDTH``, and a diagram whose second component is toroidal).
+It also holds the faces of every catalogue diagram,
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
 counts of the four Tutte-site modifications (``skein.site_modifications``)
@@ -113,6 +114,10 @@ MALFORMED = [
     (["tait", "-"], prism_web(800)),
     (["tait", "-"], prism_web(30)),
     (["tait", "-"], wide_web()),
+    (["euler", "-"], json.dumps({"crossings": [
+        {"id": "x", "darts": ["A", "A", "B", "B"]},
+        {"id": "y", "darts": ["a", "b", "a", "b"]},
+    ]})),
 ]
 
 
@@ -190,6 +195,7 @@ def main() -> None:
         "foam_eval": {text: run_cli("foam-eval", text) for text in FOAM_EXPRS},
         "dims": {" ".join(args): run_cli("dims", *args) for args in DIMS_ARGS},
         "adhm_verify": adhm_fields(),
+        "faces": {e.name: catalogue.load_diagram(e).faces for e in catalogue.CATALOGUE if e.diagram_file},
         "malformed": [{"argv": [a[:60] for a in argv], "out": run_cli(*argv, stdin=stdin)} for argv, stdin in MALFORMED],
         "criterion_3": [
             {"report": skein.euler_char_report(d), "dual": skein.euler_char_dual(d)} for d in stream()

@@ -13,13 +13,17 @@ not the size of the web; matching branching in ``one_sets``, summed by
 ``signed_tait`` sum over the enumeration, not the kernel, as they are
 the independent check of ``skein.euler_char``.
 
-``contract`` expands each node's weight table into rows keyed by the
-colors of its open arcs.  The expansion depends only on the weight table,
-the node's arc-multiplicity shape and which of its arcs are open, so it
-is memoized on those three values (an LRU cache of ``LOCAL_TABLES``
-entries, keyed by value, never by identity): a run over many diagrams
-expands a few dozen tables, not one per contraction step.  The weight
-tables are tuples of ``(colors, weight)`` items so that they can be keys.
+``contract`` plans every step in one pass over its node's arcs: the
+node's expanded table, rows keyed by the colors of its open arcs, and
+the two projections of a frontier coloring, onto those arcs and onto the
+arcs kept.  The table depends only on the weight table, the node's
+arc-multiplicity shape and which of its arcs are open, so ``_local_table``
+memoizes it on those three values in an LRU cache of ``LOCAL_TABLES``
+entries, keyed by value, never by identity; ``_picker`` memoizes a
+projection by its index tuple in one of ``PICKERS`` entries.  A run over
+many diagrams builds a few dozen of each, not one per contraction step.
+The weight tables are tuples of ``(colors, weight)`` items so that they
+can be keys.
 
 Limits, each refused with a ``WebError`` before the work starts: webs
 with more than ``MAX_EDGES`` regular edges, by all four searches; a
@@ -54,10 +58,18 @@ MAX_WIDTH = 16
 # (15,129 sets, 2.4 MB of JSON) is refused.
 MAX_ONE_SETS = 10_000
 
-# bound of the cache of expanded node tables behind ``contract``
+# bounds of the LRU caches behind ``contract``: expanded node tables, and
+# frontier projections
 LOCAL_TABLES = 512
+PICKERS = 512
 
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+
+
+def vertex_sign(colors_ccw) -> int:
+    """+1 iff the colors in counterclockwise order are an even permutation of (1,2,3)."""
+    return 1 if tuple(colors_ccw) in _EVEN_PERMS else -1
+
 
 # weight tables of a vertex in ``contract``, as (colors of its slots, weight)
 # items over the colors 0, 1, 2: a Tait vertex weighs 1 on three distinct
@@ -65,9 +77,7 @@ _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 # counterclockwise colors; a matched one 1 when exactly one slot is in the
 # matching (color 1)
 VERTEX_WEIGHTS = tuple((colors, 1) for colors in permutations(range(3)))
-SIGNED_VERTEX_WEIGHTS = tuple(
-    (colors, 1 if tuple(c + 1 for c in colors) in _EVEN_PERMS else -1) for colors in permutations(range(3))
-)
+SIGNED_VERTEX_WEIGHTS = tuple((colors, vertex_sign(c + 1 for c in colors)) for colors in permutations(range(3)))
 MATCHING_WEIGHTS = tuple((colors, 1) for colors in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
@@ -108,14 +118,15 @@ def tait_colorings(w: Web):
             yield {**base, **dict(zip(circles, colors))}
 
 
-def _picker(idx: list):
+@lru_cache(maxsize=PICKERS)
+def _picker(idx: tuple):
     """Function taking a tuple to the tuple of its entries at ``idx``.
 
     Both cases run in C.  A run of consecutive indices (one index or none
     included, where ``itemgetter`` would return a bare entry or fail) is a
     slice; anything else is an ``itemgetter`` of two or more indices.
     """
-    if idx and idx != list(range(idx[0], idx[0] + len(idx))):
+    if idx and idx != tuple(range(idx[0], idx[0] + len(idx))):
         return itemgetter(*idx)
     return itemgetter(slice(idx[0], idx[0] + len(idx)) if idx else slice(0))
 
@@ -161,14 +172,10 @@ def contract(nodes) -> int:
     shared arcs, started from the first node of each component, so the
     contraction sweeps outward instead of following the order of the
     list.  The order and every frontier depend on the arcs alone, so they
-    are fixed before any state is built, and a frontier wider than
-    ``MAX_WIDTH`` arcs (up to 3^width states) is refused with a
-    ``WebError``.
-
-    Each step reads its node's table from ``_local_table``, an LRU cache
-    of at most ``LOCAL_TABLES`` entries keyed by value: the weight table,
-    the node's arc-multiplicity shape and which of its arcs are open.  A
-    result does not depend on what the process computed before.
+    are planned, with each step's table and projections from the caches
+    above, before any state is built; a frontier wider than ``MAX_WIDTH``
+    arcs (up to 3^width states) is refused with a ``WebError``.  A result
+    does not depend on what the process computed before.
     """
     holders: dict = {}  # arc -> positions of the nodes holding it
     for i, (arcs, _) in enumerate(nodes):
@@ -187,33 +194,41 @@ def contract(nodes) -> int:
                             seen.add(j)
                             queue.append(j)
             todo += queue
-    steps: list = []  # (table key, frontier positions of the open arcs, of the kept arcs)
+    steps: list = []  # (expanded table, picker of the open arcs' colors, of the kept arcs')
     frontier: list = []  # arcs with exactly one end contracted
+    where: dict = {}  # frontier arc -> its position
     n_open = [0] * len(nodes)  # open arcs of each node
     width = 0
     while todo:
         k = max(todo, key=n_open.__getitem__)  # first of the ties
         todo.remove(k)
         arcs, weights = nodes[k]
-        unique = list(dict.fromkeys(arcs))
-        is_open = tuple(a in frontier for a in unique)
-        old = [frontier.index(a) for a, o in zip(unique, is_open) if o]
-        kept = [i for i in range(len(frontier)) if i not in old]
-        new = [a for a, o in zip(unique, is_open) if not o and arcs.count(a) == 1]
+        first: dict = {}  # arc -> its index among the node's distinct arcs
+        old, new = [], []  # frontier positions of its open arcs; its closed arcs met once
+        for a in arcs:
+            if a in first:
+                new.remove(a)  # both ends of a loop are here: summed out
+                continue
+            first[a] = len(first)
+            if a in where:
+                old.append(where[a])
+            else:
+                new.append(a)
+        kept = [a for a in frontier if a not in first]
         for a in new:
             for j in holders[a]:
                 n_open[j] += 1
-        steps.append(((weights, tuple(map(unique.index, arcs)), is_open), old, kept))
-        frontier = [frontier[i] for i in kept] + new
+        table = _local_table(weights, tuple(map(first.__getitem__, arcs)), tuple(map(where.__contains__, first)))
+        steps.append((table, _picker(tuple(old)), _picker(tuple(map(where.__getitem__, kept)))))
+        frontier = kept + new
+        where = dict(zip(frontier, range(len(frontier))))
         width = max(width, len(frontier))
     if width > MAX_WIDTH:
         raise WebError(
             f"contraction frontier would reach {width} arcs; the Tait and skein counts take at most {MAX_WIDTH}"
         )
     states = {(): 1}  # frontier coloring -> summed weight
-    for table, old, kept in steps:
-        local = _local_table(*table)
-        pick_old, pick_kept = _picker(old), _picker(kept)
+    for local, pick_old, pick_kept in steps:
         nxt: dict = {}
         for state, weight in states.items():
             moves = local.get(pick_old(state))
@@ -256,11 +271,6 @@ def signed_tait_count(d: Diagram) -> int:
     """
     w = underlying_web(d)
     return contract(_vertex_nodes(w, SIGNED_VERTEX_WEIGHTS)) * 3 ** len(w.circles)
-
-
-def vertex_sign(colors_ccw) -> int:
-    """+1 iff the colors in counterclockwise order are an even permutation of (1,2,3)."""
-    return 1 if tuple(colors_ccw) in _EVEN_PERMS else -1
 
 
 def signed_tait_web(w: Web, orders: dict) -> int:

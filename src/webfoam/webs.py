@@ -9,9 +9,11 @@ every arc label occurs exactly twice among the node slots (or not at all,
 for a free circle).
 
 All structures are immutable after construction; every operation returns
-a new object.  One strand-rewrite engine, ``Splice`` (the strand
-involution on node slots), serves ``resolve_crossing`` (read back as a
-diagram) and the Tutte-site modifications of ``skein`` (read back as webs).
+a new object.  A ``Diagram`` is validated on construction, Euler formula
+included, but traces its sorted faces only when asked.  One
+strand-rewrite engine, ``Splice`` (the strand involution on node slots),
+serves ``resolve_crossing`` (read back as a diagram) and the Tutte-site
+modifications of ``skein`` (read back as webs).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 
@@ -78,11 +81,7 @@ class Web:
 
     def vertex_edges(self, v) -> list:
         """Edges at ``v`` in slot order 0, 1, 2 (a loop appears twice)."""
-        out = {}
-        for e, ends in self.edge_ends.items():
-            for w, slot in ends:
-                if w == v:
-                    out[slot] = e
+        out = {slot: e for e, ends in self.edge_ends.items() for w, slot in ends if w == v}
         return [out[s] for s in (0, 1, 2)]
 
     def is_loop(self, e) -> bool:
@@ -152,6 +151,18 @@ def _ident(x, what: str):
     return x
 
 
+def _idents(xs: list, what: str) -> tuple:
+    """``xs`` as a tuple of ids.  Lists and dicts, JSON's only unhashable
+    values, make the tuple's hash fail; then ``_ident`` names the first."""
+    xs = tuple(xs)
+    try:
+        hash(xs)
+    except TypeError:
+        for x in xs:
+            _ident(x, what)
+    return xs
+
+
 def parse_web(text: str) -> Web:
     """Parse the JSON web format.
 
@@ -161,7 +172,7 @@ def parse_web(text: str) -> Web:
     doc = _load(text, "web")
     if "edges" not in doc:
         raise WebError("web document must be an object with an 'edges' list")
-    vertices = tuple(_ident(v, "vertex id") for v in _items(doc.get("vertices", []), "'vertices'"))
+    vertices = _idents(_items(doc.get("vertices", []), "'vertices'"), "vertex id")
     edges = []
     circles = []
     for rec in _items(doc["edges"], "'edges'"):
@@ -218,17 +229,13 @@ def web_component_count(w: Web) -> int:
 
 
 def disjoint_union_webs(a: Web, b: Web, tags=("A", "B")) -> Web:
-    """Disjoint union, relabelling everything with the given tags."""
-
-    def tag(t, x):
-        return f"{t}:{x}"
-
-    verts = [tag(tags[0], v) for v in a.vertices] + [tag(tags[1], v) for v in b.vertices]
+    """Disjoint union, relabelling everything as ``"<tag>:<label>"``."""
+    verts = [f"{t}:{v}" for t, w in zip(tags, (a, b)) for v in w.vertices]
     edges = []
-    for t, w in ((tags[0], a), (tags[1], b)):
+    for t, w in zip(tags, (a, b)):
         for e, ((u, i), (v, j)) in w.edge_ends.items():
-            edges.append((tag(t, e), (tag(t, u), i), (tag(t, v), j)))
-    circles = [tag(tags[0], c) for c in a.circles] + [tag(tags[1], c) for c in b.circles]
+            edges.append((f"{t}:{e}", (f"{t}:{u}", i), (f"{t}:{v}", j)))
+    circles = [f"{t}:{c}" for t, w in zip(tags, (a, b)) for c in w.circles]
     return make_web(verts, edges, circles)
 
 
@@ -254,14 +261,20 @@ class Diagram:
     """Planar diagram: trivalent vertices, crossings, free circles.
 
     ``arc_ends`` maps each attached arc to its two (node id, position)
-    ends, vertices first; ``faces`` lists the faces as tuples of such
-    darts.  Both are derived on construction.
+    ends, vertices first; it is derived on construction.  ``faces`` lists
+    the faces as tuples of such darts, each from its least dart by
+    ``_dart_key``, in that order; it is traced on first access.
+
+    Construction counts the face orbits, unsorted, and tests V - E + F =
+    2c once, c the number of connected components.  The test is exact: a
+    connected rotation system has V - E + F = 2 - 2g <= 2, so the total
+    is 2c only if every component has genus 0.  Only on failure are the
+    components checked one by one, to name the first non-planar one.
     """
 
     vertices: tuple = ()
     crossings: tuple = ()
     circles: tuple = ()
-    faces: tuple = field(init=False, default=())
     arc_ends: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -269,32 +282,37 @@ class Diagram:
         if len(ids) != len(set(ids)):
             raise WebError("node ids must be distinct")
         occurrences: dict = {}
-        for n in self.vertices:
-            if len(n.arcs) != 3:
-                raise WebError(f"vertex {n.id!r} must list 3 arcs")
-            for pos, a in enumerate(n.arcs):
-                occurrences.setdefault(a, []).append((n.id, pos))
-        for c in self.crossings:
-            if len(c.arcs) != 4:
-                raise WebError(f"crossing {c.id!r} must list 4 arcs")
-            if tuple(c.over) not in ((0, 2), (1, 3)):
-                raise WebError(
-                    f"crossing {c.id!r}: over-pair {c.over!r} must be opposite positions [0,2] or [1,3]"
-                )
-            for pos, a in enumerate(c.arcs):
-                occurrences.setdefault(a, []).append((c.id, pos))
+        for kind, nodes, k in (("vertex", self.vertices, 3), ("crossing", self.crossings, 4)):
+            for n in nodes:
+                if len(n.arcs) != k:
+                    raise WebError(f"{kind} {n.id!r} must list {k} arcs")
+                if k == 4 and tuple(n.over) not in ((0, 2), (1, 3)):
+                    raise WebError(
+                        f"crossing {n.id!r}: over-pair {n.over!r} must be opposite positions [0,2] or [1,3]"
+                    )
+                for pos, a in enumerate(n.arcs):
+                    occurrences.setdefault(a, []).append((n.id, pos))
         for a, occ in occurrences.items():
             if len(occ) != 2:
                 raise WebError(f"arc {a!r} has {len(occ)} endpoints, expected 2 (unmatched darts)")
-        repeated = [a for a, k in Counter(self.circles).items() if k > 1]
-        if repeated:
+        if len(self.circles) != len(set(self.circles)):
+            repeated = [a for a, k in Counter(self.circles).items() if k > 1]
             raise WebError(f"circle {repeated[0]!r} is listed more than once")
         for a in self.circles:
             if a in occurrences:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
         object.__setattr__(self, "arc_ends", occurrences)
-        object.__setattr__(self, "faces", _trace_faces(self))
-        _check_euler(self)
+        root = _union_find(ids, ((n1, n2) for (n1, _), (n2, _) in occurrences.values()))
+        faces = _trace_faces(self)
+        if len(ids) - len(occurrences) + len(faces) != 2 * len(set(root.values())):
+            comp_e = Counter(root[occ[0][0]] for occ in occurrences.values())
+            comp_f = Counter(root[face[0][0]] for face in faces)
+            for r, v in Counter(root.values()).items():
+                e, f = comp_e[r], comp_f[r]
+                if v - e + f != 2:
+                    raise WebError(
+                        f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
+                    )
 
     # -- structure ---------------------------------------------------------
 
@@ -307,6 +325,10 @@ class Diagram:
     @property
     def arcs(self) -> list:
         return sorted({*self.circles, *self.arc_ends}, key=str)
+
+    @cached_property
+    def faces(self) -> tuple:
+        return tuple(_trace_faces(self, _dart_key))
 
 
 def _dart_key(dart) -> tuple:
@@ -325,42 +347,24 @@ def _dart_partner_map(d: Diagram) -> dict:
     return partner
 
 
-def _trace_faces(d: Diagram) -> tuple:
-    """Faces of the combinatorial map as tuples of darts (node, pos)."""
+def _trace_faces(d: Diagram, key=None) -> list:
+    """Faces as tuples of darts (node, pos): each traced from its least
+    dart by ``key``, in that order, or in no set order if ``key`` is None."""
     partner = _dart_partner_map(d)
     degree = {n.id: len(n.arcs) for nodes in (d.vertices, d.crossings) for n in nodes}
     seen = set()
     faces = []
-    for start in sorted(partner, key=_dart_key):
-        if start in seen:
-            continue
-        face = []
-        dart = start
-        while True:
-            face.append(dart)
-            seen.add(dart)
-            n, p = partner[dart]
-            dart = (n, (p + 1) % degree[n])
-            if dart == start:
-                break
-        faces.append(tuple(face))
-    return tuple(faces)
-
-
-def _check_euler(d: Diagram) -> None:
-    """Euler formula V - E + F = 2, per connected component."""
-    root = _union_find(
-        [n.id for n in d.vertices] + [c.id for c in d.crossings],
-        ((n1, n2) for (n1, _), (n2, _) in d.arc_ends.values()),
-    )
-    comp_e = Counter(root[occ[0][0]] for occ in d.arc_ends.values())
-    comp_f = Counter(root[face[0][0]] for face in d.faces)
-    for r, v in Counter(root.values()).items():
-        e, f = comp_e[r], comp_f[r]
-        if v - e + f != 2:
-            raise WebError(
-                f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
-            )
+    for start in sorted(partner, key=key) if key else partner:
+        if start not in seen:
+            face = []
+            dart = start
+            while dart not in seen:  # the orbit closes at start
+                face.append(dart)
+                seen.add(dart)
+                n, p = partner[dart]
+                dart = (n, (p + 1) % degree[n])
+            faces.append(tuple(face))
+    return faces
 
 
 def parse_diagram(text: str) -> Diagram:
@@ -379,7 +383,7 @@ def parse_diagram(text: str) -> Diagram:
     for pair in _items(doc.get("strands", []), "'strands'"):
         if not isinstance(pair, list) or len(pair) != 2:
             raise WebError("each strand must pair exactly 2 darts")
-        a, b = (_ident(x, "dart") for x in pair)
+        a, b = _idents(pair, "dart")
         label = str(min(a, b, key=str))
         rename[a] = label
         rename[b] = label
@@ -390,15 +394,17 @@ def parse_diagram(text: str) -> Diagram:
         arcs = rec.get("darts") or rec.get("arcs")
         if arcs is None:
             raise WebError(f"{kind} {rec['id']!r} needs a 'darts' list")
-        arcs = [_ident(a, "arc") for a in _items(arcs, f"'darts' of {kind} {rec['id']!r}")]
-        return _ident(rec["id"], f"{kind} id"), tuple(rename.get(a, a) for a in arcs)
+        if not isinstance(arcs, list):
+            raise WebError(f"'darts' of {kind} {rec['id']!r} must be a list, not {arcs!r}")
+        arcs = _idents(arcs, "arc")
+        return _ident(rec["id"], f"{kind} id"), tuple(map(rename.get, arcs, arcs)) if rename else arcs
 
     vertices = [Vertex(*node(rec, "vertex")) for rec in _items(doc.get("vertices", []), "'vertices'")]
     crossings = [
         Crossing(*node(rec, "crossing"), tuple(_items(rec.get("over", [0, 2]), "'over'")))
         for rec in _items(doc.get("crossings", []), "'crossings'")
     ]
-    circles = tuple(_ident(a, "circle") for a in _items(doc.get("circles", []), "'circles'"))
+    circles = _idents(_items(doc.get("circles", []), "'circles'"), "circle")
     return Diagram(tuple(vertices), tuple(crossings), circles)
 
 
@@ -415,10 +421,6 @@ def serialize_diagram(d: Diagram) -> str:
 
 # ---------------------------------------------------------------------------
 # erasing crossings
-
-
-def _merge_label(ids) -> str:
-    return str(min(ids, key=str))
 
 
 def underlying_web(d: Diagram) -> Web:
@@ -443,7 +445,7 @@ def underlying_web(d: Diagram) -> Web:
             labels.append(arc_of[dart])
             dart = partner[dart]
         walked.update((start, dart))
-        edges.append((_merge_label(labels), start, dart))
+        edges.append((str(min(labels, key=str)), start, dart))
     circles = list(d.circles)
     # closed strands running through crossings only
     for start in sorted(((c, pos) for c in crossings for pos in range(4)), key=_dart_key):
@@ -454,7 +456,7 @@ def underlying_web(d: Diagram) -> Web:
             labels.append(arc_of[cur])
             cur = partner[(cur[0], cur[1] ^ 2)]
         if labels:
-            circles.append(_merge_label(labels))
+            circles.append(str(min(labels, key=str)))
     # guard against a merged edge label colliding with a circle label
     labels = [e[0] for e in edges] + circles
     if len(labels) != len(set(labels)):
@@ -528,11 +530,8 @@ class Splice:
             len(d.circles),
         )
 
-    def copy(self) -> "Splice":
-        return Splice(dict(self.links), self.verts, self.crossings, self.circles)
-
     def smooth(self, cid, kind: str) -> "Splice":
-        out = self.copy()
+        out = Splice(dict(self.links), self.verts, self.crossings, self.circles)
         for p, q in _PAIRS[kind]:
             a = out.links.pop((cid, p))
             if a == (cid, q):
@@ -546,7 +545,7 @@ class Splice:
         return out
 
     def insert_edge(self, cid, kind: str) -> "Splice":
-        out = self.copy()
+        out = Splice(dict(self.links), self.verts, self.crossings, self.circles)
         w1, w2 = ("w", cid, 0), ("w", cid, 1)
         rehome = {}
         for vid, (p, q) in zip((w1, w2), _PAIRS[kind]):
@@ -632,35 +631,25 @@ def flip_crossing(d: Diagram, cid) -> Diagram:
     """Exchange the over- and under-strands of one crossing."""
     c = d.crossing(cid)
     new_over = (1, 3) if tuple(c.over) == (0, 2) else (0, 2)
-    crossings = tuple(
-        Crossing(x.id, x.arcs, new_over) if x.id == cid else x for x in d.crossings
-    )
+    crossings = tuple(Crossing(x.id, x.arcs, new_over) if x.id == cid else x for x in d.crossings)
     return Diagram(d.vertices, crossings, d.circles)
 
 
 def disjoint_union_diagrams(a: Diagram, b: Diagram, tags=("A", "B")) -> Diagram:
-    """Disjoint union of diagrams, relabelling arcs and nodes."""
-
-    def tag(t, x):
-        return f"{t}:{x}"
-
+    """Disjoint union of diagrams, relabelling arcs and nodes as ``"<tag>:<label>"``."""
     verts = []
     crossings = []
     circles = []
-    for t, d in ((tags[0], a), (tags[1], b)):
+    for t, d in zip(tags, (a, b)):
         for n in d.vertices:
-            verts.append(Vertex(tag(t, n.id), tuple(tag(t, x) for x in n.arcs)))
+            verts.append(Vertex(f"{t}:{n.id}", tuple(f"{t}:{x}" for x in n.arcs)))
         for c in d.crossings:
-            crossings.append(Crossing(tag(t, c.id), tuple(tag(t, x) for x in c.arcs), c.over))
-        circles.extend(tag(t, x) for x in d.circles)
+            crossings.append(Crossing(f"{t}:{c.id}", tuple(f"{t}:{x}" for x in c.arcs), c.over))
+        circles.extend(f"{t}:{x}" for x in d.circles)
     return Diagram(tuple(verts), tuple(crossings), tuple(circles))
 
 
 def diagram_vertex_orders(d: Diagram) -> dict:
     """Vertex id -> ccw tuple of web edge labels, matching underlying_web."""
-    web = underlying_web(d)
-    by_slot = {}
-    for e, ends in web.edge_ends.items():
-        for v, s in ends:
-            by_slot[(v, s)] = e
+    by_slot = {end: e for e, ends in underlying_web(d).edge_ends.items() for end in ends}
     return {n.id: tuple(by_slot[(n.id, k)] for k in range(3)) for n in d.vertices}

@@ -142,8 +142,7 @@ class TestInvariance:
     def test_dual_expansion_agrees(self):
         rng = random.Random(11)
         seeds = seed_diagrams()
-        for _ in range(40):
-            d = random_diagram(seeds, 7, rng)
+        for d in [random_diagram(seeds, 7, rng) for _ in range(40)] + criterion_3_stream():
             assert euler_char(d) == euler_char_dual(d)
 
     def test_signed_tait_identity(self):
@@ -267,6 +266,15 @@ def test_euler_char_ignores_labels(d, data):
     e = relabelled(d, data)
     assert euler_char(e) == euler_char(d)
     assert euler_char_dual(e) == euler_char_dual(d)
+
+
+@examples
+@given(st.sampled_from(POOL), st.sampled_from(POOL), st.data())
+def test_euler_char_multiplies_under_disjoint_union(a, b, data):
+    # relabelled, so the two components' nodes interleave
+    u = relabelled(disjoint_union_diagrams(a, b), data)
+    assert euler_char(u) == euler_char(a) * euler_char(b)
+    assert euler_char_dual(u) == euler_char_dual(a) * euler_char_dual(b)
 
 
 def site_values(w, e, f):

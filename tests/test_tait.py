@@ -1,5 +1,6 @@
 import json
 import time
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -14,6 +15,7 @@ from webfoam.tait import (
     MAX_EDGES,
     MAX_ONE_SETS,
     MAX_WIDTH,
+    PICKERS,
     SIGNED_VERTEX_WEIGHTS,
     VERTEX_WEIGHTS,
     complement_components,
@@ -186,11 +188,16 @@ class TestLocalTableCache:
 
     def test_bounded(self):
         assert tait._local_table.cache_info().maxsize == LOCAL_TABLES
+        assert tait._picker.cache_info().maxsize == PICKERS
         theta = theta_web()
         for m in range(1, LOCAL_TABLES + 50):
             scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
             assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
         assert tait._local_table.cache_info().currsize <= LOCAL_TABLES
+        assert tait_count(theta) == 6
+        for i in range(PICKERS + 50):  # evicts every projection theta used
+            assert tait._picker((i + 1, 0))(tuple(range(i + 2))) == (i + 1, 0)
+        assert tait._picker.cache_info().currsize <= PICKERS
         assert tait_count(theta) == 6
 
 
@@ -460,3 +467,43 @@ def test_counts_multiply_under_disjoint_union(a, b, data):
     u = relabelled(disjoint_union_webs(a, b), data)
     assert tait_count(u) == tait_count(a) * tait_count(b)
     assert planar_lsharp_dim(u) == planar_lsharp_dim(a) * planar_lsharp_dim(b)
+
+
+def brute_force(nodes) -> int:
+    """``contract``'s sum, by visiting every coloring of the arcs."""
+    arcs = sorted({a for node_arcs, _ in nodes for a in node_arcs}, key=str)
+    tables = [dict(weights) for _, weights in nodes]
+    total = 0
+    for colors in product(range(3), repeat=len(arcs)):
+        color = dict(zip(arcs, colors))
+        term = 1
+        for (node_arcs, _), table in zip(nodes, tables):
+            term *= table.get(tuple(color[a] for a in node_arcs), 0)
+        total += term
+    return total
+
+
+@st.composite
+def networks(draw):
+    """``contract`` inputs of up to 7 arcs: nodes of 0 to 4 slots paired at
+    random, so an arc can meet one node twice and two nodes can share
+    several arcs, in one component or several, with weight tables of signed
+    and zero entries."""
+    arity = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda a: sum(a) <= 12))
+    if sum(arity) % 2:
+        arity.append(1)
+    slots = draw(st.permutations([(i, k) for i, n in enumerate(arity) for k in range(n)]))
+    names = draw(st.sampled_from([lambda j: j, lambda j: f"e{j}"]))
+    label = {slot: names(j // 2) for j, slot in enumerate(slots)}
+    nodes = []
+    for i, n in enumerate(arity):
+        colors = st.tuples(*[st.integers(0, 2)] * n)
+        weights = draw(st.dictionaries(colors, st.integers(-2, 2), max_size=3 ** n))
+        nodes.append((tuple(label[i, k] for k in range(n)), tuple(weights.items())))
+    return nodes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(networks())
+def test_contract_matches_brute_force(nodes):
+    assert contract(nodes) == brute_force(nodes)

@@ -1,7 +1,12 @@
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_skein import criterion_3_stream
 from webfoam import catalogue
 from webfoam.webs import (
     EDGE_A,
@@ -9,8 +14,12 @@ from webfoam.webs import (
     RESOLUTIONS,
     SMOOTH_A,
     SMOOTH_B,
+    Crossing,
+    Diagram,
+    Vertex,
     Web,
     WebError,
+    _union_find,
     disjoint_union_diagrams,
     flip_crossing,
     make_web,
@@ -310,3 +319,179 @@ class TestRepeatedLabels:
     def test_diagram_rejects_repeated_circle(self):
         with pytest.raises(WebError, match="circle 'a'"):
             parse_diagram(json.dumps({"circles": ["a", "a"]}))
+
+
+class TestParseProperties:
+    def test_round_trips(self):
+        diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file]
+        diagrams += criterion_3_stream()
+        webs = [catalogue.load_web(e) for e in catalogue.CATALOGUE] + [underlying_web(d) for d in diagrams]
+        for d in diagrams:
+            assert parse_diagram(serialize_diagram(d)) == d
+        for w in webs:
+            assert parse_web(serialize_web(w)) == w
+
+
+# --- the Euler check against the component-by-component oracle -------------
+
+
+def oracle_trace_faces(d) -> tuple:
+    """Faces as tuples of darts (node, pos), each traced from its least dart
+    in (str(node), pos) order: the tracing ``Diagram`` did on construction
+    before it counted face orbits unsorted."""
+    partner = {}
+    for (n1, p1), (n2, p2) in d.arc_ends.values():
+        partner[(n1, p1)] = (n2, p2)
+        partner[(n2, p2)] = (n1, p1)
+    degree = {n.id: len(n.arcs) for nodes in (d.vertices, d.crossings) for n in nodes}
+    seen = set()
+    faces = []
+    for start in sorted(partner, key=lambda dart: (str(dart[0]), dart[1])):
+        if start in seen:
+            continue
+        face = []
+        dart = start
+        while True:
+            face.append(dart)
+            seen.add(dart)
+            n, p = partner[dart]
+            dart = (n, (p + 1) % degree[n])
+            if dart == start:
+                break
+        faces.append(tuple(face))
+    return tuple(faces)
+
+
+def oracle_check_euler(d) -> None:
+    """Euler formula V - E + F = 2, checked component by component."""
+    root = _union_find(
+        [n.id for n in d.vertices] + [c.id for c in d.crossings],
+        ((n1, n2) for (n1, _), (n2, _) in d.arc_ends.values()),
+    )
+    comp_e = Counter(root[occ[0][0]] for occ in d.arc_ends.values())
+    comp_f = Counter(root[face[0][0]] for face in d.faces)
+    for r, v in Counter(root.values()).items():
+        e, f = comp_e[r], comp_f[r]
+        if v - e + f != 2:
+            raise WebError(
+                f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
+            )
+
+
+def oracle(vertices, crossings) -> tuple:
+    """(message or None, faces) of the oracle on nodes whose arcs pair up."""
+    arc_ends = {}
+    for n in (*vertices, *crossings):
+        for pos, a in enumerate(n.arcs):
+            arc_ends.setdefault(a, []).append((n.id, pos))
+    d = SimpleNamespace(vertices=vertices, crossings=crossings, arc_ends=arc_ends)
+    d.faces = oracle_trace_faces(d)
+    try:
+        oracle_check_euler(d)
+    except WebError as exc:
+        return str(exc), d.faces
+    return None, d.faces
+
+
+@st.composite
+def rotation_systems(draw):
+    """Vertices and crossings with their darts paired at random, so loops,
+    kinks, several components and non-planar ones all occur; the node ids
+    are integers or strings."""
+    n_vertices, n_crossings = 2 * draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(n_vertices + n_crossings)))
+    if draw(st.booleans()):
+        ids = [f"n{i}" for i in ids]
+    degree = [3] * n_vertices + [4] * n_crossings
+    slots = [(i, pos) for i, k in enumerate(degree) for pos in range(k)]
+    order = draw(st.permutations(slots))
+    label = {slot: f"a{k // 2}" for k, slot in enumerate(order)}
+    arcs = [tuple(label[i, pos] for pos in range(k)) for i, k in enumerate(degree)]
+    vertices = tuple(Vertex(ids[i], arcs[i]) for i in range(n_vertices))
+    crossings = tuple(
+        Crossing(ids[i], arcs[i], draw(st.sampled_from([(0, 2), (1, 3)])))
+        for i in range(n_vertices, n_vertices + n_crossings)
+    )
+    return vertices, crossings
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(rotation_systems())
+def test_euler_check_matches_component_oracle(nodes):
+    message, faces = oracle(*nodes)
+    if message is None:
+        assert Diagram(*nodes).faces == faces
+    else:
+        with pytest.raises(WebError) as exc:
+            Diagram(*nodes)
+        assert str(exc.value) == message
+
+
+def test_toroidal_second_component_named():
+    # a planar kink first, then a crossing whose strands meet as on a torus
+    # (V - E + F = 1 - 2 + 1): the diagram sums to 2 where two spheres give 4
+    crossings = (Crossing("x", ("A", "A", "B", "B")), Crossing("y", ("a", "b", "a", "b")))
+    message = "non-planar face structure: component of 'y' has V-E+F = 1-2+1 = 0"
+    assert oracle((), crossings)[0] == message
+    with pytest.raises(WebError) as exc:
+        parse_diagram(json.dumps({"crossings": [{"id": c.id, "darts": list(c.arcs)} for c in crossings]}))
+    assert str(exc.value) == message
+
+
+# --- fuzzed documents ----------------------------------------------------------
+
+KEYS = ["vertices", "crossings", "circles", "strands", "edges", "id", "darts", "arcs", "over", "ends", "circle"]
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False) | st.sampled_from(["a", "u", "x", "e1"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def mutated(x, data):
+    """``x`` with one entry somewhere in it replaced by random JSON, dropped
+    or, in a list, repeated."""
+    keys = sorted(x) if isinstance(x, dict) else range(len(x)) if isinstance(x, list) else []
+    if not keys:
+        return data.draw(JSON)
+    k = data.draw(st.sampled_from(keys))
+    move = data.draw(st.sampled_from(["descend", "descend", "replace", "drop", "repeat"]))
+    out = dict(x) if isinstance(x, dict) else list(x)
+    if move == "descend":
+        out[k] = mutated(x[k], data)
+    elif move == "replace":
+        out[k] = data.draw(JSON)
+    elif move == "drop":
+        del out[k]
+    elif isinstance(out, list):
+        out.insert(k, x[k])
+    return out
+
+
+DOCUMENTS = [
+    (parse, json.loads(catalogue.data_text(getattr(e, f"{kind}_file"))))
+    for e in catalogue.CATALOGUE
+    for kind, parse in (("diagram", parse_diagram), ("web", parse_web))
+    if getattr(e, f"{kind}_file")
+] + [(parse_diagram, json.loads(KINK_DOC)), (parse_web, json.loads(THETA_DOC))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DOCUMENTS), st.data())
+def test_fuzzed_documents_raise_only_web_error(parse_doc, data):
+    parse, doc = parse_doc
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = mutated(doc, data)
+    try:
+        parse(json.dumps(doc))
+    except WebError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([parse_diagram, parse_web]), JSON)
+def test_random_json_raises_only_web_error(parse, doc):
+    try:
+        parse(json.dumps(doc))
+    except WebError:
+        pass
