@@ -8,7 +8,9 @@ file, of ``webfoam euler`` on every bundled diagram file, of ``module
 on fixed argument lists, the ``pass``, ``rank``, ``nu`` and ``nu_mod2``
 fields of ``adhm-verify --rank 3``, and the exit code and ``error:``
 line of malformed inputs (the ones ``tests/test_cli.py`` checks, bad
-module names, a bad ``dims`` fraction, a 2,400-edge prism web, the
+module names, a bad ``dims`` fraction, an ``adhm-verify`` rank above
+``adhm.MAX_RANK``, a theta listing its vertices twice, a web end at a
+list vertex, a 2,400-edge prism web, the
 30-sided prism web with more than ``tait.MAX_ONE_SETS`` 1-sets, a
 random cubic web on 100 vertices whose contraction frontier passes
 ``tait.MAX_WIDTH``, and a diagram whose second component is toroidal).
@@ -57,6 +59,7 @@ FOAM_EXPRS = [
     "(sum-r- (sphere 2))",
     "(plus (theta 0 1 2) (union (sphere 2) (surface 2 0)) (sphere 4))",
     "(union (plus (sphere 0) (sphere 2)) (plus (theta 2 1 0) (sphere 1)))",
+    "theta 123456789012345678901234567890 0 1",
 ]
 
 DIMS_ARGS = [
@@ -108,9 +111,18 @@ MALFORMED = [
                 {"id": "f", "ends": [["u", 2], ["w", 2]]},
             ],
         },
+        {
+            "vertices": ["u", "w", "u", "w"],
+            "edges": [{"id": f"e{k}", "ends": [["u", k], ["w", k]]} for k in range(3)],
+        },
+        {
+            "vertices": ["u", "w"],
+            "edges": [{"id": f"e{k}", "ends": [["u", k], [["w"] if k else "w", k]]} for k in range(3)],
+        },
     ]),
     *((["module", "--web", name], "") for name in ["mystery", "unlink_0", "unlink_-1", "unlink_1_2", "unlink_x"]),
     (["dims", "--kappa", "abc"], ""),
+    (["adhm-verify", "--rank", "100000"], ""),
     (["tait", "-"], prism_web(800)),
     (["tait", "-"], prism_web(30)),
     (["tait", "-"], wide_web()),

@@ -22,6 +22,12 @@ TOL_REL = 1e-12
 TOL_EQ = 1e-10
 TOL_RANK = 1e-6
 
+# Largest rank ``build_rep`` accepts.  ``adhm-verify`` takes 0.8 s at rank
+# 64 (mostly its 200 singular value decompositions of 3N x N matrices),
+# 4.3 s at 128 and more than a minute at 400, and rank 100,000 runs out of
+# memory.
+MAX_RANK = 64
+
 
 class AdhmError(ValueError):
     pass
@@ -52,6 +58,8 @@ def build_rep(N: int) -> GroupRep:
     """
     if N < 2:
         raise AdhmError("the rank N must be at least 2")
+    if N > MAX_RANK:
+        raise AdhmError(f"the rank N = {N} is above MAX_RANK = {MAX_RANK}")
     zeta = cmath.exp(2j * cmath.pi / N)
     if N == 3:
         w = zeta
@@ -161,18 +169,17 @@ class AdhmData:
     uhlenbeck: bool = False
 
 
-def scalar_solution(rep_or_intertwiners, t1: complex, t2: complex) -> AdhmData:
+def scalar_solution(inter, t1: complex, t2: complex) -> AdhmData:
     """Solve the reduced ADHM equations for the pair (t1, t2).
+
+    ``inter`` is the (F1, F2, S, C) of ``find_intertwiners``.
 
     With S unitary the equations are t1 t2 + C a b = 0 and |a| = |b|;
     the solution keeps the phases of t1 and t2 on a and b, with
     |a| = |b| = (|t1 t2| / |C|)^(1/2).  When t1 t2 = 0 the Uhlenbeck
     boundary datum a = b = 0 is returned, flagged.
     """
-    if isinstance(rep_or_intertwiners, GroupRep):
-        f1, f2, s, c = find_intertwiners(rep_or_intertwiners)
-    else:
-        f1, f2, s, c = rep_or_intertwiners
+    f1, f2, s, c = inter
     t1 = complex(t1)
     t2 = complex(t2)
     if t1 == 0 and t2 == 0:
@@ -206,12 +213,15 @@ def adhm_residuals(d: AdhmData, z=(0, 0)) -> dict:
     return {"complex": float(complex_eq), "moment": float(moment)}
 
 
+def _min_sv(m: np.ndarray) -> float:
+    """Smallest singular value of ``m``."""
+    return float(np.linalg.svd(m, compute_uv=False)[-1])
+
+
 def min_singular_values(d: AdhmData, z) -> tuple[float, float]:
     """Smallest singular values of alpha_z and beta_z (rank certificates)."""
     alpha, beta = adhm_operators(d, z)
-    sa = np.linalg.svd(alpha, compute_uv=False)
-    sb = np.linalg.svd(beta, compute_uv=False)
-    return float(sa[-1]), float(sb[-1])
+    return _min_sv(alpha), _min_sv(beta)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +229,10 @@ def min_singular_values(d: AdhmData, z) -> tuple[float, float]:
 
 
 def homogeneous_operators(inter, point) -> tuple[np.ndarray, np.ndarray]:
-    """alpha, beta at homogeneous coordinates [t1, t2, a, b, u]."""
-    f1, f2, s, _ = inter
+    """alpha, beta at homogeneous coordinates [t1, t2, a, b, u]: the
+    ``adhm_operators`` of (t1, t2, a, b) at z = (u, u)."""
     t1, t2, a, b, u = (complex(x) for x in point)
-    N = f1.shape[0]
-    eye = np.eye(N, dtype=complex)
-    alpha = np.concatenate([t1 * f1 - u * eye, t2 * f2 - u * eye, a * eye])
-    beta = np.concatenate([-t2 * f2 + u * eye, t1 * f1 - u * eye, b * s], axis=1)
-    return alpha, beta
+    return adhm_operators(AdhmData(t1, t2, a, b, *inter), (u, u))
 
 
 def on_quadric(inter, point, tol=TOL_EQ) -> bool:
@@ -255,9 +261,7 @@ def homogeneous_rank_scan(inter, samples) -> dict:
         if not on_quadric(inter, point):
             raise AdhmError(f"sample {point!r} is off the quadric")
         alpha, beta = homogeneous_operators(inter, point)
-        sa = float(np.linalg.svd(alpha, compute_uv=False)[-1])
-        sb = float(np.linalg.svd(beta, compute_uv=False)[-1])
-        report.append({"point": tuple(point), "alpha_min_sv": sa, "beta_min_sv": sb})
+        report.append({"point": tuple(point), "alpha_min_sv": _min_sv(alpha), "beta_min_sv": _min_sv(beta)})
     return {
         "samples": report,
         "alpha_full_rank": all(r["alpha_min_sv"] > TOL_RANK for r in report),
@@ -352,8 +356,7 @@ def verify_report(N: int) -> dict:
     degenerate = {}
     for label, point in (("alpha", DEGENERATE_ALPHA_POINT), ("beta", DEGENERATE_BETA_POINT)):
         alpha, beta = homogeneous_operators(inter, point)
-        sv = np.linalg.svd(alpha if label == "alpha" else beta, compute_uv=False)
-        degenerate[f"{label}_min_sv_at_degenerate_point"] = float(sv[-1])
+        degenerate[f"{label}_min_sv_at_degenerate_point"] = _min_sv(alpha if label == "alpha" else beta)
     ok = (
         worst_complex < TOL_EQ
         and worst_moment < TOL_EQ

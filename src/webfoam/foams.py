@@ -25,9 +25,7 @@ def _reduce_dots(l: int) -> int:
     """Apply the cube relation u^3 = u: reduce a dot count into {0, 1, 2}."""
     if l < 0:
         raise FoamError("dot counts are non-negative")
-    while l >= 3:
-        l -= 2
-    return l
+    return l if l < 3 else 2 - l % 2
 
 
 def eval_sphere(l: int) -> int:

@@ -80,12 +80,10 @@ def _same_graph(a: nx.MultiGraph, b: nx.MultiGraph) -> bool:
     return nx.is_isomorphic(a, b)
 
 
-def cubic_multigraphs(n: int, allow_loops: bool = True, connected: bool = True) -> list:
+def cubic_multigraphs(n: int, allow_loops: bool = True) -> list:
     """Non-isomorphic connected cubic multigraphs on n vertices."""
     if n <= 0 or n % 2:
         return []
-    if not connected:
-        raise ValueError("only connected generation is supported")
     level = [_theta_graph(), _dumbbell_graph()]
     for _ in range((n - 2) // 2):
         buckets: dict = {}
@@ -160,8 +158,7 @@ def add_kink(d: Diagram, arc, cross_id, rng: random.Random) -> Diagram:
 
 
 def _face_arcs(d: Diagram) -> list[list]:
-    arc_of = {dart: a for a, pair in d.arc_ends.items() for dart in pair}
-    return [[arc_of[dart] for dart in face] for face in d.faces]
+    return [[d.arc_at[dart] for dart in face] for face in d.faces]
 
 
 def add_poke(d: Diagram, rng: random.Random, tag: str) -> Diagram | None:

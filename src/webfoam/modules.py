@@ -71,10 +71,8 @@ class F2Module:
         return {name: np.array(m.tolist(), dtype=np.uint8).reshape(m.shape) for name, m in self.ops.items()}
 
     def euler_characteristic(self) -> int:
-        if self.grading is None:
-            raise ModuleError("module carries no grading")
-        even = sum(1 for g in self.grading if g % 2 == 0)
-        return even - (self.dim - even)
+        even, odd = self.graded_dims()
+        return even - odd
 
     def graded_dims(self) -> tuple[int, int]:
         if self.grading is None:
@@ -470,12 +468,9 @@ def known_module(name: str) -> F2Module:
             nxt = F2Module(3, single.basis, {f"e{k}": single.ops["e"]}, single.grading)
             out = tensor(out, nxt, tags=("", ""))
         return out
-    if name == "theta":
-        basis, ops = _theta_ops()
-        return F2Module(6, basis, ops, (0,) * 6)
-    if name == "kinoshita_theta":
-        # same vector space and edge decomposition as the unknotted theta;
-        # supported in a single grading
+    if name in ("theta", "kinoshita_theta"):
+        # the knotted theta has the same vector space and edge decomposition
+        # as the unknotted one; both are supported in a single grading
         basis, ops = _theta_ops()
         return F2Module(6, basis, ops, (0,) * 6)
     if name == "tetrahedron":

@@ -11,7 +11,8 @@ not the size of the web; matching branching in ``one_sets``, summed by
 ``planar_lsharp_dim``; and the brute-force enumeration
 ``tait_colorings``, the reference oracle.  ``signed_tait_web`` and
 ``signed_tait`` sum over the enumeration, not the kernel, as they are
-the independent check of ``skein.euler_char``.
+the independent check of ``skein.euler_char``.  The enumeration and the
+kernel's vertex nodes read ``Web.slot_edges``, built by validation.
 
 ``contract`` plans every step in one pass over its node's arcs: the
 node's expanded table, rows keyed by the colors of its open arcs, and
@@ -37,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
 
-from .webs import Diagram, Web, WebError, _union_find, diagram_vertex_orders, underlying_web
+from .webs import Diagram, Web, WebError, _union_find, underlying_web
 
 COLORS = (1, 2, 3)
 
@@ -95,10 +96,10 @@ def tait_colorings(w: Web):
     _check_size(len(w.edge_ends))
     regular = sorted(w.edge_ends, key=str)
     circles = sorted(w.circles, key=str)
-    vertex_slots = {v: w.vertex_edges(v) for v in w.vertices}
+    slot_edges = w.slot_edges
 
     def consistent(assign, v) -> bool:
-        known = [assign[e] for e in vertex_slots[v] if e in assign]
+        known = [assign[e] for e in slot_edges[v] if e in assign]
         return len(set(known)) == len(known)
 
     def backtrack(i, assign):
@@ -247,8 +248,7 @@ def _vertex_nodes(w: Web, weights: tuple) -> list:
     """One ``contract`` node per vertex of ``w``: its edges in slot order,
     weighted by ``weights``."""
     _check_size(len(w.edge_ends))
-    slots = {end: e for e, ends in w.edge_ends.items() for end in ends}
-    return [(tuple(slots[v, i] for i in range(3)), weights) for v in w.vertices]
+    return [(w.slot_edges[v], weights) for v in w.vertices]
 
 
 def tait_count(w: Web) -> int:
@@ -264,9 +264,9 @@ def signed_tait_count(d: Diagram) -> int:
     """Signed Tait count of a diagram by the contraction kernel.
 
     The value of ``signed_tait``: one ``contract`` node per vertex of the
-    underlying web, whose slot order is the counterclockwise order of
-    ``diagram_vertex_orders``, weighing the sign of the permutation its
-    colors make; a factor 3 per circle.  ``signed_tait`` stays on the
+    underlying web, whose slot order is the diagram's counterclockwise
+    order, weighing the sign of the permutation its colors make; a
+    factor 3 per circle.  ``signed_tait`` stays on the
     enumeration as the oracle of ``skein.euler_char``.
     """
     w = underlying_web(d)
@@ -292,9 +292,9 @@ def signed_tait_web(w: Web, orders: dict) -> int:
 
 
 def signed_tait(d: Diagram) -> int:
-    """Signed Tait count of a diagram, signs from the planar cyclic orders."""
+    """Signed Tait count of a diagram, signs from its underlying web's (ccw) slot order."""
     w = underlying_web(d)
-    return signed_tait_web(w, diagram_vertex_orders(d))
+    return signed_tait_web(w, w.slot_edges)
 
 
 def one_sets(w: Web) -> list[frozenset]:

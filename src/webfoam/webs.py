@@ -9,11 +9,14 @@ every arc label occurs exactly twice among the node slots (or not at all,
 for a free circle).
 
 All structures are immutable after construction; every operation returns
-a new object.  A ``Diagram`` is validated on construction, Euler formula
-included, but traces its sorted faces only when asked.  One
-strand-rewrite engine, ``Splice`` (the strand involution on node slots),
-serves ``resolve_crossing`` (read back as a diagram) and the Tutte-site
-modifications of ``skein`` (read back as webs).
+a new object.  Validation keeps the incidence tables it builds, and the
+other layers read them: ``Web.slot_edges`` (each vertex's edges in slot
+order), ``Diagram.arc_ends`` and the dart involution ``Diagram.partner``.
+A ``Diagram`` checks the Euler formula on construction, but builds its
+sorted faces and its dart -> arc map only when asked.  One strand-rewrite
+engine, ``Splice`` (the involution on node slots, starting from a
+diagram's own), serves ``resolve_crossing`` (read back as a diagram) and
+the Tutte-site modifications of ``skein`` (read back as webs).
 """
 
 from __future__ import annotations
@@ -40,35 +43,39 @@ class Web:
     ``edge_ends`` maps a regular edge id to a pair of (vertex, slot)
     endpoints; slots at each vertex are 0, 1, 2.  A loop uses the same
     vertex twice with different slots.  ``circles`` holds the ids of
-    vertexless circle edges.
+    vertexless circle edges.  ``slot_edges`` maps each vertex to its
+    edges in slot order; validation builds it, in one pass over the ends.
     """
 
     vertices: tuple
     edge_ends: Mapping
     circles: frozenset
+    slot_edges: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        seen_slots: dict = {}
+        table = {v: {} for v in self.vertices}  # vertex -> slot -> edge
         for e, ends in self.edge_ends.items():
             if len(ends) != 2:
                 raise WebError(f"edge {e!r} must have exactly 2 ends")
             for v, slot in ends:
-                if v not in self.vertices:
+                at = None if isinstance(v, (list, dict)) else table.get(v)  # JSON lists, objects: no ids
+                if at is None:
                     raise WebError(f"edge {e!r} meets unknown vertex {v!r}")
                 if slot not in (0, 1, 2):
                     raise WebError(f"edge {e!r} uses slot {slot!r}; vertices are trivalent")
-                if (v, slot) in seen_slots:
+                if slot in at:
                     raise WebError(f"vertex {v!r} slot {slot} used twice")
-                seen_slots[(v, slot)] = e
-        for v in self.vertices:
-            used = [s for s in (0, 1, 2) if (v, s) in seen_slots]
-            if len(used) != 3:
-                raise WebError(f"vertex {v!r} has degree {len(used)}, not 3")
+                at[slot] = e
+        for v, at in table.items():
+            if len(at) != 3:
+                raise WebError(f"vertex {v!r} has degree {len(at)}, not 3")
+            table[v] = (at[0], at[1], at[2])
         for c in self.circles:
             if c in self.edge_ends:
                 raise WebError(f"edge id {c!r} is both a circle and a regular edge")
         if len(self.vertices) % 2 != 0:
             raise WebError("a trivalent graph has an even number of vertices")
+        object.__setattr__(self, "slot_edges", table)
 
     # -- accessors ---------------------------------------------------------
 
@@ -81,8 +88,7 @@ class Web:
 
     def vertex_edges(self, v) -> list:
         """Edges at ``v`` in slot order 0, 1, 2 (a loop appears twice)."""
-        out = {slot: e for e, ends in self.edge_ends.items() for w, slot in ends if w == v}
-        return [out[s] for s in (0, 1, 2)]
+        return list(self.slot_edges[v])
 
     def is_loop(self, e) -> bool:
         if e in self.circles:
@@ -97,16 +103,17 @@ class Web:
 def make_web(vertices: Iterable, edges: Iterable, circles: Iterable = ()) -> Web:
     """Build a web from (edge_id, (v, slot), (v, slot)) triples.
 
-    A repeated edge or circle id raises ``WebError``.
+    A repeated vertex, edge or circle id raises ``WebError``.
     """
+    vertices = tuple(vertices)
     edges = list(edges)
     circles = list(circles)
-    for what, ids in (("edge", [e for e, _, _ in edges]), ("circle", circles)):
+    for what, ids in (("vertex", vertices), ("edge", [e for e, _, _ in edges]), ("circle", circles)):
         repeated = [x for x, k in Counter(ids).items() if k > 1]
         if repeated:
             raise WebError(f"{what} id {repeated[0]!r} is used more than once")
     ends = {e: (tuple(a), tuple(b)) for e, a, b in edges}
-    return Web(tuple(vertices), ends, frozenset(circles))
+    return Web(vertices, ends, frozenset(circles))
 
 
 def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:
@@ -261,9 +268,11 @@ class Diagram:
     """Planar diagram: trivalent vertices, crossings, free circles.
 
     ``arc_ends`` maps each attached arc to its two (node id, position)
-    ends, vertices first; it is derived on construction.  ``faces`` lists
-    the faces as tuples of such darts, each from its least dart by
-    ``_dart_key``, in that order; it is traced on first access.
+    ends, vertices first, and ``partner`` each such dart to the other end
+    of its arc; both are derived on construction.  ``arc_at`` maps each
+    dart to its arc, and ``faces`` lists the faces as tuples of darts,
+    each from its least dart by ``_dart_key``, in that order; both are
+    built on first access.
 
     Construction counts the face orbits, unsorted, and tests V - E + F =
     2c once, c the number of connected components.  The test is exact: a
@@ -276,6 +285,7 @@ class Diagram:
     crossings: tuple = ()
     circles: tuple = ()
     arc_ends: dict = field(init=False, default=None, repr=False, compare=False)
+    partner: dict = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ids = [n.id for n in self.vertices] + [c.id for c in self.crossings]
@@ -292,9 +302,11 @@ class Diagram:
                     )
                 for pos, a in enumerate(n.arcs):
                     occurrences.setdefault(a, []).append((n.id, pos))
+        partner: dict = {}
         for a, occ in occurrences.items():
             if len(occ) != 2:
                 raise WebError(f"arc {a!r} has {len(occ)} endpoints, expected 2 (unmatched darts)")
+            partner[occ[0]], partner[occ[1]] = occ[1], occ[0]
         if len(self.circles) != len(set(self.circles)):
             repeated = [a for a, k in Counter(self.circles).items() if k > 1]
             raise WebError(f"circle {repeated[0]!r} is listed more than once")
@@ -302,6 +314,7 @@ class Diagram:
             if a in occurrences:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
         object.__setattr__(self, "arc_ends", occurrences)
+        object.__setattr__(self, "partner", partner)
         root = _union_find(ids, ((n1, n2) for (n1, _), (n2, _) in occurrences.values()))
         faces = _trace_faces(self)
         if len(ids) - len(occurrences) + len(faces) != 2 * len(set(root.values())):
@@ -327,6 +340,10 @@ class Diagram:
         return sorted({*self.circles, *self.arc_ends}, key=str)
 
     @cached_property
+    def arc_at(self) -> dict:
+        return {dart: a for a, ends in self.arc_ends.items() for dart in ends}
+
+    @cached_property
     def faces(self) -> tuple:
         return tuple(_trace_faces(self, _dart_key))
 
@@ -335,22 +352,10 @@ def _dart_key(dart) -> tuple:
     return str(dart[0]), dart[1]
 
 
-def _dart_partner_map(d: Diagram) -> dict:
-    """Involution on darts (node, pos) pairing the two ends of each arc.
-
-    A kink-style arc with both ends on one node pairs its two positions.
-    """
-    partner: dict = {}
-    for (n1, p1), (n2, p2) in d.arc_ends.values():
-        partner[(n1, p1)] = (n2, p2)
-        partner[(n2, p2)] = (n1, p1)
-    return partner
-
-
 def _trace_faces(d: Diagram, key=None) -> list:
     """Faces as tuples of darts (node, pos): each traced from its least
     dart by ``key``, in that order, or in no set order if ``key`` is None."""
-    partner = _dart_partner_map(d)
+    partner = d.partner
     degree = {n.id: len(n.arcs) for nodes in (d.vertices, d.crossings) for n in nodes}
     seen = set()
     faces = []
@@ -429,20 +434,19 @@ def underlying_web(d: Diagram) -> Web:
     A web edge or circle made of several arcs is labelled by the least of
     their labels (compared as strings).
     """
-    partner = _dart_partner_map(d)
-    arc_of = {dart: a for a, occ in d.arc_ends.items() for dart in occ}
+    partner, arc_at = d.partner, d.arc_at
     crossings = {c.id for c in d.crossings}
     edges = []
     walked = set()  # vertex darts ending an edge, crossing darts passed through
     for start in sorted(((n.id, pos) for n in d.vertices for pos in range(3)), key=_dart_key):
         if start in walked:
             continue
-        labels = [arc_of[start]]
+        labels = [arc_at[start]]
         dart = partner[start]
         while dart[0] in crossings:  # go straight through: position p exits at p ^ 2
             walked.update((dart, (dart[0], dart[1] ^ 2)))
             dart = (dart[0], dart[1] ^ 2)
-            labels.append(arc_of[dart])
+            labels.append(arc_at[dart])
             dart = partner[dart]
         walked.update((start, dart))
         edges.append((str(min(labels, key=str)), start, dart))
@@ -453,7 +457,7 @@ def underlying_web(d: Diagram) -> Web:
         cur = start
         while cur not in walked:
             walked.update((cur, (cur[0], cur[1] ^ 2)))
-            labels.append(arc_of[cur])
+            labels.append(arc_at[cur])
             cur = partner[(cur[0], cur[1] ^ 2)]
         if labels:
             circles.append(str(min(labels, key=str)))
@@ -507,8 +511,10 @@ class Splice:
     ``links`` pairs each slot (node id, position) with the slot at the
     other end of its arc; ``verts`` and ``crossings`` hold the ids of the
     trivalent and 4-valent nodes, and ``circles`` counts free circles.
-    Each step returns a new splice; ``insert_edge`` at crossing ``cid``
-    adds the vertices ("w", cid, 0) and ("w", cid, 1).  It serves
+    Each step copies ``links`` before changing it and returns a new
+    splice, so ``from_diagram`` shares the diagram's ``partner``.
+    ``insert_edge`` at crossing ``cid`` adds the vertices ("w", cid, 0)
+    and ("w", cid, 1).  It serves
     ``resolve_crossing`` (``to_diagram``) and the Tutte sites of
     ``skein.site_modifications``, a virtual crossing on a web (``to_web``).
     """
@@ -523,12 +529,8 @@ class Splice:
 
     @staticmethod
     def from_diagram(d: Diagram) -> "Splice":
-        return Splice(
-            _dart_partner_map(d),
-            frozenset(n.id for n in d.vertices),
-            frozenset(c.id for c in d.crossings),
-            len(d.circles),
-        )
+        verts, crossings = (frozenset(n.id for n in nodes) for nodes in (d.vertices, d.crossings))
+        return Splice(d.partner, verts, crossings, len(d.circles))
 
     def smooth(self, cid, kind: str) -> "Splice":
         out = Splice(dict(self.links), self.verts, self.crossings, self.circles)
@@ -568,11 +570,10 @@ class Splice:
         """The validated diagram of this splice of ``d``, labelled as
         ``resolve_crossing`` describes."""
         fresh = fresh_namer(d)
-        arc_at = {dart: a for a, occ in d.arc_ends.items() for dart in occ}
         label: dict = {}
         for s, t in self.links.items():
             if s not in label:
-                kept = [arc_at[x] for x in (s, t) if x in arc_at]
+                kept = [d.arc_at[x] for x in (s, t) if x in d.arc_at]
                 label[s] = label[t] = min(kept, key=str) if kept else fresh("s")
         new = sorted(self.verts.difference(n.id for n in d.vertices), key=lambda v: v[2])
         vertices = [
@@ -650,6 +651,5 @@ def disjoint_union_diagrams(a: Diagram, b: Diagram, tags=("A", "B")) -> Diagram:
 
 
 def diagram_vertex_orders(d: Diagram) -> dict:
-    """Vertex id -> ccw tuple of web edge labels, matching underlying_web."""
-    by_slot = {end: e for e, ends in underlying_web(d).edge_ends.items() for end in ends}
-    return {n.id: tuple(by_slot[(n.id, k)] for k in range(3)) for n in d.vertices}
+    """Vertex id -> ccw tuple of web edge labels: the slots of underlying_web."""
+    return dict(underlying_web(d).slot_edges)

@@ -7,6 +7,7 @@ from webfoam.adhm import (
     AdhmError,
     DEGENERATE_ALPHA_POINT,
     DEGENERATE_BETA_POINT,
+    MAX_RANK,
     TOL_RANK,
     adhm_operators,
     adhm_residuals,
@@ -77,6 +78,11 @@ class TestRepresentation:
     def test_rank_one_rejected(self):
         with pytest.raises(AdhmError):
             build_rep(1)
+
+    def test_rank_limit(self):
+        assert build_rep(MAX_RANK).N == MAX_RANK
+        with pytest.raises(AdhmError, match="MAX_RANK"):
+            build_rep(MAX_RANK + 1)
 
 
 class TestIntertwiners:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from webfoam.adhm import MAX_RANK
 from webfoam.cli import build_parser, main
 
 
@@ -127,6 +128,13 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("rank", [MAX_RANK + 1, 100_000])
+    def test_rank_above_limit_is_one(self, capsys, rank):
+        # refused before any matrix is built; 100,000 would run out of memory
+        code, out, err = run_cli(capsys, "adhm-verify", "--rank", str(rank))
+        assert code == 1
+        assert out == "" and err == f"error: the rank N = {rank} is above MAX_RANK = {MAX_RANK}\n"
+
     def test_runaway_union_is_one(self, capsys):
         # 40 distinct two-term factors would multiply out to 2^40 terms
         sums = (f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(40))
@@ -157,6 +165,16 @@ class TestExitCodes:
                 {"id": "e", "ends": [["u", 1], ["w", 1]]},
                 {"id": "f", "ends": [["u", 2], ["w", 2]]},
             ],
+        },
+        # a theta listing each vertex twice; the copies would share slots
+        {
+            "vertices": ["u", "w", "u", "w"],
+            "edges": [{"id": f"e{k}", "ends": [["u", k], ["w", k]]} for k in range(3)],
+        },
+        # an end whose vertex is a list
+        {
+            "vertices": ["u", "w"],
+            "edges": [{"id": f"e{k}", "ends": [["u", k], [["w"] if k else "w", k]]} for k in range(3)],
         },
     ],
 )

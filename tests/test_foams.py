@@ -1,6 +1,10 @@
+import signal
+from contextlib import contextmanager
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from webfoam import gf2
 from webfoam.foams import (
@@ -305,3 +309,50 @@ class TestExpressions:
     def test_cross_cap_atom(self):
         assert FoamExpr.atom(CrossCapSurface(0, 1, 0)).value() == 1
         assert FoamExpr.atom(TetSusp((0, 1, 2, 0, 0, 0))).value() == 1
+
+
+# --- fuzzed expressions ---------------------------------------------------------
+
+WORDS = ["(", ")", "sphere", "theta", "tet", "surface", "crosscap", "sum-t2", "sum-r+", "sum-r-",
+         "plus", "+", "union", "*", "wedge", "1e3", "-"]
+NUMBERS = st.integers(-3, 9) | st.integers(10 ** 29, 10 ** 30 - 1) | st.sampled_from([-(10 ** 29), 10 ** 9])
+TOKENS = st.lists(st.sampled_from(WORDS) | NUMBERS.map(str), max_size=40)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise ``TimeoutError`` in the body once ``seconds`` have passed, so
+    that a runaway evaluation fails the test instead of hanging it."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=400, deadline=1000, derandomize=True, database=None)
+@given(TOKENS)
+@example(["theta", str(10 ** 29 + 1), "0", "2"])
+def test_fuzzed_expressions_raise_only_foam_error(tokens):
+    # 30-digit dot counts included: evaluation is exact and its time does
+    # not grow with the counts
+    with time_limit(2.0):
+        try:
+            parse_expr(" ".join(tokens)).value()
+        except FoamError:
+            pass
+
+
+def test_huge_dot_counts_reduce_by_the_cube_relation():
+    big = 10 ** 29
+    assert parse_expr(f"theta {big} 0 1").value() == 1  # big is even: reduces to 2
+    assert parse_expr(f"theta {big + 1} 0 2").value() == 1
+    assert parse_expr(f"theta {big + 1} 1 2").value() == 0
+    assert parse_expr(f"sphere {big}").value() == 1
+    assert [parse_expr(f"theta {k} 0 1").value() for k in range(9)] == [0, 0, 1, 0, 1, 0, 1, 0, 1]

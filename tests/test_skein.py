@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webfoam import catalogue, tait
-from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs, random_diagram
+from webfoam.generate import add_kink, add_poke, cubic_multigraphs, multigraph_to_web, planar_cubic_webs, random_diagram
 from webfoam.skein import (
     ALIGNED_PAIRING,
     CALIBRATED_PAIRING,
@@ -163,6 +163,21 @@ class TestInvariance:
             n = len(d.vertices)
             assert euler_char(d) == (-1) ** (n // 2) * signed_tait(d)
         assert largest == 20
+
+    def test_kink_poke_and_flip_leave_chi(self):
+        rng = random.Random(37)
+        pokes = 0
+        for d in criterion_3_stream():
+            chi = euler_char(d)
+            if d.arcs:
+                assert euler_char(add_kink(d, rng.choice(d.arcs), "kink", rng)) == chi
+            poked = add_poke(d, rng, "poke")
+            if poked is not None:
+                pokes += 1
+                assert euler_char(poked) == chi
+            for c in d.crossings:
+                assert euler_char(flip_crossing(d, c.id)) == chi
+        assert pokes > 100
 
     def test_kernel_signed_count_matches_oracle(self):
         for d in criterion_3_stream():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_skein import criterion_3_stream
+from test_skein import census_webs, criterion_3_stream
 from webfoam import catalogue
 from webfoam.webs import (
     EDGE_A,
@@ -319,6 +319,62 @@ class TestRepeatedLabels:
     def test_diagram_rejects_repeated_circle(self):
         with pytest.raises(WebError, match="circle 'a'"):
             parse_diagram(json.dumps({"circles": ["a", "a"]}))
+
+    def test_parse_web_rejects_repeated_vertex(self):
+        # each listed copy would find its three slots filled
+        doc = json.loads(THETA_DOC)
+        doc["vertices"] = ["u", "w", "u", "w"]
+        with pytest.raises(WebError, match="vertex id 'u'"):
+            parse_web(json.dumps(doc))
+        with pytest.raises(WebError, match="vertex id 'u'"):
+            make_web(("u", "u"), [])
+
+
+@pytest.mark.parametrize("vertex", [["u"], {"u": 0}, [], None])
+def test_end_at_a_non_vertex_is_a_web_error(vertex):
+    doc = json.loads(THETA_DOC)
+    doc["edges"][0]["ends"][1][0] = vertex
+    with pytest.raises(WebError, match="meets unknown vertex"):
+        parse_web(json.dumps(doc))
+
+
+# --- the incidence tables that validation keeps ---------------------------------
+
+
+def scanned_vertex_edges(w, v) -> list:
+    """Edges at ``v`` in slot order, by a scan of every edge's ends."""
+    out = {slot: e for e, ends in w.edge_ends.items() for u, slot in ends if u == v}
+    return [out[s] for s in (0, 1, 2)]
+
+
+def node_partner(d) -> dict:
+    """The dart involution from the node records: the two darts (node id,
+    position) that carry one arc label are each other's partner."""
+    darts: dict = {}
+    for n in d.vertices + d.crossings:
+        for pos, a in enumerate(n.arcs):
+            darts.setdefault(a, []).append((n.id, pos))
+    return {x: y for a, b in darts.values() for x, y in ((a, b), (b, a))}
+
+
+def test_slot_table_matches_a_scan_of_the_ends():
+    diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file] + criterion_3_stream()
+    webs = census_webs() + [catalogue.load_web(e) for e in catalogue.CATALOGUE]
+    webs += [underlying_web(d) for d in diagrams]
+    assert sum(w.has_loop() for w in webs) > 0
+    for w in webs:
+        assert list(w.slot_edges) == list(w.vertices)
+        for v in w.vertices:
+            assert w.vertex_edges(v) == list(w.slot_edges[v]) == scanned_vertex_edges(w, v)
+
+
+def test_stored_involution_matches_the_node_records():
+    diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file] + criterion_3_stream()
+    diagrams += [parse_diagram(KINK_DOC), hopf_diagram()]
+    for d in diagrams:
+        assert d.partner == node_partner(d)
+        assert all(d.partner[d.partner[x]] == x != d.partner[x] for x in d.partner)
+        assert d.arc_at == {(n.id, pos): a for n in d.vertices + d.crossings for pos, a in enumerate(n.arcs)}
 
 
 class TestParseProperties:
