@@ -22,10 +22,12 @@ at every ordered pair of distinct edges of ``planar_cubic_webs(6)``, and
 ``tait_count``, ``planar_lsharp_dim`` and the number of 1-sets of every
 ``cubic_multigraphs(n, allow_loops=True)`` graph with n <= 8 and of the
 3- to 9-sided prisms.
-Run it on two checkouts and ``diff`` the outputs to show that a change
-leaves these values alone:
+The committed copy is ``tests/golden_outputs.json``, and
+``tests/test_cli.py::test_golden_document`` compares ``document()`` with
+it.  A change that means to alter an output rewrites that file in the
+same change:
 
-    python scripts/golden_outputs.py > golden.json
+    python scripts/golden_outputs.py > tests/golden_outputs.json
 """
 
 import contextlib
@@ -193,7 +195,8 @@ def adhm_fields() -> dict:
     return {"exit": code, **{k: doc[k] for k in ("pass", "rank", "nu", "nu_mod2")}}
 
 
-def main() -> None:
+def document() -> str:
+    """The whole document, as printed (without the final newline)."""
     files = sorted(DATA.glob("*.json"))
     doc = {
         "tait": {p.name: run_cli("tait", str(p)) for p in files},
@@ -215,8 +218,8 @@ def main() -> None:
         "tutte_sites": list(tutte_sites()),
         "tait_numbers": list(tait_numbers()),
     }
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 if __name__ == "__main__":
-    main()
+    print(document())

@@ -1,3 +1,5 @@
+import difflib
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -306,3 +308,16 @@ def test_golden_outputs(capsys):
         out = capsys.readouterr().out.strip()
         assert code == 0
         assert out == expected
+
+
+def test_golden_document():
+    """Every output that ``scripts/golden_outputs.py`` pins equals the
+    committed ``tests/golden_outputs.json``; a change that means to alter
+    an output rewrites that file in the same change."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("golden_outputs", root / "scripts" / "golden_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    expected = (root / "tests" / "golden_outputs.json").read_text(encoding="utf-8").splitlines()
+    diff = list(difflib.unified_diff(expected, script.document().splitlines(), "committed", "now", lineterm="", n=1))
+    assert not diff, "\n".join(diff[:80])
