@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,14 +37,12 @@ class AdhmError(ValueError):
 # the group representation
 
 
-@dataclass(frozen=True)
-class GroupRep:
-    N: int
-    rho_g: np.ndarray
-    rho_h: np.ndarray
-    rho_gamma: np.ndarray
-    zeta: complex
-    epsilon: complex
+class GroupRep(namedtuple("GroupRep", "N rho_g rho_h rho_gamma zeta epsilon")):
+    """The rank N; the clock ``rho_g``, the shift ``rho_h`` and the
+    central ``rho_gamma`` as N x N matrices; zeta = exp(2 pi i / N) and
+    the clock's factor epsilon."""
+
+    __slots__ = ()
 
 
 def build_rep(N: int) -> GroupRep:
@@ -156,17 +154,12 @@ def find_intertwiners(rep: GroupRep):
 # ADHM data
 
 
-@dataclass(frozen=True)
-class AdhmData:
-    t1: complex
-    t2: complex
-    a: complex
-    b: complex
-    F1: np.ndarray
-    F2: np.ndarray
-    S: np.ndarray
-    C: complex
-    uhlenbeck: bool = False
+class AdhmData(namedtuple("AdhmData", "t1 t2 a b F1 F2 S C uhlenbeck", defaults=(False,))):
+    """A solution (t1, t2, a, b) of the reduced equations, the intertwiners
+    F1, F2, S and the scalar C, and whether a = b = 0 (the Uhlenbeck
+    boundary)."""
+
+    __slots__ = ()
 
 
 def scalar_solution(inter, t1: complex, t2: complex) -> AdhmData:
@@ -207,7 +200,7 @@ def adhm_operators(d: AdhmData, z) -> tuple[np.ndarray, np.ndarray]:
 def adhm_residuals(d: AdhmData, z=(0, 0)) -> dict:
     """Residuals of the two ADHM matrix equations at the point z."""
     alpha, beta = adhm_operators(d, z)
-    alpha0, beta0 = adhm_operators(d, (0, 0))
+    alpha0, beta0 = (alpha, beta) if tuple(z) == (0, 0) else adhm_operators(d, (0, 0))
     complex_eq = np.max(np.abs(beta @ alpha))
     moment = np.max(np.abs(alpha0.conj().T @ alpha0 - beta0 @ beta0.conj().T))
     return {"complex": float(complex_eq), "moment": float(moment)}

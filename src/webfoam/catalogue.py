@@ -9,20 +9,22 @@ that load or verify an entry, so listing it loads no computation layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 
-@dataclass(frozen=True)
-class Entry:
-    name: str
-    web_file: str | None = None
-    diagram_file: str | None = None
-    module_name: str | None = None
-    tait_count: int | None = None
-    planar_dim: int | None = None  # asserted only for planar embeddings
-    dim: int | None = None
-    chi: int | None = None
+class Entry(
+    namedtuple(
+        "Entry",
+        "name web_file diagram_file module_name tait_count planar_dim dim chi",
+        defaults=(None,) * 7,
+    )
+):
+    """A catalogued example: its name, its bundled files and module name,
+    and the expected values (None where not asserted).  ``planar_dim`` is
+    asserted only for planar embeddings."""
+
+    __slots__ = ()
 
 
 CATALOGUE = (

@@ -7,9 +7,10 @@ table guarded by the triangle and face consistency checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
+
+from . import Frozen
 
 Rat = Fraction
 
@@ -18,8 +19,7 @@ class DimensionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BifoldTopology:
+class BifoldTopology(Frozen):
     """Topological data of a closed 4-dimensional bifold.
 
     ``sigma_self`` is the foam self-intersection (a half-integer),
@@ -29,20 +29,19 @@ class BifoldTopology:
     realize eighths, so any exact rational is accepted here.
     """
 
-    kappa: Rat
-    b_plus: int = 0
-    b_1: int = 0
-    sigma_self: Rat = Fraction(0)
-    chi_sigma: int = 0
-    t: int = 0
-
-    def __post_init__(self):
+    def __init__(
+        self, kappa: Rat, b_plus: int = 0, b_1: int = 0, sigma_self: Rat = Fraction(0), chi_sigma: int = 0, t: int = 0
+    ):
+        self.__dict__.update(kappa=kappa, b_plus=b_plus, b_1=b_1, sigma_self=sigma_self, chi_sigma=chi_sigma, t=t)
         object.__setattr__(self, "kappa", Fraction(self.kappa))
         object.__setattr__(self, "sigma_self", Fraction(self.sigma_self))
         if (2 * self.sigma_self).denominator != 1:
             raise DimensionError("the self-intersection must be a half-integer")
         if self.t < 0:
             raise DimensionError("tetrahedral point count is non-negative")
+
+    def _key(self) -> tuple:
+        return self.kappa, self.b_plus, self.b_1, self.sigma_self, self.chi_sigma, self.t
 
 
 def formal_dim(b: BifoldTopology) -> Rat:
@@ -131,13 +130,12 @@ def dot_budget(l: int, sigma_self: Rat, chi_sigma: int, t: int):
 # semi-framings
 
 
-@dataclass(frozen=True)
-class SemiFraming:
-    """Per-edge normal-line offsets in half-integers (stored exactly)."""
+class SemiFraming(Frozen):
+    """Per-edge normal-line offsets in half-integers (stored exactly):
+    ``offsets`` maps each edge to a Fraction, a multiple of 1/2."""
 
-    offsets: Mapping  # edge -> Fraction, each a multiple of 1/2
-
-    def __post_init__(self):
+    def __init__(self, offsets: Mapping):
+        self.__dict__["offsets"] = offsets
         clean = {}
         for e, x in self.offsets.items():
             f = Fraction(x)
@@ -145,6 +143,9 @@ class SemiFraming:
                 raise DimensionError(f"offset of edge {e!r} must be a half-integer")
             clean[e] = f
         object.__setattr__(self, "offsets", clean)
+
+    def _key(self) -> tuple:
+        return (self.offsets,)
 
 
 def framing_delta(phi1: SemiFraming, phi2: SemiFraming) -> Rat:

@@ -9,8 +9,10 @@ the source calculus reduces to these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
+
+from . import Frozen
 
 
 class FoamError(ValueError):
@@ -68,9 +70,24 @@ def eval_crosscap(a: int, b: int, dots: int) -> int:
 # symbolic expressions
 
 
-@dataclass(frozen=True)
-class Sphere:
-    dots: int = 0
+class _Atom:
+    """Mixin of the atoms, which are named tuples: atoms of different kinds
+    never compare equal, even with equal fields.  An atom hashes as the
+    tuple of its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Sphere(_Atom, namedtuple("Sphere", "dots", defaults=(0,))):
+    __slots__ = ()
 
     def facets(self):
         return 1
@@ -84,9 +101,8 @@ class Sphere:
         return eval_sphere(self.dots)
 
 
-@dataclass(frozen=True)
-class Theta:
-    dots: tuple = (0, 0, 0)
+class Theta(_Atom, namedtuple("Theta", "dots", defaults=((0, 0, 0),))):
+    __slots__ = ()
 
     def facets(self):
         return 3
@@ -102,11 +118,10 @@ class Theta:
         return eval_theta(*self.dots)
 
 
-@dataclass(frozen=True)
-class TetSusp:
+class TetSusp(_Atom, namedtuple("TetSusp", "dots", defaults=((0,) * 6,))):
     """Suspension of the tetrahedral web; facets 0-2 and 3-5 are opposite pairs."""
 
-    dots: tuple = (0, 0, 0, 0, 0, 0)
+    __slots__ = ()
 
     def facets(self):
         return 6
@@ -122,10 +137,8 @@ class TetSusp:
         return eval_tet_susp(*self.dots)
 
 
-@dataclass(frozen=True)
-class OrientableSurface:
-    genus: int = 1
-    dots: int = 0
+class OrientableSurface(_Atom, namedtuple("OrientableSurface", "genus dots", defaults=(1, 0))):
+    __slots__ = ()
 
     def facets(self):
         return 1
@@ -139,11 +152,8 @@ class OrientableSurface:
         return eval_surface(self.genus, self.dots)
 
 
-@dataclass(frozen=True)
-class CrossCapSurface:
-    plus: int = 1
-    minus: int = 0
-    dots: int = 0
+class CrossCapSurface(_Atom, namedtuple("CrossCapSurface", "plus minus dots", defaults=(1, 0, 0))):
+    __slots__ = ()
 
     def facets(self):
         return 1
@@ -160,8 +170,7 @@ class CrossCapSurface:
 Atom = object
 
 
-@dataclass(frozen=True)
-class FoamExpr:
+class FoamExpr(Frozen):
     """GF(2)-linear combination of disjoint unions of atoms.
 
     ``terms`` is a frozenset of tuples of atoms; a tuple denotes the
@@ -169,7 +178,11 @@ class FoamExpr:
     coefficient.
     """
 
-    terms: frozenset
+    def __init__(self, terms: frozenset):
+        self.__dict__["terms"] = terms
+
+    def _key(self) -> tuple:
+        return (self.terms,)
 
     @staticmethod
     def atom(a) -> "FoamExpr":

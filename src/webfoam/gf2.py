@@ -11,16 +11,13 @@ columns form a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Mat:
+class Mat(namedtuple("Mat", "nrows ncols rows")):
     """An ``nrows`` x ``ncols`` matrix; ``rows[i]`` bit j is entry (i, j)."""
 
-    nrows: int
-    ncols: int
-    rows: tuple
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:

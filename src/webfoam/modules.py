@@ -11,19 +11,18 @@ of it is exact arithmetic on ``gf2.Mat``; numpy is imported only by the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
-from . import gf2
+from . import Frozen, gf2
 
 
 class ModuleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class F2Module:
+class F2Module(Frozen):
     """Finite-dimensional GF(2) space with named commuting edge operators.
 
     ``ops`` maps each name to its operator as a ``gf2.Mat``; the
@@ -32,12 +31,8 @@ class F2Module:
     the source states no grading.
     """
 
-    dim: int
-    basis: tuple
-    ops: dict
-    grading: tuple | None = None
-
-    def __post_init__(self):
+    def __init__(self, dim: int, basis: tuple, ops: dict, grading: tuple | None = None):
+        self.__dict__.update(dim=dim, basis=basis, ops=ops, grading=grading)
         ops = {}
         for name, m in self.ops.items():
             if not isinstance(m, gf2.Mat):
@@ -58,6 +53,9 @@ class F2Module:
         if self.grading is not None and len(self.grading) != self.dim:
             raise ModuleError("grading must label every basis vector")
         object.__setattr__(self, "ops", ops)
+
+    def _key(self) -> tuple:
+        return self.dim, self.basis, self.ops, self.grading
 
     @cached_property
     def operators(self) -> dict:
@@ -152,10 +150,11 @@ def min_poly(m: gf2.Mat) -> str:
 # presentations
 
 
-@dataclass(frozen=True)
-class Presentation:
-    generators: tuple
-    relations: tuple  # each relation: frozenset of monomials (exponent tuples)
+class Presentation(namedtuple("Presentation", "generators relations")):
+    """Generators, and relations each a frozenset of monomials (exponent
+    tuples)."""
+
+    __slots__ = ()
 
     @staticmethod
     def parse(generators, relation_strings) -> "Presentation":
@@ -271,10 +270,11 @@ def quotient_module(p: Presentation, degree_bound: int = 8) -> F2Module:
 # edge decomposition
 
 
-@dataclass(frozen=True)
-class EdgeDecomposition:
-    summands: dict = field(default_factory=dict)  # frozenset of edges -> dim
-    total: int = 0
+class EdgeDecomposition(namedtuple("EdgeDecomposition", "summands total")):
+    """``summands`` maps a frozenset of edges to the dimension of its
+    summand; ``total`` is their sum."""
+
+    __slots__ = ()
 
 
 def _split(vecs: list, n: int, proj_t: gf2.Mat) -> tuple[list, list]:

@@ -22,10 +22,11 @@ the Tutte-site modifications of ``skein`` (read back as webs).
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
+
+from . import Frozen
 
 
 class WebError(ValueError):
@@ -36,8 +37,7 @@ class WebError(ValueError):
 # webs
 
 
-@dataclass(frozen=True)
-class Web:
+class Web(Frozen):
     """Abstract trivalent graph with circle components.
 
     ``edge_ends`` maps a regular edge id to a pair of (vertex, slot)
@@ -45,15 +45,15 @@ class Web:
     vertex twice with different slots.  ``circles`` holds the ids of
     vertexless circle edges.  ``slot_edges`` maps each vertex to its
     edges in slot order; validation builds it, in one pass over the ends.
+    Equality compares ``vertices``, ``edge_ends`` and ``circles``.
     """
 
-    vertices: tuple
-    edge_ends: Mapping
-    circles: frozenset
-    slot_edges: dict = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple, edge_ends: Mapping, circles: frozenset):
+        self.__dict__.update(vertices=vertices, edge_ends=edge_ends, circles=circles)
         table = {v: {} for v in self.vertices}  # vertex -> slot -> edge
+        if len(table) != len(self.vertices):
+            repeated = [v for v, k in Counter(self.vertices).items() if k > 1]
+            raise WebError(f"vertex id {repeated[0]!r} is used more than once")
         for e, ends in self.edge_ends.items():
             if len(ends) != 2:
                 raise WebError(f"edge {e!r} must have exactly 2 ends")
@@ -76,6 +76,9 @@ class Web:
         if len(self.vertices) % 2 != 0:
             raise WebError("a trivalent graph has an even number of vertices")
         object.__setattr__(self, "slot_edges", table)
+
+    def _key(self) -> tuple:
+        return self.vertices, self.edge_ends, self.circles
 
     # -- accessors ---------------------------------------------------------
 
@@ -250,21 +253,20 @@ def disjoint_union_webs(a: Web, b: Web, tags=("A", "B")) -> Web:
 # diagrams
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: object
-    arcs: tuple  # 3 arc ids, counterclockwise
+class Vertex(namedtuple("Vertex", "id arcs")):
+    """A trivalent vertex: its id and its 3 arc ids, counterclockwise."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Crossing:
-    id: object
-    arcs: tuple  # 4 arc ids, counterclockwise
-    over: tuple = (0, 2)  # positions of the over-strand pair
+class Crossing(namedtuple("Crossing", "id arcs over", defaults=((0, 2),))):
+    """A crossing: its id, its 4 arc ids counterclockwise, and the
+    positions of the over-strand pair."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Frozen):
     """Planar diagram: trivalent vertices, crossings, free circles.
 
     ``arc_ends`` maps each attached arc to its two (node id, position)
@@ -279,15 +281,11 @@ class Diagram:
     connected rotation system has V - E + F = 2 - 2g <= 2, so the total
     is 2c only if every component has genus 0.  Only on failure are the
     components checked one by one, to name the first non-planar one.
+    Equality compares ``vertices``, ``crossings`` and ``circles``.
     """
 
-    vertices: tuple = ()
-    crossings: tuple = ()
-    circles: tuple = ()
-    arc_ends: dict = field(init=False, default=None, repr=False, compare=False)
-    partner: dict = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple = (), crossings: tuple = (), circles: tuple = ()):
+        self.__dict__.update(vertices=vertices, crossings=crossings, circles=circles)
         ids = [n.id for n in self.vertices] + [c.id for c in self.crossings]
         if len(ids) != len(set(ids)):
             raise WebError("node ids must be distinct")
@@ -326,6 +324,9 @@ class Diagram:
                     raise WebError(
                         f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
                     )
+
+    def _key(self) -> tuple:
+        return self.vertices, self.crossings, self.circles
 
     # -- structure ---------------------------------------------------------
 

@@ -182,6 +182,28 @@ class TestOperators:
                     sa, sb = min_singular_values(d, z)
                     assert sa > TOL_RANK and sb > TOL_RANK
 
+    def test_residuals_build_the_operators_once_at_the_origin(self, inter3, monkeypatch):
+        import webfoam.adhm as adhm
+
+        calls = []
+
+        def counted(d, z):
+            calls.append(z)
+            return adhm_operators(d, z)
+
+        monkeypatch.setattr(adhm, "adhm_operators", counted)
+        d = scalar_solution(inter3, 1 - 2j, 0.7)
+        at_origin = adhm_residuals(d)
+        assert len(calls) == 1
+        # elsewhere the moment map still reads the operators at the origin
+        assert adhm_residuals(d, (0.3, -0.7j))["moment"] == at_origin["moment"]
+        assert calls[1:] == [(0.3, -0.7j), (0, 0)]
+        calls.clear()
+        assert adhm.verify_report(3)["pass"]
+        # per grid point one call for the residuals and one for the rank
+        # margins at a random z, then one per degenerate point
+        assert len(calls) == 100 * 2 + 2
+
 
 class TestHomogeneousFamily:
     def test_generic_full_rank(self, inter3):

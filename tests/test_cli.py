@@ -201,8 +201,8 @@ def test_console_script_runs():
 def modules_loaded(*argvs) -> list:
     """Run ``cli.main`` on each argv in turn in a fresh interpreter (other
     tests import numpy into this one); after each, the names in
-    ``sys.modules`` that start with ``numpy``, ``networkx``, ``fractions``
-    or ``webfoam.``."""
+    ``sys.modules`` that start with ``numpy``, ``networkx``, ``fractions``,
+    ``dataclasses``, ``inspect`` or ``webfoam.``."""
     import webfoam
 
     src = str(pathlib.Path(webfoam.__file__).resolve().parents[1])
@@ -215,7 +215,8 @@ for argv in {[list(a) for a in argvs]!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     loaded.append(sorted({{m if m.startswith("webfoam.") else m.split(".")[0]
-                          for m in sys.modules if m.startswith(("numpy", "networkx", "fractions", "webfoam."))}}))
+                          for m in sys.modules
+                          if m.startswith(("numpy", "networkx", "fractions", "dataclasses", "inspect", "webfoam."))}}))
 print(json.dumps(loaded))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -253,11 +254,16 @@ def test_catalogue_listing_loads_no_layer():
 
 
 def test_only_adhm_verify_loads_numpy():
+    """Only ``adhm-verify`` loads numpy, and with it ``inspect``.  No command
+    loads ``dataclasses``, which would load ``inspect`` (and ``ast``,
+    ``dis``, ``tokenize``) at every start."""
     (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
     runs = LIGHT + EXACT_GF2 + [["adhm-verify", "--rank", "3"]]
     assert {argv[0] for argv in runs} == set(sub.choices)  # every command is run
     loaded = modules_loaded(*runs)
     assert ["numpy" in names for names in loaded] == [False] * (len(runs) - 1) + [True]
+    assert ["inspect" in names for names in loaded] == [False] * (len(runs) - 1) + [True]
+    assert not any("dataclasses" in names for names in loaded)
 
 
 def test_only_dims_loads_fractions():

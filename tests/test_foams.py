@@ -306,6 +306,19 @@ class TestExpressions:
         with pytest.raises(FoamError, match="more than"):
             parse_expr(union(40))
 
+    def test_atoms_of_different_kinds_differ(self):
+        # equal fields, different kinds: the two terms must not cancel
+        pairs = [
+            (Theta((0, 0, 0)), TetSusp((0, 0, 0))),
+            (Sphere(2), Theta(2)),
+            (OrientableSurface(1, 0), CrossCapSurface(1, 0)),
+        ]
+        for a, b in pairs:
+            assert a != b and not a == b, (a, b)
+            assert a != tuple(a) and b != tuple(b)
+            assert a == type(a)(*a) and hash(a) == hash(type(a)(*a))
+            assert len((FoamExpr.atom(a) + FoamExpr.atom(b)).terms) == 2
+
     def test_cross_cap_atom(self):
         assert FoamExpr.atom(CrossCapSurface(0, 1, 0)).value() == 1
         assert FoamExpr.atom(TetSusp((0, 1, 2, 0, 0, 0))).value() == 1

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_skein import census_webs, criterion_3_stream
-from webfoam import catalogue
+from webfoam import catalogue, gf2, modules
+from webfoam.foams import FoamExpr, Theta
 from webfoam.webs import (
     EDGE_A,
     EDGE_B,
@@ -282,6 +283,19 @@ def test_web_immutability():
     assert isinstance(w, Web)
     with pytest.raises(AttributeError):
         w.vertices = ()
+    d = parse_diagram(KINK_DOC)
+    records = [
+        (d, "circles"),
+        (d.crossings[0], "over"),
+        (Vertex("v", ("a", "b", "c")), "arcs"),
+        (gf2.identity(2), "rows"),
+        (modules.known_module("unknot"), "ops"),
+        (Theta((0, 1, 2)), "dots"),
+        (FoamExpr.one(), "terms"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
 
 
 def test_loop_occupies_two_slots():
@@ -328,6 +342,10 @@ class TestRepeatedLabels:
             parse_web(json.dumps(doc))
         with pytest.raises(WebError, match="vertex id 'u'"):
             make_web(("u", "u"), [])
+        # the constructor itself refuses the copies too
+        ends = {f"e{k}": (("u", k), ("w", k)) for k in range(3)}
+        with pytest.raises(WebError, match="vertex id 'u' is used more than once"):
+            Web(("u", "w", "u", "w"), ends, frozenset())
 
 
 @pytest.mark.parametrize("vertex", [["u"], {"u": 0}, [], None])
