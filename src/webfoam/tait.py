@@ -18,18 +18,30 @@ kernel's vertex nodes read ``Web.slot_edges``, built by validation.
 node's expanded table, rows keyed by the colors of its open arcs, and
 the two projections of a frontier coloring, onto those arcs and onto the
 arcs kept.  The table depends only on the weight table, the node's
-arc-multiplicity shape and which of its arcs are open, so ``_local_table``
-memoizes it on those three values in an LRU cache of ``LOCAL_TABLES``
-entries, keyed by value, never by identity; ``_picker`` memoizes a
-projection by its index tuple in one of ``PICKERS`` entries.  A run over
-many diagrams builds a few dozen of each, not one per contraction step.
-The weight tables are tuples of ``(colors, weight)`` items so that they
-can be keys.
+arc-multiplicity shape, which of its arcs are open and the call's color
+symmetry, so ``_local_table`` memoizes it on those four values in an LRU
+cache of ``LOCAL_TABLES`` entries, keyed by value, never by identity;
+``_picker`` memoizes a projection by its index tuple in one of
+``PICKERS`` entries.  A run over many diagrams builds a few dozen of
+each, not one per contraction step.  The weight tables are tuples of
+``(colors, weight)`` items so that they can be keys.
+
+The color symmetry: ``VERTEX_WEIGHTS`` and the skein crossing tables are
+unchanged by all six permutations of the colors, ``SIGNED_VERTEX_WEIGHTS``
+by the three cyclic ones, and ``MATCHING_WEIGHTS`` by none but the
+identity; ``_symmetry`` finds them for any table, memoized by value.  A
+product of invariant tables is invariant, so at the first node of each
+component ``contract`` keeps one coloring per orbit of the permutations
+every table of the call admits, weighing the orbit's sum.  The states
+fall sixfold there for Tait counts and the skein sum, threefold for
+signed counts; the saving fades as the first node's arcs leave the
+frontier.  The enumeration oracles and ``one_sets`` do not use it.
 
 Limits, each refused with a ``WebError`` before the work starts: webs
-with more than ``MAX_EDGES`` regular edges, by all four searches; a
-contraction whose frontier would be wider than ``MAX_WIDTH`` arcs; and a
-1-set list longer than ``MAX_ONE_SETS``.
+with more than ``MAX_EDGES`` regular edges, by the two recursive
+searches ``tait_colorings`` and ``one_sets`` (so by ``planar_lsharp_dim``
+too); a contraction whose frontier would be wider than ``MAX_WIDTH``
+arcs; and a 1-set list longer than ``MAX_ONE_SETS``.
 """
 
 from __future__ import annotations
@@ -43,15 +55,18 @@ from .webs import Diagram, Web, WebError, _union_find, underlying_web
 COLORS = (1, 2, 3)
 
 # tait_colorings recurses once per regular edge, and Python stops at 1000
-# frames; 500 leaves room for the caller's frames.  The contraction does
-# not recurse and one_sets recurses once per matched pair, but all four
-# searches keep this one limit.
+# frames; 500 leaves room for the caller's frames.  one_sets recurses once
+# per matched pair and keeps the same limit; the contraction does not
+# recurse and has none.
 MAX_EDGES = 500
 
 # Widest frontier ``contract`` accepts.  Every catalogue entry, the census,
-# the prisms up to 166 sides and criterion 3's diagrams stay within 8 arcs;
-# a Tait count at width 16 takes about 2 s and 90 MB, and each further arc
-# multiplies that by two to three.
+# the prisms up to 166 sides and criterion 3's diagrams stay within 8 arcs.
+# Width alone does not bound time: a Tait count on an 80-vertex plane web
+# of width 15 takes 2-4 s and about 105 MB on a shared 2-vCPU host, while
+# the 166-sided prism counts in hundredths of a second, as the time follows
+# how many steps stay wide and how dense their states are.  A cost budget
+# read from the plan would bound it.
 MAX_WIDTH = 16
 
 # Longest 1-set list ``one_sets`` builds: the 18-sided prism (5,780 sets)
@@ -65,6 +80,7 @@ LOCAL_TABLES = 512
 PICKERS = 512
 
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
+_ALL_PERMS = frozenset(permutations(range(3)))  # permutations of the colors 0, 1, 2, as tuples of images
 
 
 def vertex_sign(colors_ccw) -> int:
@@ -133,7 +149,21 @@ def _picker(idx: tuple):
 
 
 @lru_cache(maxsize=LOCAL_TABLES)
-def _local_table(weights: tuple, shape: tuple, is_open: tuple) -> dict:
+def _symmetry(weights: tuple) -> frozenset:
+    """The permutations of the colors 0, 1, 2 that leave ``weights``
+    unchanged; entries listing one coloring twice are summed first."""
+    table: dict = {}
+    for col, w in weights:
+        table[col] = table.get(col, 0) + w
+    return frozenset(
+        perm
+        for perm in _ALL_PERMS
+        if all(table.get(tuple(map(perm.__getitem__, col)), 0) == w for col, w in table.items())
+    )
+
+
+@lru_cache(maxsize=LOCAL_TABLES)
+def _local_table(weights: tuple, shape: tuple, is_open: tuple, group: frozenset) -> dict:
     """One node's weight table with its open arcs as the row key.
 
     ``shape`` gives, per position of the node's arcs, the index of its arc
@@ -142,17 +172,25 @@ def _local_table(weights: tuple, shape: tuple, is_open: tuple) -> dict:
     Returns colors of the open arcs -> tuple of (colors of the new arcs,
     weight), where the new arcs are the closed ones met once; arcs met
     twice are summed out, and a coloring that gives one arc two colors
-    weighs 0.  The result is shared by every caller and never modified.
+    weighs 0.  A node with no open arc starts a component: its one row
+    keeps the least image of each coloring under the color permutations
+    ``group``, which every table of the call admits, weighing the orbit's
+    sum.  The result is shared by every caller and never modified.
     """
-    old = [u for u, o in enumerate(is_open) if o]
-    new = [u for u, o in enumerate(is_open) if not o and shape.count(u) == 1]
+    first = list(map(shape.index, range(len(is_open))))  # each distinct arc's first position
+    twins = [(i, first[u]) for i, u in enumerate(shape) if first[u] != i]  # a loop's second end, its first
+    pick_old = _picker(tuple(first[u] for u, o in enumerate(is_open) if o))
+    pick_new = _picker(tuple(first[u] for u, o in enumerate(is_open) if not o and shape.count(u) == 1))
+    starts = not any(is_open)
     local: dict = {}
     for col, w in weights:
-        color: dict = {}
-        if all(color.setdefault(u, x) == x for u, x in zip(shape, col)):
-            row = local.setdefault(tuple(color[u] for u in old), {})
-            out = tuple(color[u] for u in new)
-            row[out] = row.get(out, 0) + w
+        if twins and not all(col[i] == col[j] for i, j in twins):
+            continue
+        row = local.setdefault(pick_old(col), {})
+        out = pick_new(col)
+        if starts:
+            out = min(tuple(map(perm.__getitem__, out)) for perm in group)
+        row[out] = row.get(out, 0) + w
     return {key: tuple(row.items()) for key, row in local.items()}
 
 
@@ -162,12 +200,13 @@ def contract(nodes) -> int:
     ``nodes`` is a list of ``(arcs, weights)``.  ``arcs`` is a tuple of
     arc labels, and every label occurs exactly twice among all the nodes
     (twice in one node for a loop).  ``weights`` is a tuple of
-    ``(colors, weight)`` items: a tuple of colors, one per entry of
-    ``arcs``, and an integer; a missing tuple weighs 0.
+    ``(colors, weight)`` items: a tuple of colors 0, 1, 2, one per entry
+    of ``arcs``, and an integer; a missing tuple weighs 0, and one listed
+    twice the sum of its entries.
 
     The nodes are contracted one at a time over a dict from colorings of
     the frontier (arcs with one end contracted) to summed weight, zero
-    entries dropped, so the cost grows with the width of the frontier,
+    sums skipped, so the cost grows with the width of the frontier,
     not with the number of arcs.  The next node is the one with the most
     open arcs; ties go to the node first in breadth-first order over
     shared arcs, started from the first node of each component, so the
@@ -175,11 +214,19 @@ def contract(nodes) -> int:
     list.  The order and every frontier depend on the arcs alone, so they
     are planned, with each step's table and projections from the caches
     above, before any state is built; a frontier wider than ``MAX_WIDTH``
-    arcs (up to 3^width states) is refused with a ``WebError``.  A result
-    does not depend on what the process computed before.
+    arcs (up to 3^width states) is refused with a ``WebError``.  A color
+    permutation that every weight table admits (``_symmetry``) leaves the
+    sum over a component unchanged, so the first node of each component
+    keeps one coloring per orbit.  A result does not depend on what the
+    process computed before.
     """
+    group = _ALL_PERMS  # the color permutations every table is invariant under
+    last = None
     holders: dict = {}  # arc -> positions of the nodes holding it
-    for i, (arcs, _) in enumerate(nodes):
+    for i, (arcs, weights) in enumerate(nodes):
+        if weights is not last:  # a run of nodes sharing one table probes it once
+            last = weights
+            group &= _symmetry(weights)
         for a in arcs:
             holders.setdefault(a, []).append(i)
     todo: list = []  # breadth-first order over shared arcs, component by component
@@ -219,7 +266,8 @@ def contract(nodes) -> int:
         for a in new:
             for j in holders[a]:
                 n_open[j] += 1
-        table = _local_table(weights, tuple(map(first.__getitem__, arcs)), tuple(map(where.__contains__, first)))
+        shape = tuple(map(first.__getitem__, arcs))
+        table = _local_table(weights, shape, tuple(map(where.__contains__, first)), group)
         steps.append((table, _picker(tuple(old)), _picker(tuple(map(where.__getitem__, kept)))))
         frontier = kept + new
         where = dict(zip(frontier, range(len(frontier))))
@@ -233,21 +281,18 @@ def contract(nodes) -> int:
         nxt: dict = {}
         for state, weight in states.items():
             moves = local.get(pick_old(state))
-            if moves:
+            if moves and weight:  # a sum that cancelled to 0 is not expanded
                 head = pick_kept(state)
                 for colors, w in moves:
                     key = head + colors
                     nxt[key] = nxt.get(key, 0) + weight * w
-        states = {key: w for key, w in nxt.items() if w}
-        if not states:
-            break
+        states = nxt
     return states.get((), 0)
 
 
 def _vertex_nodes(w: Web, weights: tuple) -> list:
     """One ``contract`` node per vertex of ``w``: its edges in slot order,
     weighted by ``weights``."""
-    _check_size(len(w.edge_ends))
     return [(w.slot_edges[v], weights) for v in w.vertices]
 
 
@@ -301,10 +346,12 @@ def one_sets(w: Web) -> list[frozenset]:
     """All 1-sets (perfect matchings); circle edges appear freely.
 
     Branches on the first uncovered vertex over its non-loop edges to
-    uncovered vertices, so the cost follows the number of matchings.  The
-    1-sets are counted by ``contract`` first, and a web with more than
-    ``MAX_ONE_SETS`` is refused with a ``WebError``.
+    uncovered vertices, so the cost follows the number of matchings.  A
+    web with more than ``MAX_EDGES`` regular edges is refused with a
+    ``WebError``, and so is one with more than ``MAX_ONE_SETS``, counted
+    by ``contract`` first.
     """
+    _check_size(len(w.edge_ends))
     count = contract(_vertex_nodes(w, MATCHING_WEIGHTS)) << len(w.circles)
     if count > MAX_ONE_SETS:
         raise WebError(f"web has {count} 1-sets; the 1-set list holds at most {MAX_ONE_SETS}")

@@ -1,17 +1,18 @@
 import json
 import time
-from itertools import product
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from webfoam import catalogue, tait
+from webfoam import catalogue, skein, tait
 from webfoam.cli import main
 from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs
 from webfoam.tait import (
     LOCAL_TABLES,
+    MATCHING_WEIGHTS,
     MAX_EDGES,
     MAX_ONE_SETS,
     MAX_WIDTH,
@@ -88,17 +89,24 @@ def wide_web():
 
 
 class TestSizeLimit:
-    """The searches recurse once per edge; past MAX_EDGES they refuse, not crash."""
+    """The enumeration recurses once per edge and the 1-set search once per
+    matched pair; past MAX_EDGES they refuse, not crash.  The contraction
+    does not recurse and takes no such limit."""
 
     def test_prism_over_limit_refused(self):
         w = prism_web(MAX_EDGES // 3 + 1)
         assert len(w.edge_ends) > MAX_EDGES
         start = time.perf_counter()
-        for search in (tait_count, one_sets, planar_lsharp_dim, lambda w: next(tait_colorings(w))):
+        for search in (one_sets, planar_lsharp_dim, lambda w: next(tait_colorings(w))):
             with pytest.raises(WebError, match="at most"):
                 search(w)
         # refused before any search: unchecked, this prism's searches run for ages
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("sides", [MAX_EDGES // 3 + 1, 800])
+    def test_count_past_the_limit(self, sides):
+        # 2,400 edges at 800 sides, and the frontier stays within 5 arcs
+        assert tait_count(prism_web(sides)) == prism_tait(sides)
 
     # just over the limit, and deep enough to overflow the stack unchecked
     @pytest.mark.parametrize("sides", [MAX_EDGES // 3 + 1, 800])
@@ -188,17 +196,50 @@ class TestLocalTableCache:
 
     def test_bounded(self):
         assert tait._local_table.cache_info().maxsize == LOCAL_TABLES
+        assert tait._symmetry.cache_info().maxsize == LOCAL_TABLES
         assert tait._picker.cache_info().maxsize == PICKERS
         theta = theta_web()
         for m in range(1, LOCAL_TABLES + 50):
             scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
             assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
         assert tait._local_table.cache_info().currsize <= LOCAL_TABLES
+        assert tait._symmetry.cache_info().currsize <= LOCAL_TABLES
         assert tait_count(theta) == 6
         for i in range(PICKERS + 50):  # evicts every projection theta used
             assert tait._picker((i + 1, 0))(tuple(range(i + 2))) == (i + 1, 0)
         assert tait._picker.cache_info().currsize <= PICKERS
         assert tait_count(theta) == 6
+
+
+S3 = frozenset(permutations(range(3)))
+A3 = frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)})
+
+
+class TestColorSymmetry:
+    """``_symmetry`` finds the color permutations a table is invariant
+    under, and the first node of a component keeps one coloring per orbit."""
+
+    def test_package_tables(self):
+        assert tait._symmetry(VERTEX_WEIGHTS) == S3
+        assert len(skein._CROSSING_WEIGHTS) == 4
+        for weights in skein._CROSSING_WEIGHTS.values():
+            assert tait._symmetry(weights) == S3
+        assert tait._symmetry(SIGNED_VERTEX_WEIGHTS) == A3
+        assert tait._symmetry(MATCHING_WEIGHTS) == {(0, 1, 2)}
+
+    def test_repeated_coloring_is_summed(self):
+        (first, _), *_ = VERTEX_WEIGHTS
+        assert tait._symmetry(VERTEX_WEIGHTS + (((0, 0, 0), 1), ((0, 0, 0), -1))) == S3
+        assert tait._symmetry(VERTEX_WEIGHTS[1:] + ((first, 3), (first, -2))) == S3
+        # (0, 1, 2) weighs 2, its images 1: only the identity fixes it
+        assert tait._symmetry(VERTEX_WEIGHTS + ((first, 1),)) == {(0, 1, 2)}
+
+    def test_first_node_keeps_one_coloring_per_orbit(self):
+        closed = (False, False, False)
+        assert tait._local_table(VERTEX_WEIGHTS, (0, 1, 2), closed, S3) == {(): (((0, 1, 2), 6),)}
+        assert tait._local_table(SIGNED_VERTEX_WEIGHTS, (0, 1, 2), closed, A3) == {
+            (): (((0, 1, 2), 3), ((0, 2, 1), -3))
+        }
 
 
 class TestPrism:
@@ -488,18 +529,25 @@ def networks(draw):
     """``contract`` inputs of up to 7 arcs: nodes of 0 to 4 slots paired at
     random, so an arc can meet one node twice and two nodes can share
     several arcs, in one component or several, with weight tables of signed
-    and zero entries."""
+    and zero entries.  Every table of a network may be symmetrised over S3
+    or A3: the sum of a drawn table and all of its relabelled images."""
     arity = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda a: sum(a) <= 12))
     if sum(arity) % 2:
         arity.append(1)
     slots = draw(st.permutations([(i, k) for i, n in enumerate(arity) for k in range(n)]))
     names = draw(st.sampled_from([lambda j: j, lambda j: f"e{j}"]))
     label = {slot: names(j // 2) for j, slot in enumerate(slots)}
+    group = draw(st.sampled_from([{(0, 1, 2)}, A3, S3]))
     nodes = []
     for i, n in enumerate(arity):
         colors = st.tuples(*[st.integers(0, 2)] * n)
         weights = draw(st.dictionaries(colors, st.integers(-2, 2), max_size=3 ** n))
-        nodes.append((tuple(label[i, k] for k in range(n)), tuple(weights.items())))
+        table: dict = {}  # the drawn table plus its images, summed
+        for perm in sorted(group):
+            for col, w in weights.items():
+                image = tuple(perm[x] for x in col)
+                table[image] = table.get(image, 0) + w
+        nodes.append((tuple(label[i, k] for k in range(n)), tuple(table.items())))
     return nodes
 
 
