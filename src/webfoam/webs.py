@@ -9,11 +9,14 @@ every arc label occurs exactly twice among the node slots (or not at all,
 for a free circle).
 
 All structures are immutable after construction; every operation returns
-a new object.  Validation keeps the incidence tables it builds, and the
-other layers read them: ``Web.slot_edges`` (each vertex's edges in slot
-order), ``Diagram.arc_ends`` and the dart involution ``Diagram.partner``.
-A ``Diagram`` checks the Euler formula on construction, but builds its
-sorted faces and its dart -> arc map only when asked.  One strand-rewrite
+a new object.  Validation keeps the tables it builds:
+``Web.slot_edges`` (each vertex's edges in slot order), which the other
+layers read, and a ``Diagram``'s integer dart tables (the arc at each
+dart and the dart involution), which ``underlying_web`` walks.  A
+``Diagram`` checks the Euler formula on construction; its tuple-keyed
+tables (``arc_ends``, the involution ``partner`` on (node id, position)
+darts, the dart -> arc map ``arc_at`` and the sorted ``faces``) are
+views built from the integer tables on first use.  One strand-rewrite
 engine, ``Splice`` (the involution on node slots, starting from a
 diagram's own), serves ``resolve_crossing`` (read back as a diagram) and
 the Tutte-site modifications of ``skein`` (read back as webs).
@@ -24,7 +27,8 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 
 from . import Frozen
 
@@ -218,18 +222,19 @@ def _union_find(nodes, pairs) -> dict:
     the root of the second becomes the root of the union.
     """
     parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return {x: find(x) for x in parent}
+        while (up := parent[a]) != a:  # path halving
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        parent[a] = b
+    root = {}
+    for x in parent:
+        r = x
+        while (up := parent[r]) != r:
+            parent[r] = r = parent[up]
+        root[x] = r
+    return root
 
 
 def web_component_count(w: Web) -> int:
@@ -269,12 +274,17 @@ class Crossing(namedtuple("Crossing", "id arcs over", defaults=((0, 2),))):
 class Diagram(Frozen):
     """Planar diagram: trivalent vertices, crossings, free circles.
 
+    Darts are numbered node by node: vertex i owns darts 3i..3i+2 and
+    crossing j the four darts after all vertex darts and those of the
+    crossings before it, each node's in position order.  Construction
+    validates on integer tables, which it keeps: ``_labels`` holds each
+    dart's arc and ``_partner`` the dart at the other end of that arc.
+    The tuple-keyed tables are views built from them on first use:
     ``arc_ends`` maps each attached arc to its two (node id, position)
-    ends, vertices first, and ``partner`` each such dart to the other end
-    of its arc; both are derived on construction.  ``arc_at`` maps each
-    dart to its arc, and ``faces`` lists the faces as tuples of darts,
-    each from its least dart by ``_dart_key``, in that order; both are
-    built on first access.
+    ends, in dart order, ``partner`` each such dart to the other end of
+    its arc, ``arc_at`` each dart to its arc, and ``faces`` lists the
+    faces as tuples of darts, each from its least dart by ``_dart_key``,
+    in that order.
 
     Construction counts the face orbits, unsorted, and tests V - E + F =
     2c once, c the number of connected components.  The test is exact: a
@@ -286,11 +296,10 @@ class Diagram(Frozen):
 
     def __init__(self, vertices: tuple = (), crossings: tuple = (), circles: tuple = ()):
         self.__dict__.update(vertices=vertices, crossings=crossings, circles=circles)
-        ids = [n.id for n in self.vertices] + [c.id for c in self.crossings]
+        ids = [n.id for n in vertices] + [c.id for c in crossings]
         if len(ids) != len(set(ids)):
             raise WebError("node ids must be distinct")
-        occurrences: dict = {}
-        for kind, nodes, k in (("vertex", self.vertices, 3), ("crossing", self.crossings, 4)):
+        for kind, nodes, k in (("vertex", vertices, 3), ("crossing", crossings, 4)):
             for n in nodes:
                 if len(n.arcs) != k:
                     raise WebError(f"{kind} {n.id!r} must list {k} arcs")
@@ -298,31 +307,42 @@ class Diagram(Frozen):
                     raise WebError(
                         f"crossing {n.id!r}: over-pair {n.over!r} must be opposite positions [0,2] or [1,3]"
                     )
-                for pos, a in enumerate(n.arcs):
-                    occurrences.setdefault(a, []).append((n.id, pos))
-        partner: dict = {}
-        for a, occ in occurrences.items():
-            if len(occ) != 2:
-                raise WebError(f"arc {a!r} has {len(occ)} endpoints, expected 2 (unmatched darts)")
-            partner[occ[0]], partner[occ[1]] = occ[1], occ[0]
-        if len(self.circles) != len(set(self.circles)):
-            repeated = [a for a, k in Counter(self.circles).items() if k > 1]
+        labels = [a for n in vertices for a in n.arcs]
+        n3 = len(labels)
+        labels += [a for c in crossings for a in c.arcs]
+        n = len(labels)
+        first: dict = {}  # arc -> its first dart
+        partner = [-1] * n
+        for d, a in enumerate(labels):
+            e = first.setdefault(a, d)
+            if e != d:
+                partner[d] = e
+                partner[e] = d
+        if 2 * len(first) != n or -1 in partner:  # then some arc has not 2 darts
+            for a, k in Counter(labels).items():
+                if k != 2:
+                    raise WebError(f"arc {a!r} has {k} endpoints, expected 2 (unmatched darts)")
+        if len(circles) != len(set(circles)):
+            repeated = [a for a, k in Counter(circles).items() if k > 1]
             raise WebError(f"circle {repeated[0]!r} is listed more than once")
-        for a in self.circles:
-            if a in occurrences:
+        for a in circles:
+            if a in first:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
-        object.__setattr__(self, "arc_ends", occurrences)
-        object.__setattr__(self, "partner", partner)
-        root = _union_find(ids, ((n1, n2) for (n1, _), (n2, _) in occurrences.values()))
-        faces = _trace_faces(self)
-        if len(ids) - len(occurrences) + len(faces) != 2 * len(set(root.values())):
-            comp_e = Counter(root[occ[0][0]] for occ in occurrences.values())
-            comp_f = Counter(root[face[0][0]] for face in faces)
+        self.__dict__.update(_labels=labels, _partner=partner)
+        owner = _owners(len(vertices), len(crossings))
+        firsts = list(first.values())  # arcs in order of their first darts
+        seconds = map(partner.__getitem__, firsts)
+        joins = [*zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds))]  # node positions
+        root = _union_find(range(len(ids)), joins)
+        faces = _face_orbits(_face_successor(partner, n3), range(n))
+        if len(ids) - len(joins) + len(faces) != 2 * len(set(root.values())):
+            comp_e = Counter(root[u] for u, _ in joins)
+            comp_f = Counter(root[owner[face[0]]] for face in faces)
             for r, v in Counter(root.values()).items():
                 e, f = comp_e[r], comp_f[r]
                 if v - e + f != 2:
                     raise WebError(
-                        f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
+                        f"non-planar face structure: component of {ids[r]!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
                     )
 
     def _key(self) -> tuple:
@@ -338,7 +358,21 @@ class Diagram(Frozen):
 
     @property
     def arcs(self) -> list:
-        return sorted({*self.circles, *self.arc_ends}, key=str)
+        return sorted({*self.circles, *self._labels}, key=str)
+
+    @cached_property
+    def _darts(self) -> list:
+        """(node id, position) of each dart, in dart order."""
+        return [(n.id, pos) for nodes in (self.vertices, self.crossings) for n in nodes for pos in range(len(n.arcs))]
+
+    @cached_property
+    def arc_ends(self) -> dict:
+        darts, labels = self._darts, self._labels
+        return {labels[d]: [darts[d], darts[p]] for d, p in enumerate(self._partner) if d < p}
+
+    @cached_property
+    def partner(self) -> dict:
+        return {x: y for x, y in self.arc_ends.values() for x, y in ((x, y), (y, x))}
 
     @cached_property
     def arc_at(self) -> dict:
@@ -346,58 +380,95 @@ class Diagram(Frozen):
 
     @cached_property
     def faces(self) -> tuple:
-        return tuple(_trace_faces(self, _dart_key))
+        darts, partner = self._darts, self._partner
+        # both ends of each arc, arcs by first dart: the order of ``partner``'s
+        # keys, which decides ties between ids equal as strings, such as 1 and "1"
+        ends = (x for d, p in enumerate(partner) if d < p for x in (d, p))
+        starts = sorted(ends, key=lambda x: _dart_key(darts[x]))
+        orbits = _face_orbits(_face_successor(partner, 3 * len(self.vertices)), starts)
+        return tuple(tuple(map(darts.__getitem__, face)) for face in orbits)
+
+
+@lru_cache(maxsize=256)
+def _owners(n_vertices: int, n_crossings: int) -> list:
+    """The node position of each dart: 0, 0, 0, 1, 1, 1, ..., then four
+    darts for each crossing.  Shared by every caller: never changed."""
+    vs, cs = range(n_vertices), range(n_vertices, n_vertices + n_crossings)
+    return [*chain.from_iterable(zip(vs, vs, vs)), *chain.from_iterable(zip(cs, cs, cs, cs))]
+
+
+def _face_successor(partner: list, n3: int) -> list:
+    """The face permutation on darts: the partner's next dart
+    counterclockwise at its node.  ``n3`` is the number of vertex darts."""
+    following = list(range(1, len(partner) + 1))
+    following[2:n3:3] = range(0, n3, 3)
+    following[n3 + 3 :: 4] = range(n3, len(partner), 4)
+    return [following[p] for p in partner]
+
+
+def _face_orbits(successor: list, starts) -> list:
+    """The orbits of ``successor`` as lists of darts, each traced from its
+    first dart in ``starts``."""
+    seen = bytearray(len(successor))
+    faces = []
+    for start in starts:
+        if not seen[start]:
+            face = []
+            dart = start
+            while not seen[dart]:  # the orbit closes at start
+                seen[dart] = 1
+                face.append(dart)
+                dart = successor[dart]
+            faces.append(face)
+    return faces
 
 
 def _dart_key(dart) -> tuple:
     return str(dart[0]), dart[1]
 
 
-def _trace_faces(d: Diagram, key=None) -> list:
-    """Faces as tuples of darts (node, pos): each traced from its least
-    dart by ``key``, in that order, or in no set order if ``key`` is None."""
-    partner = d.partner
-    degree = {n.id: len(n.arcs) for nodes in (d.vertices, d.crossings) for n in nodes}
-    seen = set()
-    faces = []
-    for start in sorted(partner, key=key) if key else partner:
-        if start not in seen:
-            face = []
-            dart = start
-            while dart not in seen:  # the orbit closes at start
-                face.append(dart)
-                seen.add(dart)
-                n, p = partner[dart]
-                dart = (n, (p + 1) % degree[n])
-            faces.append(tuple(face))
-    return faces
+def _node_records(doc: dict, rename: dict) -> tuple | None:
+    """The (vertices, crossings, circles) of a diagram document whose
+    records all have a string or integer id, a ``darts`` list of hashable
+    labels and, at a crossing, an ``over`` list; None for any other
+    document, which ``_checked_node_records`` reads."""
+    lists = doc.get("vertices", []), doc.get("crossings", []), doc.get("circles", [])
+    if any(type(x) is not list for x in lists):
+        return None
+    new = tuple.__new__  # the namedtuples' own __new__ adds a Python call
+    vertices = []
+    crossings = []
+    try:
+        for out, recs in zip((vertices, crossings), lists):
+            for rec in recs:
+                if type(rec) is not dict:
+                    return None
+                i, arcs = rec.get("id"), rec.get("darts")
+                if type(i) not in (str, int) or type(arcs) is not list:
+                    return None
+                arcs = tuple(map(rename.get, arcs, arcs)) if rename else tuple(arcs)
+                if out is vertices:
+                    vertices.append(new(Vertex, (i, arcs)))
+                else:
+                    over = rec.get("over", [0, 2])
+                    if type(over) is not list:
+                        return None
+                    crossings.append(new(Crossing, (i, arcs, tuple(over))))
+        nodes = tuple(vertices), tuple(crossings), tuple(lists[2])
+        hash(nodes)  # every label is hashable
+    except TypeError:
+        return None
+    return nodes
 
 
-def parse_diagram(text: str) -> Diagram:
-    """Parse the JSON diagram format.
-
-    ``{"vertices": [{"id": v, "darts": [3 arcs ccw]}],
-       "crossings": [{"id": c, "darts": [4 arcs ccw], "over": [0,2]}],
-       "circles": [arc ids]}``
-
-    Arc labels pair the darts: each label occurs exactly twice.  An
-    explicit ``"strands": [[d1, d2], ...]`` list may be given instead, in
-    which case dart labels are treated as unique endpoint names.
-    """
-    doc = _load(text, "diagram")
-    rename = {}
-    for pair in _items(doc.get("strands", []), "'strands'"):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise WebError("each strand must pair exactly 2 darts")
-        a, b = _idents(pair, "dart")
-        label = str(min(a, b, key=str))
-        rename[a] = label
-        rename[b] = label
+def _checked_node_records(doc: dict, rename: dict) -> tuple:
+    """(vertices, crossings, circles) of a diagram document, or the
+    ``WebError`` of its first malformed record."""
 
     def node(rec, kind: str) -> tuple:
         if not isinstance(rec, dict) or "id" not in rec:
             raise WebError(f"every {kind} record needs an 'id'")
-        arcs = rec.get("darts") or rec.get("arcs")
+        arcs = rec["darts"] if "darts" in rec else rec.get("arcs")
         if arcs is None:
             raise WebError(f"{kind} {rec['id']!r} needs a 'darts' list")
         if not isinstance(arcs, list):
@@ -411,7 +482,31 @@ def parse_diagram(text: str) -> Diagram:
         for rec in _items(doc.get("crossings", []), "'crossings'")
     ]
     circles = _idents(_items(doc.get("circles", []), "'circles'"), "circle")
-    return Diagram(tuple(vertices), tuple(crossings), circles)
+    return tuple(vertices), tuple(crossings), circles
+
+
+def parse_diagram(text: str) -> Diagram:
+    """Parse the JSON diagram format.
+
+    ``{"vertices": [{"id": v, "darts": [3 arcs ccw]}],
+       "crossings": [{"id": c, "darts": [4 arcs ccw], "over": [0,2]}],
+       "circles": [arc ids]}``
+
+    Arc labels pair the darts: each label occurs exactly twice.  An
+    explicit ``"strands": [[d1, d2], ...]`` list may be given instead, in
+    which case dart labels are treated as unique endpoint names.  A node
+    record without ``darts`` may give its list as ``arcs``.
+    """
+    doc = _load(text, "diagram")
+    rename = {}
+    for pair in _items(doc.get("strands", []), "'strands'"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise WebError("each strand must pair exactly 2 darts")
+        a, b = _idents(pair, "dart")
+        label = str(min(a, b, key=str))
+        rename[a] = label
+        rename[b] = label
+    return Diagram(*(_node_records(doc, rename) or _checked_node_records(doc, rename)))
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -433,38 +528,44 @@ def underlying_web(d: Diagram) -> Web:
     """Erase all crossings, concatenating the strands passing through.
 
     A web edge or circle made of several arcs is labelled by the least of
-    their labels (compared as strings).
+    their labels (compared as strings).  Edges are walked from the vertex
+    darts, and circles from the crossing darts, in (str(node id),
+    position) order.  The walk reads the diagram's integer dart tables.
     """
-    partner, arc_at = d.partner, d.arc_at
-    crossings = {c.id for c in d.crossings}
+    partner, labels = d._partner, d._labels
+    n3 = 3 * len(d.vertices)
+    ends = [(n.id, pos) for n in d.vertices for pos in range(3)]
+    keys = [_dart_key(x) for x in ends]
+    keys += [(str(c.id), pos) for c in d.crossings for pos in range(4)]
     edges = []
-    walked = set()  # vertex darts ending an edge, crossing darts passed through
-    for start in sorted(((n.id, pos) for n in d.vertices for pos in range(3)), key=_dart_key):
-        if start in walked:
+    walked = bytearray(len(labels))  # vertex darts ending an edge, crossing darts passed through
+    for start in sorted(range(n3), key=keys.__getitem__):
+        if walked[start]:
             continue
-        labels = [arc_at[start]]
+        arcs = [labels[start]]
         dart = partner[start]
-        while dart[0] in crossings:  # go straight through: position p exits at p ^ 2
-            walked.update((dart, (dart[0], dart[1] ^ 2)))
-            dart = (dart[0], dart[1] ^ 2)
-            labels.append(arc_at[dart])
-            dart = partner[dart]
-        walked.update((start, dart))
-        edges.append((str(min(labels, key=str)), start, dart))
+        while dart >= n3:  # go straight through: position p exits at p ^ 2
+            out = n3 + ((dart - n3) ^ 2)
+            walked[dart] = walked[out] = 1
+            arcs.append(labels[out])
+            dart = partner[out]
+        walked[start] = walked[dart] = 1
+        edges.append((str(min(arcs, key=str)), ends[start], ends[dart]))
     circles = list(d.circles)
     # closed strands running through crossings only
-    for start in sorted(((c, pos) for c in crossings for pos in range(4)), key=_dart_key):
-        labels = []
-        cur = start
-        while cur not in walked:
-            walked.update((cur, (cur[0], cur[1] ^ 2)))
-            labels.append(arc_at[cur])
-            cur = partner[(cur[0], cur[1] ^ 2)]
-        if labels:
-            circles.append(str(min(labels, key=str)))
+    for start in sorted(range(n3, len(labels)), key=keys.__getitem__):
+        arcs = []
+        dart = start
+        while not walked[dart]:
+            out = n3 + ((dart - n3) ^ 2)
+            walked[dart] = walked[out] = 1
+            arcs.append(labels[dart])
+            dart = partner[out]
+        if arcs:
+            circles.append(str(min(arcs, key=str)))
     # guard against a merged edge label colliding with a circle label
-    labels = [e[0] for e in edges] + circles
-    if len(labels) != len(set(labels)):
+    names = [e[0] for e in edges] + circles
+    if len(names) != len(set(names)):
         edges = [(f"e{idx}:{lbl}", a, b) for idx, (lbl, a, b) in enumerate(edges)]
     return make_web([n.id for n in d.vertices], edges, circles)
 

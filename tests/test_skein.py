@@ -32,6 +32,7 @@ from webfoam.webs import (
     flip_crossing,
     parse_diagram,
     resolve_crossing,
+    serialize_diagram,
     Vertex,
     underlying_web,
     web_from_incidences,
@@ -87,6 +88,22 @@ class TestBaseCases:
             d = catalogue.load_diagram(catalogue.get(name))
             w = underlying_web(d)
             assert euler_char(d) == tait_count(w) == planar_lsharp_dim(w)
+
+    def test_plane_prism_at_scale(self):
+        # 1,600 vertices, 4,800 darts, 2,400 arcs; chi is the prism's Tait count
+        from test_tait import prism_diagram
+
+        d = prism_diagram(800)
+        assert euler_char_report(d) == {"chi": 2**800 + 8, "expansion_leaves": 1}
+        assert "partner" not in d.__dict__ and "arc_ends" not in d.__dict__
+
+
+def test_evaluation_builds_no_tuple_tables():
+    # a parse and an evaluation read the integer dart tables alone
+    for d in criterion_3_stream()[:60]:
+        d = parse_diagram(serialize_diagram(d))
+        euler_char_report(d)
+        assert not {"partner", "arc_ends", "arc_at", "faces"} & d.__dict__.keys()
 
 
 class TestKnownValues:

@@ -513,7 +513,12 @@ def test_counts_multiply_under_disjoint_union(a, b, data):
 def brute_force(nodes) -> int:
     """``contract``'s sum, by visiting every coloring of the arcs."""
     arcs = sorted({a for node_arcs, _ in nodes for a in node_arcs}, key=str)
-    tables = [dict(weights) for _, weights in nodes]
+    tables = []
+    for _, weights in nodes:
+        table: dict = {}  # a coloring listed twice weighs the sum of its entries
+        for colors, w in weights:
+            table[colors] = table.get(colors, 0) + w
+        tables.append(table)
     total = 0
     for colors in product(range(3), repeat=len(arcs)):
         color = dict(zip(arcs, colors))
@@ -530,7 +535,8 @@ def networks(draw):
     random, so an arc can meet one node twice and two nodes can share
     several arcs, in one component or several, with weight tables of signed
     and zero entries.  Every table of a network may be symmetrised over S3
-    or A3: the sum of a drawn table and all of its relabelled images."""
+    or A3: the sum of a drawn table and all of its relabelled images.  A
+    table may list one coloring twice."""
     arity = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(lambda a: sum(a) <= 12))
     if sum(arity) % 2:
         arity.append(1)
@@ -547,7 +553,11 @@ def networks(draw):
             for col, w in weights.items():
                 image = tuple(perm[x] for x in col)
                 table[image] = table.get(image, 0) + w
-        nodes.append((tuple(label[i, k] for k in range(n)), tuple(table.items())))
+        items = list(table.items())
+        if items and draw(st.booleans()):  # list one coloring twice; its entries add up
+            colors, _ = draw(st.sampled_from(items))
+            items.insert(draw(st.integers(0, len(items))), (colors, draw(st.integers(-2, 2))))
+        nodes.append((tuple(label[i, k] for k in range(n)), tuple(items)))
     return nodes
 
 

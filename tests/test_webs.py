@@ -172,6 +172,25 @@ class TestParseDiagram:
         with pytest.raises(WebError, match="non-planar"):
             parse_diagram(json.dumps(doc))
 
+    @pytest.mark.parametrize("darts", [[], 0, ""])
+    @pytest.mark.parametrize("kind, record", [("vertex", "vertices"), ("crossing", "crossings")])
+    def test_falsy_darts_are_read(self, darts, kind, record):
+        # a 'darts' key is read even when its value is falsy; 'arcs' is only its stand-in
+        doc = {record: [{"id": "u", "darts": darts, "arcs": ["a", "a", "b", "b"][: 3 if kind == "vertex" else 4]}]}
+        if darts == []:
+            message = f"{kind} 'u' must list {3 if kind == 'vertex' else 4} arcs"
+        else:
+            message = f"'darts' of {kind} 'u' must be a list, not {darts!r}"
+        with pytest.raises(WebError) as exc:
+            parse_diagram(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_arcs_stand_in_for_missing_darts(self):
+        doc = {"crossings": [{"id": "x", "arcs": ["A", "A", "B", "B"]}]}
+        assert parse_diagram(json.dumps(doc)) == parse_diagram(KINK_DOC)
+        with pytest.raises(WebError, match="^vertex 'u' needs a 'darts' list$"):
+            parse_diagram(json.dumps({"vertices": [{"id": "u"}]}))
+
     def test_explicit_strand_pairing(self):
         doc = {
             "vertices": [
@@ -393,6 +412,55 @@ def test_stored_involution_matches_the_node_records():
         assert d.partner == node_partner(d)
         assert all(d.partner[d.partner[x]] == x != d.partner[x] for x in d.partner)
         assert d.arc_at == {(n.id, pos): a for n in d.vertices + d.crossings for pos, a in enumerate(n.arcs)}
+
+
+def tuple_walk_underlying_web(d) -> Web:
+    """``underlying_web`` by a walk over the tuple-keyed tables ``partner``
+    and ``arc_at``, from the vertex darts and then the crossing darts in
+    (str(node id), position) order."""
+    partner, arc_at = d.partner, d.arc_at
+    crossings = [c.id for c in d.crossings]
+    key = lambda dart: (str(dart[0]), dart[1])  # noqa: E731
+    edges = []
+    walked = set()
+    for start in sorted(((n.id, pos) for n in d.vertices for pos in range(3)), key=key):
+        if start in walked:
+            continue
+        labels = [arc_at[start]]
+        dart = partner[start]
+        while dart[0] in crossings:
+            walked.update((dart, (dart[0], dart[1] ^ 2)))
+            dart = (dart[0], dart[1] ^ 2)
+            labels.append(arc_at[dart])
+            dart = partner[dart]
+        walked.update((start, dart))
+        edges.append((str(min(labels, key=str)), start, dart))
+    circles = list(d.circles)
+    for start in sorted(((c, pos) for c in crossings for pos in range(4)), key=key):
+        labels = []
+        cur = start
+        while cur not in walked:
+            walked.update((cur, (cur[0], cur[1] ^ 2)))
+            labels.append(arc_at[cur])
+            cur = partner[(cur[0], cur[1] ^ 2)]
+        if labels:
+            circles.append(str(min(labels, key=str)))
+    labels = [e[0] for e in edges] + circles
+    if len(labels) != len(set(labels)):
+        edges = [(f"e{idx}:{lbl}", a, b) for idx, (lbl, a, b) in enumerate(edges)]
+    return make_web([n.id for n in d.vertices], edges, circles)
+
+
+def test_underlying_web_matches_the_tuple_walk():
+    diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file] + criterion_3_stream()
+    diagrams += [parse_diagram(KINK_DOC), hopf_diagram()]
+    for d in diagrams:
+        d = parse_diagram(serialize_diagram(d))
+        w = underlying_web(d)
+        assert not {"partner", "arc_ends", "arc_at"} & d.__dict__.keys()
+        want = tuple_walk_underlying_web(d)
+        assert w == want
+        assert list(w.edge_ends.items()) == list(want.edge_ends.items())
 
 
 class TestParseProperties:
