@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Mapping
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 from . import Frozen
@@ -222,19 +222,18 @@ def _union_find(nodes, pairs) -> dict:
     the root of the second becomes the root of the union.
     """
     parent = {x: x for x in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for a, b in pairs:
-        while (up := parent[a]) != a:  # path halving
-            parent[a] = a = parent[up]
-        while (up := parent[b]) != b:
-            parent[b] = b = parent[up]
-        parent[a] = b
-    root = {}
-    for x in parent:
-        r = x
-        while (up := parent[r]) != r:
-            parent[r] = r = parent[up]
-        root[x] = r
-    return root
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {x: find(x) for x in parent}
 
 
 def web_component_count(w: Web) -> int:
@@ -329,7 +328,7 @@ class Diagram(Frozen):
             if a in first:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
         self.__dict__.update(_labels=labels, _partner=partner)
-        owner = _owners(len(vertices), len(crossings))
+        owner = [i for i, node in enumerate(chain(vertices, crossings)) for _ in node.arcs]  # dart -> node position
         firsts = list(first.values())  # arcs in order of their first darts
         seconds = map(partner.__getitem__, firsts)
         joins = [*zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds))]  # node positions
@@ -389,14 +388,6 @@ class Diagram(Frozen):
         return tuple(tuple(map(darts.__getitem__, face)) for face in orbits)
 
 
-@lru_cache(maxsize=256)
-def _owners(n_vertices: int, n_crossings: int) -> list:
-    """The node position of each dart: 0, 0, 0, 1, 1, 1, ..., then four
-    darts for each crossing.  Shared by every caller: never changed."""
-    vs, cs = range(n_vertices), range(n_vertices, n_vertices + n_crossings)
-    return [*chain.from_iterable(zip(vs, vs, vs)), *chain.from_iterable(zip(cs, cs, cs, cs))]
-
-
 def _face_successor(partner: list, n3: int) -> list:
     """The face permutation on darts: the partner's next dart
     counterclockwise at its node.  ``n3`` is the number of vertex darts."""
@@ -427,64 +418,6 @@ def _dart_key(dart) -> tuple:
     return str(dart[0]), dart[1]
 
 
-def _node_records(doc: dict, rename: dict) -> tuple | None:
-    """The (vertices, crossings, circles) of a diagram document whose
-    records all have a string or integer id, a ``darts`` list of hashable
-    labels and, at a crossing, an ``over`` list; None for any other
-    document, which ``_checked_node_records`` reads."""
-    lists = doc.get("vertices", []), doc.get("crossings", []), doc.get("circles", [])
-    if any(type(x) is not list for x in lists):
-        return None
-    new = tuple.__new__  # the namedtuples' own __new__ adds a Python call
-    vertices = []
-    crossings = []
-    try:
-        for out, recs in zip((vertices, crossings), lists):
-            for rec in recs:
-                if type(rec) is not dict:
-                    return None
-                i, arcs = rec.get("id"), rec.get("darts")
-                if type(i) not in (str, int) or type(arcs) is not list:
-                    return None
-                arcs = tuple(map(rename.get, arcs, arcs)) if rename else tuple(arcs)
-                if out is vertices:
-                    vertices.append(new(Vertex, (i, arcs)))
-                else:
-                    over = rec.get("over", [0, 2])
-                    if type(over) is not list:
-                        return None
-                    crossings.append(new(Crossing, (i, arcs, tuple(over))))
-        nodes = tuple(vertices), tuple(crossings), tuple(lists[2])
-        hash(nodes)  # every label is hashable
-    except TypeError:
-        return None
-    return nodes
-
-
-def _checked_node_records(doc: dict, rename: dict) -> tuple:
-    """(vertices, crossings, circles) of a diagram document, or the
-    ``WebError`` of its first malformed record."""
-
-    def node(rec, kind: str) -> tuple:
-        if not isinstance(rec, dict) or "id" not in rec:
-            raise WebError(f"every {kind} record needs an 'id'")
-        arcs = rec["darts"] if "darts" in rec else rec.get("arcs")
-        if arcs is None:
-            raise WebError(f"{kind} {rec['id']!r} needs a 'darts' list")
-        if not isinstance(arcs, list):
-            raise WebError(f"'darts' of {kind} {rec['id']!r} must be a list, not {arcs!r}")
-        arcs = _idents(arcs, "arc")
-        return _ident(rec["id"], f"{kind} id"), tuple(map(rename.get, arcs, arcs)) if rename else arcs
-
-    vertices = [Vertex(*node(rec, "vertex")) for rec in _items(doc.get("vertices", []), "'vertices'")]
-    crossings = [
-        Crossing(*node(rec, "crossing"), tuple(_items(rec.get("over", [0, 2]), "'over'")))
-        for rec in _items(doc.get("crossings", []), "'crossings'")
-    ]
-    circles = _idents(_items(doc.get("circles", []), "'circles'"), "circle")
-    return tuple(vertices), tuple(crossings), circles
-
-
 def parse_diagram(text: str) -> Diagram:
     """Parse the JSON diagram format.
 
@@ -506,7 +439,30 @@ def parse_diagram(text: str) -> Diagram:
         label = str(min(a, b, key=str))
         rename[a] = label
         rename[b] = label
-    return Diagram(*(_node_records(doc, rename) or _checked_node_records(doc, rename)))
+    new = tuple.__new__  # the namedtuples' own __new__ adds a Python call
+    nodes = []
+    for kind, key in (("vertex", "vertices"), ("crossing", "crossings")):
+        out = []
+        for rec in _items(doc.get(key, []), f"'{key}'"):
+            if not isinstance(rec, dict) or "id" not in rec:
+                raise WebError(f"every {kind} record needs an 'id'")
+            i = rec["id"]
+            arcs = rec["darts"] if "darts" in rec else rec.get("arcs")
+            if type(arcs) is not list:
+                if arcs is None:
+                    raise WebError(f"{kind} {i!r} needs a 'darts' list")
+                raise WebError(f"'darts' of {kind} {i!r} must be a list, not {arcs!r}")
+            arcs = _idents(arcs, "arc")
+            if type(i) not in (str, int):
+                _ident(i, f"{kind} id")
+            if rename:
+                arcs = tuple(map(rename.get, arcs, arcs))
+            if kind == "vertex":
+                out.append(new(Vertex, (i, arcs)))
+            else:
+                out.append(new(Crossing, (i, arcs, tuple(_items(rec.get("over", [0, 2]), "'over'")))))
+        nodes.append(tuple(out))
+    return Diagram(*nodes, _idents(_items(doc.get("circles", []), "'circles'"), "circle"))
 
 
 def serialize_diagram(d: Diagram) -> str:
