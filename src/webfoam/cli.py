@@ -1,8 +1,16 @@
 """Command-line front end: webfoam <subcommand>.
 
 Output is JSON by default (stable key order) or an aligned table with
-``--format table``.  Exit codes: 0 success, 1 domain error, 2 usage
-error.
+``--format table``.  Exit codes: 0 success, 1 domain error (or a reader
+that closed stdout early), 2 usage error.
+
+``run`` is the process entry point (``python -m webfoam.cli`` and the
+installed ``webfoam`` script).  It calls ``main``, runs the registered
+``atexit`` handlers, flushes stdout and stderr and ends the process with
+``os._exit``: a command lives for tens of milliseconds, and the
+interpreter's teardown of its modules and objects would add several more
+without changing any output.  ``main(argv)`` returns the status instead,
+for callers in the same process.
 
 Each command imports only the layers it uses.  Only ``adhm-verify``
 loads numpy: the exact GF(2) layers behind ``module`` and ``catalogue``
@@ -12,7 +20,9 @@ work on packed Python integers, and no command loads networkx.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
 
 
@@ -35,10 +45,10 @@ def _read(path: str) -> str:
 def _load_web_or_diagram(text: str):
     from . import webs
 
-    doc = json.loads(text)
-    if isinstance(doc, dict) and "edges" in doc:
-        return webs.parse_web(text), None
-    d = webs.parse_diagram(text)
+    doc = webs.load_document(text, "diagram")
+    if "edges" in doc:
+        return webs.parse_web(doc), None
+    d = webs.parse_diagram(doc)
     return webs.underlying_web(d), d
 
 
@@ -217,5 +227,45 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """End the process with ``main``'s status on ``sys.argv``, skipping the
+    interpreter's teardown.
+
+    The status is the one the interpreter would give: ``main``'s return
+    value, or the int (``None`` meaning 0) of a ``SystemExit`` from
+    argparse or ``catalogue --verify``.  Any other exception, and a
+    ``SystemExit`` of any other code, propagates to the normal exit.  A
+    reader that closes stdout early ends the command with status 1 and no
+    traceback.  The ``atexit`` handlers run first, as at a normal exit;
+    a stream that cannot be flushed for any other reason also hands over
+    to the normal exit, which reports it.
+    """
+    try:
+        status = main()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        status = exc.code or 0
+    except BrokenPipeError:
+        status = _stdout_closed()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start
+                stream.flush()
+    except BrokenPipeError:
+        status = _stdout_closed()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
+def _stdout_closed() -> int:
+    """Point fd 1 at the null device, so that the output still buffered
+    is dropped instead of failing again, and give the status 1."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

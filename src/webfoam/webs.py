@@ -143,7 +143,13 @@ def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:
     return make_web(tuple(vertex_edges), edges, circles)
 
 
-def _load(text: str, what: str) -> dict:
+def load_document(text: str | dict, what: str) -> dict:
+    """The JSON object ``text`` holds; ``what`` names the document in a
+    ``WebError``.  A dict is taken as already decoded, so a caller that
+    must look inside a document before choosing its parser decodes it
+    once."""
+    if isinstance(text, dict):
+        return text
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -177,13 +183,14 @@ def _idents(xs: list, what: str) -> tuple:
     return xs
 
 
-def parse_web(text: str) -> Web:
-    """Parse the JSON web format.
+def parse_web(text: str | dict) -> Web:
+    """Parse the JSON web format, from its text or from the dict that
+    ``load_document`` decoded it to.
 
     ``{"vertices": [ids], "edges": [{"id": e, "ends": [[v, slot], [v, slot]]}
     | {"id": e, "circle": true}]}``
     """
-    doc = _load(text, "web")
+    doc = load_document(text, "web")
     if "edges" not in doc:
         raise WebError("web document must be an object with an 'edges' list")
     vertices = _idents(_items(doc.get("vertices", []), "'vertices'"), "vertex id")
@@ -418,8 +425,9 @@ def _dart_key(dart) -> tuple:
     return str(dart[0]), dart[1]
 
 
-def parse_diagram(text: str) -> Diagram:
-    """Parse the JSON diagram format.
+def parse_diagram(text: str | dict) -> Diagram:
+    """Parse the JSON diagram format, from its text or from the dict that
+    ``load_document`` decoded it to.
 
     ``{"vertices": [{"id": v, "darts": [3 arcs ccw]}],
        "crossings": [{"id": c, "darts": [4 arcs ccw], "over": [0,2]}],
@@ -430,7 +438,7 @@ def parse_diagram(text: str) -> Diagram:
     which case dart labels are treated as unique endpoint names.  A node
     record without ``darts`` may give its list as ``arcs``.
     """
-    doc = _load(text, "diagram")
+    doc = load_document(text, "diagram")
     rename = {}
     for pair in _items(doc.get("strands", []), "'strands'"):
         if not isinstance(pair, list) or len(pair) != 2:

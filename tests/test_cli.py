@@ -1,7 +1,9 @@
 import difflib
 import importlib.util
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -188,7 +190,22 @@ def test_malformed_input_is_a_domain_error(capsys, tmp_path, doc):
     assert out == "" and err.startswith("error: ")
 
 
-def test_console_script_runs():
+def test_tait_on_invalid_json_names_the_document(capsys, tmp_path):
+    """``tait`` decodes its input once, through the loader of ``webs``, and
+    reports invalid JSON as ``euler`` does; a JSON array is still "not an
+    object"."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": [,]}')
+    for cmd in ("tait", "euler"):
+        code, out, err = run_cli(capsys, cmd, str(bad))
+        assert (code, out) == (1, "")
+        assert err == "error: diagram document is not valid JSON: Expecting value: line 1 column 15 (char 14)\n"
+    bad.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "tait", str(bad))
+    assert (code, out, err) == (1, "", "error: diagram document must be a JSON object\n")
+
+
+def test_module_entry_runs():
     out = subprocess.run(
         [sys.executable, "-m", "webfoam.cli", "foam-eval", "sphere 2"],
         capture_output=True,
@@ -196,6 +213,115 @@ def test_console_script_runs():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"value": 1}
+
+
+SRC = str(pathlib.Path(importlib.util.find_spec("webfoam").origin).resolve().parents[1])
+# what setuptools writes for ``[project.scripts] webfoam = "webfoam.cli:run"``
+CONSOLE_SCRIPT = "import sys; from webfoam.cli import run; sys.argv[0] = 'webfoam'; sys.exit(run())"
+
+
+def process(*argv, code=None, unbuffered=False, **kwargs):
+    """``python -m webfoam.cli ARGV`` (or ``python -c CODE ARGV``) in a new
+    process, with this tree's ``src`` first on its path; stdout and stderr
+    are captured as text unless ``kwargs`` redirect them."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    launch = ["-c", code] if code is not None else ["-m", "webfoam.cli"]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *launch, *argv], env=env, text=True, timeout=120, **kwargs)
+
+
+class TestProcessBoundary:
+    """``cli.run`` ends the process without the interpreter's teardown; each
+    way out keeps its exit status, stdout and stderr."""
+
+    @pytest.mark.parametrize("code", [None, CONSOLE_SCRIPT], ids=["python-m", "console-script"])
+    def test_success(self, code):
+        out = process("foam-eval", "sphere 2", code=code)
+        assert (out.returncode, out.stdout, out.stderr) == (0, '{"value": 1}\n', "")
+
+    def test_table_output_is_flushed(self):
+        out = process("--format", "table", "catalogue")
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.startswith("entries  {") and out.stdout.endswith("}\n")
+
+    def test_domain_error(self):
+        out = process("tait", "no-such-file.json")
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+    def test_usage_error(self):
+        out = process("frob")
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith(build_parser().format_usage())
+        assert out.stderr.endswith("invalid choice: 'frob' (choose from 'tait', 'euler', 'foam-eval', "
+                                   "'module', 'dims', 'adhm-verify', 'catalogue')\n")
+
+    def test_help(self):
+        out = process("--help")
+        assert (out.returncode, out.stdout, out.stderr) == (0, build_parser().format_help(), "")
+
+    def test_catalogue_verify(self):
+        out = process("catalogue", "--verify")
+        assert (out.returncode, out.stderr) == (0, "")
+        assert json.loads(out.stdout)["pass"] is True
+
+    def test_closed_stdout_at_start(self):
+        """With fd 1 closed, ``sys.stdout`` is None: nothing is printed and
+        nothing fails."""
+        out = process("catalogue", stdout=None, preexec_fn=lambda: os.close(1))
+        assert (out.returncode, out.stderr) == (0, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["foam-eval", "sphere 2"], ["catalogue"]], ids=["short", "long"])
+    def test_broken_pipe(self, argv, unbuffered):
+        """A reader that closed stdout ends the command with status 1 and
+        no traceback, whether the write fails in ``print`` (unbuffered, or
+        more than a buffer) or at the final flush."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = process(*argv, unbuffered=unbuffered, stdout=write)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unflushable_stdout_takes_the_normal_exit(self):
+        """A stream that fails to flush for another reason is reported by the
+        interpreter's own exit, with its status 120."""
+        with open("/dev/full", "w") as full:
+            out = process("foam-eval", "sphere 2", stdout=full)
+        assert out.returncode == 120
+        assert out.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert "OSError: [Errno 28]" in out.stderr
+
+    def test_atexit_handlers_run(self):
+        code = (
+            "import atexit, sys; atexit.register(print, 'bye', file=sys.stderr); "
+            "sys.argv = ['webfoam', 'foam-eval', 'sphere 2']; from webfoam.cli import run; run()"
+        )
+        out = process(code=code)
+        assert (out.returncode, out.stdout, out.stderr) == (0, '{"value": 1}\n', "bye\n")
+
+    def test_other_exits_propagate(self):
+        """A ``SystemExit`` whose code is not an int, and a
+        ``KeyboardInterrupt``, take the interpreter's normal exit."""
+        stub = "import sys, webfoam.cli as cli; cli.main = lambda: {}; cli.run()"
+        out = process(code=stub.format("sys.exit('stopped')"))
+        assert (out.returncode, out.stdout, out.stderr) == (1, "", "stopped\n")
+        out = process(code=stub.format("(_ for _ in ()).throw(KeyboardInterrupt)"))
+        assert out.returncode == -signal.SIGINT and out.stderr.endswith("KeyboardInterrupt\n")
+
+
+def test_console_script_targets_run():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the standard library from 3.11")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"webfoam": "webfoam.cli:run"}
 
 
 def modules_loaded(*argvs) -> list:
