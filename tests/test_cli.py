@@ -205,16 +205,6 @@ def test_tait_on_invalid_json_names_the_document(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: diagram document must be a JSON object\n")
 
 
-def test_module_entry_runs():
-    out = subprocess.run(
-        [sys.executable, "-m", "webfoam.cli", "foam-eval", "sphere 2"],
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode == 0
-    assert json.loads(out.stdout) == {"value": 1}
-
-
 SRC = str(pathlib.Path(importlib.util.find_spec("webfoam").origin).resolve().parents[1])
 # what setuptools writes for ``[project.scripts] webfoam = "webfoam.cli:run"``
 CONSOLE_SCRIPT = "import sys; from webfoam.cli import run; sys.argv[0] = 'webfoam'; sys.exit(run())"
@@ -224,7 +214,7 @@ def process(*argv, code=None, unbuffered=False, **kwargs):
     """``python -m webfoam.cli ARGV`` (or ``python -c CODE ARGV``) in a new
     process, with this tree's ``src`` first on its path; stdout and stderr
     are captured as text unless ``kwargs`` redirect them."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -243,11 +233,6 @@ class TestProcessBoundary:
         out = process("foam-eval", "sphere 2", code=code)
         assert (out.returncode, out.stdout, out.stderr) == (0, '{"value": 1}\n', "")
 
-    def test_table_output_is_flushed(self):
-        out = process("--format", "table", "catalogue")
-        assert (out.returncode, out.stderr) == (0, "")
-        assert out.stdout.startswith("entries  {") and out.stdout.endswith("}\n")
-
     def test_domain_error(self):
         out = process("tait", "no-such-file.json")
         assert (out.returncode, out.stdout) == (1, "")
@@ -257,8 +242,7 @@ class TestProcessBoundary:
         out = process("frob")
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith(build_parser().format_usage())
-        assert out.stderr.endswith("invalid choice: 'frob' (choose from 'tait', 'euler', 'foam-eval', "
-                                   "'module', 'dims', 'adhm-verify', 'catalogue')\n")
+        assert "invalid choice: 'frob'" in out.stderr and out.stderr.endswith(")\n")
 
     def test_help(self):
         out = process("--help")
