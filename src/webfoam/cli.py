@@ -1,8 +1,9 @@
 """Command-line front end: webfoam <subcommand>.
 
 Output is JSON by default (stable key order) or an aligned table with
-``--format table``.  Exit codes: 0 success, 1 domain error (or a reader
-that closed stdout early), 2 usage error.
+``--format table``.  Exit codes: 0 success, 1 domain error (or a failed
+``catalogue --verify``, or a stdout that could not be written, such as a
+reader that closed it early), 2 usage error.
 
 ``run`` is the process entry point (``python -m webfoam.cli`` and the
 installed ``webfoam`` script).  It calls ``main``, runs the registered
@@ -140,16 +141,13 @@ def cmd_adhm_verify(args) -> dict:
     return adhm.verify_report(args.rank)
 
 
-def cmd_catalogue(args) -> dict:
+def cmd_catalogue(args) -> dict | tuple:
     from . import catalogue
 
     if args.verify:
         problems = catalogue.verify_all()
         doc = {"entries": len(catalogue.CATALOGUE), "failures": problems, "pass": not problems}
-        _emit(doc, args.format)
-        if problems:
-            raise SystemExit(1)
-        return None
+        return doc, 1 if problems else 0
     out = {}
     for e in catalogue.CATALOGUE:
         out[e.name] = {
@@ -213,18 +211,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its status.  A command returns its
+    document, or its document and status; the document is emitted here,
+    outside the ``try``, so a failed write reaches ``run``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         doc = args.func(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:  # every layer's error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if doc is not None:
-        _emit(doc, args.format)
-    return 0
+    doc, status = doc if isinstance(doc, tuple) else (doc, 0)
+    _emit(doc, args.format)
+    return status
 
 
 def run() -> None:
@@ -233,12 +232,13 @@ def run() -> None:
 
     The status is the one the interpreter would give: ``main``'s return
     value, or the int (``None`` meaning 0) of a ``SystemExit`` from
-    argparse or ``catalogue --verify``.  Any other exception, and a
-    ``SystemExit`` of any other code, propagates to the normal exit.  A
-    reader that closes stdout early ends the command with status 1 and no
-    traceback.  The ``atexit`` handlers run first, as at a normal exit;
-    a stream that cannot be flushed for any other reason also hands over
-    to the normal exit, which reports it.
+    argparse.  Any other exception, and a ``SystemExit`` of any other
+    code, propagates to the normal exit.  A write to stdout that fails,
+    in ``main`` or at the final flush, ends the command with status 1:
+    silently when the reader closed the pipe early, with one ``error:``
+    line on stderr otherwise (a full device, say).  The ``atexit``
+    handlers run first, as at a normal exit; a stderr that cannot be
+    flushed hands over to the normal exit, which reports it.
     """
     try:
         status = main()
@@ -246,23 +246,28 @@ def run() -> None:
         if exc.code is not None and not isinstance(exc.code, int):
             raise
         status = exc.code or 0
-    except BrokenPipeError:
-        status = _stdout_closed()
+    except OSError as exc:
+        status = _stdout_failed(exc)
     atexit._run_exitfuncs()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the fd was closed at start
-                stream.flush()
-    except BrokenPipeError:
-        status = _stdout_closed()
+        if sys.stdout is not None:  # None when the fd was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        status = _stdout_failed(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except OSError:
         sys.exit(status)
     os._exit(status)
 
 
-def _stdout_closed() -> int:
-    """Point fd 1 at the null device, so that the output still buffered
-    is dropped instead of failing again, and give the status 1."""
+def _stdout_failed(exc: OSError) -> int:
+    """Report a failed write to stdout, unless the reader closed the pipe,
+    point fd 1 at the null device, so that the output still buffered is
+    dropped instead of failing again, and give the status 1."""
+    if not isinstance(exc, BrokenPipeError):
+        print(f"error: {exc}", file=sys.stderr)
     os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     return 1
 

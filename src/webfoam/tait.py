@@ -14,16 +14,21 @@ not the size of the web; matching branching in ``one_sets``, summed by
 the independent check of ``skein.euler_char``.  The enumeration and the
 kernel's vertex nodes read ``Web.slot_edges``, built by validation.
 
-``contract`` plans every step in one pass over its node's arcs: the
-node's expanded table, rows keyed by the colors of its open arcs, and
-the two projections of a frontier coloring, onto those arcs and onto the
-arcs kept.  The table depends only on the weight table, the node's
-arc-multiplicity shape, which of its arcs are open and the call's color
-symmetry, so ``_local_table`` memoizes it on those four values in an LRU
-cache of ``LOCAL_TABLES`` entries, keyed by value, never by identity;
-``_picker`` memoizes a projection by its index tuple in one of
-``PICKERS`` entries.  A run over many diagrams builds a few dozen of
-each, not one per contraction step.  The weight tables are tuples of
+``contract`` numbers the arcs once and plans every step on those
+numbers: the node's expanded table, rows keyed by the colors of its open
+arcs, and the two projections of a frontier coloring, onto those arcs and
+onto the arcs kept.  A step depends only on the node's weight table, its
+pattern (per arc position, the arc's frontier position, or the node
+position where an arc off the frontier first occurs), the frontier's
+width and the call's color symmetry, so ``_step`` resolves it through
+one LRU cache of ``STEPS`` entries.  Behind it, the table depends only on
+the weight table, the node's arc-multiplicity shape, which of its arcs
+are open and the color symmetry, so ``_local_table`` memoizes it on
+those four values in one of ``LOCAL_TABLES`` entries; ``_picker``
+memoizes a projection by its index tuple in one of ``PICKERS``.  Every
+cache is keyed by value, never by identity.  A run over many diagrams
+builds a few dozen tables and pickers and a few hundred steps, not one of
+each per contraction step.  The weight tables are tuples of
 ``(colors, weight)`` items so that they can be keys.
 
 The color symmetry: ``VERTEX_WEIGHTS`` and the skein crossing tables are
@@ -41,7 +46,9 @@ Limits, each refused with a ``WebError`` before the work starts: webs
 with more than ``MAX_EDGES`` regular edges, by the two recursive
 searches ``tait_colorings`` and ``one_sets`` (so by ``planar_lsharp_dim``
 too); a contraction whose frontier would be wider than ``MAX_WIDTH``
-arcs; and a 1-set list longer than ``MAX_ONE_SETS``.
+arcs; and a 1-set list longer than ``MAX_ONE_SETS``.  A contraction that
+has built more than ``MAX_STATES`` states is refused at the end of the
+step that passes the bound, so its time is bounded too.
 """
 
 from __future__ import annotations
@@ -65,19 +72,25 @@ MAX_EDGES = 500
 # Width alone does not bound time: a Tait count on an 80-vertex plane web
 # of width 15 takes 2-4 s and about 105 MB on a shared 2-vCPU host, while
 # the 166-sided prism counts in hundredths of a second, as the time follows
-# how many steps stay wide and how dense their states are.  A cost budget
-# read from the plan would bound it.
+# how many steps stay wide and how dense their states are.
 MAX_WIDTH = 16
+
+# Most states ``contract`` builds, summed over its steps and checked after
+# each step, which bounds the time: the 96-vertex plane web of width 15
+# builds 7.8M states in 6.8 s on a shared 2-vCPU host.  The count does not
+# depend on the host, so neither does a refusal.
+MAX_STATES = 10**7
 
 # Longest 1-set list ``one_sets`` builds: the 18-sided prism (5,780 sets)
 # is listed by ``webfoam tait`` in under a second, the 20-sided one
 # (15,129 sets, 2.4 MB of JSON) is refused.
 MAX_ONE_SETS = 10_000
 
-# bounds of the LRU caches behind ``contract``: expanded node tables, and
-# frontier projections
+# bounds of the LRU caches behind ``contract``: expanded node tables,
+# frontier projections, and planned steps
 LOCAL_TABLES = 512
 PICKERS = 512
+STEPS = 512
 
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _ALL_PERMS = frozenset(permutations(range(3)))  # permutations of the colors 0, 1, 2, as tuples of images
@@ -194,6 +207,38 @@ def _local_table(weights: tuple, shape: tuple, is_open: tuple, group: frozenset)
     return {key: tuple(row.items()) for key, row in local.items()}
 
 
+@lru_cache(maxsize=STEPS)
+def _step(weights: tuple, pattern: tuple, width: int, group: frozenset) -> tuple:
+    """One step of ``contract``, from its node's arc pattern.
+
+    ``pattern`` holds, per position of the node's arcs, the arc's position
+    on the frontier of ``width`` arcs, or ``~i`` for an arc off the
+    frontier whose first position in the node is ``i``, so both ends of a
+    loop give the same entry.  Returns the node's expanded table, the
+    pickers of the open arcs' colors and of the kept arcs' (in frontier
+    order), and the node positions of the new arcs, the closed ones met
+    once, which follow the kept arcs on the next frontier.
+    """
+    old, fresh, shape, is_open = [], [], [], []  # shape and is_open as ``_local_table`` takes them
+    for i, p in enumerate(pattern):
+        if p >= 0:
+            shape.append(len(is_open))
+            is_open.append(True)
+            old.append(p)
+        elif p == ~i:  # a closed arc's first end
+            shape.append(len(is_open))
+            is_open.append(False)
+            fresh.append(i)
+        else:  # the second end of a loop: summed out
+            shape.append(shape[~p])
+            fresh.remove(~p)
+    kept = [*range(width)]
+    for p in old:
+        kept.remove(p)
+    table = _local_table(weights, tuple(shape), tuple(is_open), group)
+    return table, _picker(tuple(old)), _picker(tuple(kept)), tuple(fresh)
+
+
 def contract(nodes) -> int:
     """Sum over colorings of the arcs of the product of the node weights.
 
@@ -212,71 +257,80 @@ def contract(nodes) -> int:
     shared arcs, started from the first node of each component, so the
     contraction sweeps outward instead of following the order of the
     list.  The order and every frontier depend on the arcs alone, so they
-    are planned, with each step's table and projections from the caches
-    above, before any state is built; a frontier wider than ``MAX_WIDTH``
-    arcs (up to 3^width states) is refused with a ``WebError``.  A color
-    permutation that every weight table admits (``_symmetry``) leaves the
-    sum over a component unchanged, so the first node of each component
-    keeps one coloring per orbit.  A result does not depend on what the
-    process computed before.
+    are planned before any state is built, on arcs numbered in order of
+    first occurrence: lists hold each arc's frontier position and the
+    nodes at its ends, and each node's open-arc count.  A step is
+    described by its node's pattern (see ``_step``), which resolves its
+    table and projections through the caches above.  A frontier wider
+    than ``MAX_WIDTH`` arcs (up to 3^width states) is refused with a
+    ``WebError`` before any state is built, and a run that has built more
+    than ``MAX_STATES`` states, counted once per step, after the step
+    that passes the bound.  A color permutation that every weight table
+    admits (``_symmetry``) leaves the sum over a component unchanged, so
+    the first node of each component keeps one coloring per orbit.  A
+    result does not depend on what the process computed before.
     """
     group = _ALL_PERMS  # the color permutations every table is invariant under
     last = None
-    holders: dict = {}  # arc -> positions of the nodes holding it
+    number: dict = {}  # arc label -> its number
+    ends: list = []  # arc number -> the sum of the positions of the two nodes holding it
+    node_arcs = []  # each node's arc numbers
     for i, (arcs, weights) in enumerate(nodes):
         if weights is not last:  # a run of nodes sharing one table probes it once
             last = weights
             group &= _symmetry(weights)
+        nums = []
         for a in arcs:
-            holders.setdefault(a, []).append(i)
+            x = number.setdefault(a, len(ends))
+            if x == len(ends):
+                ends.append(i)
+            else:
+                ends[x] += i
+            nums.append(x)
+        node_arcs.append(nums)
     todo: list = []  # breadth-first order over shared arcs, component by component
-    seen: set = set()
+    seen = bytearray(len(nodes))
     for root in range(len(nodes)):
-        if root not in seen:
-            seen.add(root)
+        if not seen[root]:
+            seen[root] = 1
             queue = [root]
             for i in queue:
-                for a in nodes[i][0]:
-                    for j in holders[a]:
-                        if j not in seen:
-                            seen.add(j)
-                            queue.append(j)
+                for x in node_arcs[i]:
+                    j = ends[x] - i  # the arc's other end
+                    if not seen[j]:
+                        seen[j] = 1
+                        queue.append(j)
             todo += queue
     steps: list = []  # (expanded table, picker of the open arcs' colors, of the kept arcs')
     frontier: list = []  # arcs with exactly one end contracted
-    where: dict = {}  # frontier arc -> its position
+    where = [-1] * len(ends)  # arc -> its frontier position, while it is on the frontier
     n_open = [0] * len(nodes)  # open arcs of each node
     width = 0
     while todo:
         k = max(todo, key=n_open.__getitem__)  # first of the ties
         todo.remove(k)
-        arcs, weights = nodes[k]
-        first: dict = {}  # arc -> its index among the node's distinct arcs
-        old, new = [], []  # frontier positions of its open arcs; its closed arcs met once
-        for a in arcs:
-            if a in first:
-                new.remove(a)  # both ends of a loop are here: summed out
-                continue
-            first[a] = len(first)
-            if a in where:
-                old.append(where[a])
-            else:
-                new.append(a)
-        kept = [a for a in frontier if a not in first]
-        for a in new:
-            for j in holders[a]:
-                n_open[j] += 1
-        shape = tuple(map(first.__getitem__, arcs))
-        table = _local_table(weights, shape, tuple(map(where.__contains__, first)), group)
-        steps.append((table, _picker(tuple(old)), _picker(tuple(map(where.__getitem__, kept)))))
-        frontier = kept + new
-        where = dict(zip(frontier, range(len(frontier))))
-        width = max(width, len(frontier))
+        arcs = node_arcs[k]
+        pattern = []
+        for x in arcs:
+            p = where[x]
+            pattern.append(p if p >= 0 else ~arcs.index(x))
+        table, pick_old, pick_kept, fresh = _step(nodes[k][1], tuple(pattern), len(frontier), group)
+        steps.append((table, pick_old, pick_kept))
+        frontier = [*pick_kept(frontier)]
+        for i in fresh:
+            x = arcs[i]
+            frontier.append(x)
+            n_open[ends[x] - k] += 1
+        for p, x in enumerate(frontier):
+            where[x] = p
+        if len(frontier) > width:
+            width = len(frontier)
     if width > MAX_WIDTH:
         raise WebError(
             f"contraction frontier would reach {width} arcs; the Tait and skein counts take at most {MAX_WIDTH}"
         )
     states = {(): 1}  # frontier coloring -> summed weight
+    built = 0
     for local, pick_old, pick_kept in steps:
         nxt: dict = {}
         for state, weight in states.items():
@@ -287,6 +341,11 @@ def contract(nodes) -> int:
                     key = head + colors
                     nxt[key] = nxt.get(key, 0) + weight * w
         states = nxt
+        built += len(nxt)
+        if built > MAX_STATES:
+            raise WebError(
+                f"contraction built {built} states; the Tait and skein counts build at most {MAX_STATES}"
+            )
     return states.get((), 0)
 
 

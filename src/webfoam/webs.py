@@ -292,11 +292,14 @@ class Diagram(Frozen):
     faces as tuples of darts, each from its least dart by ``_dart_key``,
     in that order.
 
-    Construction counts the face orbits, unsorted, and tests V - E + F =
-    2c once, c the number of connected components.  The test is exact: a
+    Construction counts the face orbits and the connected components c
+    on flat integer lists, with a ``bytearray`` of marks each and no
+    face list, and tests V - E + F = 2c once.  The test is exact: a
     connected rotation system has V - E + F = 2 - 2g <= 2, so the total
     is 2c only if every component has genus 0.  Only on failure are the
-    components checked one by one, to name the first non-planar one.
+    tables built (the joins of the nodes, their components and the face
+    orbits) to check the components one by one and name the first
+    non-planar one.
     Equality compares ``vertices``, ``crossings`` and ``circles``.
     """
 
@@ -335,15 +338,40 @@ class Diagram(Frozen):
             if a in first:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
         self.__dict__.update(_labels=labels, _partner=partner)
+        successor = _face_successor(partner, n3)
+        seen = bytearray(n)
+        n_faces = 0
+        for start in range(n):
+            if not seen[start]:
+                n_faces += 1
+                dart = start
+                while not seen[dart]:  # the orbit closes at start
+                    seen[dart] = 1
+                    dart = successor[dart]
+        nv = len(vertices)
         owner = [i for i, node in enumerate(chain(vertices, crossings)) for _ in node.arcs]  # dart -> node position
-        firsts = list(first.values())  # arcs in order of their first darts
-        seconds = map(partner.__getitem__, firsts)
-        joins = [*zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds))]  # node positions
-        root = _union_find(range(len(ids)), joins)
-        faces = _face_orbits(_face_successor(partner, n3), range(n))
-        if len(ids) - len(joins) + len(faces) != 2 * len(set(root.values())):
+        marked = bytearray(len(ids))
+        n_components = 0
+        for root in range(len(ids)):
+            if not marked[root]:
+                n_components += 1
+                marked[root] = 1
+                stack = [root]
+                while stack:
+                    i = stack.pop()
+                    lo = 3 * i if i < nv else n3 + 4 * (i - nv)  # node i's first dart
+                    for d in partner[lo : lo + (3 if i < nv else 4)]:
+                        j = owner[d]
+                        if not marked[j]:
+                            marked[j] = 1
+                            stack.append(j)
+        if len(ids) - len(first) + n_faces != 2 * n_components:
+            firsts = list(first.values())  # arcs in order of their first darts
+            seconds = map(partner.__getitem__, firsts)
+            joins = [*zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds))]  # node positions
+            root = _union_find(range(len(ids)), joins)
             comp_e = Counter(root[u] for u, _ in joins)
-            comp_f = Counter(root[owner[face[0]]] for face in faces)
+            comp_f = Counter(root[owner[face[0]]] for face in _face_orbits(successor, range(n)))
             for r, v in Counter(root.values()).items():
                 e, f = comp_e[r], comp_f[r]
                 if v - e + f != 2:
