@@ -352,11 +352,11 @@ class Diagram(Frozen):
         owner = [i for i, node in enumerate(chain(vertices, crossings)) for _ in node.arcs]  # dart -> node position
         marked = bytearray(len(ids))
         n_components = 0
-        for root in range(len(ids)):
-            if not marked[root]:
+        for k in range(len(ids)):
+            if not marked[k]:
                 n_components += 1
-                marked[root] = 1
-                stack = [root]
+                marked[k] = 1
+                stack = [k]
                 while stack:
                     i = stack.pop()
                     lo = 3 * i if i < nv else n3 + 4 * (i - nv)  # node i's first dart

@@ -85,6 +85,16 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_failed_catalogue_verify_returns_one(self, capsys, monkeypatch):
+        """``main`` returns the status of a failed verification and emits its
+        report; no ``SystemExit`` leaves it."""
+        from webfoam import catalogue
+
+        monkeypatch.setattr(catalogue, "verify_all", lambda: ["theta: tait 5 != 6"])
+        code, out, err = run_cli(capsys, "catalogue", "--verify")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"entries": len(catalogue.CATALOGUE), "failures": ["theta: tait 5 != 6"], "pass": False}
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "table", "foam-eval", "sphere 2")
         assert code == 0
@@ -273,15 +283,26 @@ class TestProcessBoundary:
             os.close(write)
         assert (out.returncode, out.stderr) == (1, "")
 
+    def test_catalogue_verify_into_closed_pipe(self):
+        """``catalogue --verify`` emits its report where every command does,
+        so a closed pipe ends it silently too."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = process("catalogue", "--verify", unbuffered=True, stdout=write)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (1, "")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_unflushable_stdout_takes_the_normal_exit(self):
-        """A stream that fails to flush for another reason is reported by the
-        interpreter's own exit, with its status 120."""
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout(self, unbuffered):
+        """A write to stdout that fails for another reason, in ``print``
+        (unbuffered) or at the final flush, ends the command with status 1
+        and one ``error:`` line."""
         with open("/dev/full", "w") as full:
-            out = process("foam-eval", "sphere 2", stdout=full)
-        assert out.returncode == 120
-        assert out.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
-        assert "OSError: [Errno 28]" in out.stderr
+            out = process("foam-eval", "sphere 2", unbuffered=unbuffered, stdout=full)
+        assert (out.returncode, out.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
     def test_atexit_handlers_run(self):
         code = (

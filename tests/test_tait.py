@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_skein import criterion_3_stream
 from webfoam import catalogue, skein, tait
 from webfoam.cli import main
 from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs
@@ -18,6 +19,7 @@ from webfoam.tait import (
     MAX_WIDTH,
     PICKERS,
     SIGNED_VERTEX_WEIGHTS,
+    STEPS,
     VERTEX_WEIGHTS,
     complement_components,
     contract,
@@ -147,6 +149,94 @@ class TestWidthLimit:
         assert len(prism_web(167).edge_ends) > MAX_EDGES
 
 
+class TestStatesLimit:
+    """A contraction that has built more than MAX_STATES states, counted
+    once per step, is refused at the end of the step that passes the
+    bound; the count does not depend on the host."""
+
+    def test_bound(self):
+        assert tait.MAX_STATES == 10**7
+
+    def test_count_is_exact(self, monkeypatch):
+        # the Tait count of the 12-sided prism builds 257 states in all
+        w = prism_web(12)
+        monkeypatch.setattr(tait, "MAX_STATES", 257)
+        assert tait_count(w) == prism_tait(12)
+        monkeypatch.setattr(tait, "MAX_STATES", 256)
+        with pytest.raises(WebError, match="^contraction built 257 states; the Tait and skein counts build at most 256$"):
+            tait_count(w)
+
+    def test_refused_at_the_step_past_the_bound(self, monkeypatch):
+        monkeypatch.setattr(tait, "MAX_STATES", 100)
+        with pytest.raises(WebError, match="^contraction built 117 states; .* at most 100$"):
+            tait_count(prism_web(12))
+
+    def test_cli_exits_one(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "prism.web.json"
+        path.write_text(serialize_web(prism_web(12)))
+        monkeypatch.setattr(tait, "MAX_STATES", 100)
+        assert main(["tait", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: contraction built ") and captured.err.count("\n") == 1
+        assert captured.err.endswith("build at most 100\n")
+
+
+def refused_below(monkeypatch, count, x, width: int) -> None:
+    """``count(x)`` plans a frontier of exactly ``width`` arcs: it is refused
+    with ``MAX_WIDTH`` at ``width - 1``, naming the width, and accepted at
+    ``width``."""
+    monkeypatch.setattr(tait, "MAX_WIDTH", width - 1)
+    with pytest.raises(WebError, match=f"^contraction frontier would reach {width} arcs;"):
+        count(x)
+    monkeypatch.setattr(tait, "MAX_WIDTH", width)
+    count(x)
+
+
+# planned widths of the Tait counts of the catalogue webs, of the skein
+# state sums of the catalogue diagrams and of the first 60 diagrams of
+# criterion 3's stream
+CATALOGUE_WEB_WIDTHS = {
+    "unknot": 0, "unlink_2": 0, "theta": 3, "tetrahedron": 4, "cube": 5, "handcuffs": 1, "kinoshita_theta": 3,
+}
+CATALOGUE_DIAGRAM_WIDTHS = {
+    "unknot": 0, "unlink_2": 0, "theta": 3, "tetrahedron": 4, "cube": 5, "hopf": 4, "lhc": 5, "trefoil": 4,
+    "handcuffs": 1, "tangled_handcuffs": 3, "k33": 6,
+}
+STREAM_WIDTHS = [
+    6, 4, 4, 2, 4, 2, 4, 4, 2, 2, 2, 3, 4, 3, 4, 4, 4, 4, 5, 4, 4, 2, 2, 3, 6, 5, 0, 2, 2, 6,
+    3, 6, 4, 3, 4, 5, 1, 2, 6, 5, 2, 4, 4, 5, 6, 2, 0, 5, 5, 1, 4, 3, 2, 0, 5, 5, 7, 4, 5, 2,
+]
+
+
+class TestPlannedWidth:
+    """The planned frontier widths, recorded from the planner before its
+    arcs were numbered; a drift in the greedy order or its breadth-first
+    tie-break shows here."""
+
+    @pytest.mark.parametrize("k", range(3, 31))
+    def test_prisms(self, monkeypatch, k):
+        width = 4 if k == 3 else 5 if k == 4 else 6
+        refused_below(monkeypatch, tait_count, prism_web(k), width)
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE_WEB_WIDTHS))
+    def test_catalogue_webs(self, monkeypatch, name):
+        refused_below(monkeypatch, tait_count, catalogue.load_web(catalogue.get(name)), CATALOGUE_WEB_WIDTHS[name])
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE_DIAGRAM_WIDTHS))
+    def test_catalogue_diagrams(self, monkeypatch, name):
+        d = catalogue.load_diagram(catalogue.get(name))
+        refused_below(monkeypatch, skein.euler_char, d, CATALOGUE_DIAGRAM_WIDTHS[name])
+
+    def test_every_catalogue_entry_is_pinned(self):
+        assert set(CATALOGUE_WEB_WIDTHS) == {e.name for e in catalogue.CATALOGUE if e.web_file}
+        assert set(CATALOGUE_DIAGRAM_WIDTHS) == {e.name for e in catalogue.CATALOGUE if e.diagram_file}
+
+    def test_criterion_3_stream(self, monkeypatch):
+        for d, width in zip(criterion_3_stream(), STREAM_WIDTHS):
+            refused_below(monkeypatch, skein.euler_char, d, width)
+
+
 class TestOneSetLimit:
     """The 1-sets are counted by the contraction before they are listed."""
 
@@ -198,12 +288,14 @@ class TestLocalTableCache:
         assert tait._local_table.cache_info().maxsize == LOCAL_TABLES
         assert tait._symmetry.cache_info().maxsize == LOCAL_TABLES
         assert tait._picker.cache_info().maxsize == PICKERS
+        assert tait._step.cache_info().maxsize == STEPS
         theta = theta_web()
-        for m in range(1, LOCAL_TABLES + 50):
+        for m in range(1, max(LOCAL_TABLES, STEPS) + 50):  # each table has tables and steps of its own
             scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
             assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
         assert tait._local_table.cache_info().currsize <= LOCAL_TABLES
         assert tait._symmetry.cache_info().currsize <= LOCAL_TABLES
+        assert tait._step.cache_info().currsize <= STEPS
         assert tait_count(theta) == 6
         for i in range(PICKERS + 50):  # evicts every projection theta used
             assert tait._picker((i + 1, 0))(tuple(range(i + 2))) == (i + 1, 0)
