@@ -210,9 +210,8 @@ STREAM_WIDTHS = [
 
 
 class TestPlannedWidth:
-    """The planned frontier widths, recorded from the planner before its
-    arcs were numbered; a drift in the greedy order or its breadth-first
-    tie-break shows here."""
+    """The planned frontier widths that the greedy order and its
+    breadth-first tie-break give; a drift in either shows here."""
 
     @pytest.mark.parametrize("k", range(3, 31))
     def test_prisms(self, monkeypatch, k):
@@ -290,7 +289,7 @@ class TestLocalTableCache:
         assert tait._picker.cache_info().maxsize == PICKERS
         assert tait._step.cache_info().maxsize == STEPS
         theta = theta_web()
-        for m in range(1, max(LOCAL_TABLES, STEPS) + 50):  # each table has tables and steps of its own
+        for m in range(1, max(LOCAL_TABLES, STEPS) + 50):  # each scaled table gets expansions and steps of its own
             scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
             assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
         assert tait._local_table.cache_info().currsize <= LOCAL_TABLES
