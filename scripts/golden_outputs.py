@@ -42,7 +42,7 @@ import networkx as nx
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from webfoam import catalogue, cli, modules, skein, webs  # noqa: E402
-from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs, random_diagram  # noqa: E402
+from webfoam.generate import cubic_multigraphs, planar_cubic_webs, random_diagram  # noqa: E402
 from webfoam.tait import one_sets, planar_lsharp_dim, tait_count  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "webfoam" / "data"
@@ -82,8 +82,15 @@ def prism_web(k: int) -> str:
 
 
 def wide_web() -> str:
-    """Web document of a random cubic graph on 100 vertices (150 edges)."""
-    return webs.serialize_web(multigraph_to_web(nx.MultiGraph(nx.random_regular_graph(3, 100, seed=1))))
+    """Web document of a random cubic graph on 100 vertices (150 edges):
+    vertices in networkx's node order, edge i of its edge list named
+    ``e{i}``, each vertex's slots in edge order."""
+    g = nx.random_regular_graph(3, 100, seed=1)
+    incidences = {v: [] for v in g.nodes}
+    for idx, (u, v) in enumerate(g.edges()):
+        incidences[u].append(f"e{idx}")
+        incidences[v].append(f"e{idx}")
+    return webs.serialize_web(webs.web_from_incidences(incidences))
 
 
 # (argv, stdin) of inputs the CLI must refuse with exit code 1 or 2
@@ -179,7 +186,7 @@ def tutte_sites():
 
 
 def tait_numbers():
-    census = [multigraph_to_web(g) for n in range(2, 9, 2) for g in cubic_multigraphs(n, allow_loops=True)]
+    census = [w for n in range(2, 9, 2) for w in cubic_multigraphs(n, allow_loops=True)]
     named = [(f"census {i}", w) for i, w in enumerate(census)]
     named += [(f"prism {k}", webs.parse_web(prism_web(k))) for k in range(3, 10)]
     for name, w in named:

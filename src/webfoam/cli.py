@@ -15,7 +15,7 @@ for callers in the same process.
 
 Each command imports only the layers it uses.  Only ``adhm-verify``
 loads numpy: the exact GF(2) layers behind ``module`` and ``catalogue``
-work on packed Python integers, and no command loads networkx.
+work on packed Python integers.  No module of the package loads networkx.
 """
 
 from __future__ import annotations
@@ -161,8 +161,16 @@ def cmd_catalogue(args) -> dict | tuple:
     return {"entries": out}
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        """argparse swallows a failed write; one to stdout (``--help``) raises here, for ``run`` to report."""
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="webfoam",
         description="Calculators for webs, foams, and their instanton invariants.",
     )

@@ -1,11 +1,16 @@
 """Exhaustive generation of small trivalent webs and random diagrams.
 
-Connected cubic multigraphs are grown by edge insertion: subdivide two
-(possibly equal, possibly loop) edges and join the two new vertices.
-Removing any non-loop edge and smoothing inverts the move, so starting
-from the two cubic multigraphs on 2 vertices (the theta graph and the
-dumbbell) every connected cubic multigraph is reached.  Planar loop-free
-ones become webs for the Tait-theorem harness.
+The census holds a connected cubic multigraph on n vertices as a sorted
+tuple of ``(u, v)`` pairs, u <= v, on 0..n-1, and grows them from the
+theta graph and the dumbbell by two moves that add two vertices: edge
+insertion (subdivide two edge slots, possibly of one edge or a loop, and
+join the new vertices) and the lollipop (subdivide an edge and hang from
+the new vertex a pendant edge ending in a new looped vertex).  Each level
+is deduplicated by an exact canonical key, colour refinement then
+individualisation, and sorted by it, so ``cubic_multigraphs`` returns
+its ``Web``s (vertices 0..n-1, edges ``e0, e1, ...`` in key order) in an
+order fixed by n alone.  Planarity is ``Diagram``'s Euler test on the
+web's rotation systems.
 
 The diagram generator grows valid planar diagrams from seed webs by kink
 insertion, face pokes, and crossing flips; it backs the skein property
@@ -15,123 +20,109 @@ suites.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations_with_replacement, product
 
-import networkx as nx
-
-from .webs import Crossing, Diagram, Vertex, Web, fresh_namer, web_from_incidences
+from .webs import Crossing, Diagram, Vertex, Web, WebError, fresh_namer, web_from_incidences
 
 
 # ---------------------------------------------------------------------------
 # cubic multigraph generation
 
 
-def _theta_graph() -> nx.MultiGraph:
-    g = nx.MultiGraph()
-    g.add_edges_from([(0, 1), (0, 1), (0, 1)])
-    return g
-
-
-def _dumbbell_graph() -> nx.MultiGraph:
-    g = nx.MultiGraph()
-    g.add_edges_from([(0, 0), (0, 1), (1, 1)])
-    return g
-
-
-def _insertions(g: nx.MultiGraph):
-    """All graphs obtained by subdividing two edge slots and joining."""
-    edges = list(g.edges(keys=True))
-    n = g.number_of_nodes()
+def _grown(n: int, edges: tuple):
+    """Every graph one move from ``edges`` on n vertices, adding vertices n and n + 1."""
     a, b = n, n + 1
-    for i, e in enumerate(edges):
-        for f in edges[i:]:
-            h = nx.MultiGraph(g)
-            if e == f:
-                u, v, k = e
-                h.remove_edge(u, v, key=k)
-                h.add_edge(u, a)
-                h.add_edge(a, b)
-                h.add_edge(b, v)
-                h.add_edge(a, b)
-            else:
-                (u, v, k1), (x, y, k2) = e, f
-                h.remove_edge(u, v, key=k1)
-                h.remove_edge(x, y, key=k2)
-                h.add_edge(u, a)
-                h.add_edge(a, v)
-                h.add_edge(x, b)
-                h.add_edge(b, y)
-                h.add_edge(a, b)
-            yield h
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1 :]
+        yield rest + ((u, a), (a, b), (a, b), (v, b))  # the same slot twice
+        yield rest + ((u, a), (v, a), (a, b), (b, b))  # the lollipop
+        for j in range(i, len(rest)):
+            x, y = rest[j]
+            yield rest[:j] + rest[j + 1 :] + ((u, a), (v, a), (x, b), (y, b), (a, b))
 
 
-def _iso_invariant(g: nx.MultiGraph) -> tuple:
-    loops = sorted(sum(1 for u, v in g.edges() if u == v == w) for w in g.nodes)
-    mults = sorted(
-        g.number_of_edges(u, v) for u, v in {tuple(sorted((x, y))) for x, y in g.edges()}
-    )
-    simple = nx.Graph(g)
-    simple.remove_edges_from(nx.selfloop_edges(simple))
-    tri = sorted(nx.triangles(simple).values())
-    return (tuple(loops), tuple(mults), tuple(tri))
+def _refine(adj: list, col: list) -> list:
+    """Split colour cells by their rows of the multiplicity matrix, as
+    (neighbour colour, multiplicity) pairs, until stable.  Colours are the
+    ranks of the sorted signatures, which begin with the old colour: the
+    result is canonical and keeps the order of the cells it splits."""
+    while True:
+        sig = [(c, *sorted([(col[w], m) for w, m in a.items()])) for c, a in zip(col, adj)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(rank) == len(set(col)):
+            return [rank[s] for s in sig]
+        col = [rank[s] for s in sig]
 
 
-def _same_graph(a: nx.MultiGraph, b: nx.MultiGraph) -> bool:
-    return nx.is_isomorphic(a, b)
+def _canonical(n: int, edges: tuple) -> tuple:
+    """The least relabelled sorted edge list over the discrete leaves of
+    the individualisation-refinement search: equal exactly for isomorphic
+    graphs."""
+    adj = [Counter() for _ in range(n)]  # the multiplicity matrix, by rows; a loop counts 2
+    for u, v in edges:
+        adj[u][v] += 1
+        adj[v][u] += 1
+    best = None
+    stack = [_refine(adj, [0] * n)]
+    while stack:
+        col = stack.pop()
+        cells = Counter(col)
+        if len(cells) == n:
+            key = tuple(sorted((min(col[u], col[v]), max(col[u], col[v])) for u, v in edges))
+            best = key if best is None else min(best, key)
+            continue
+        target = min((k, c) for c, k in cells.items() if k > 1)[1]
+        for v in range(n):
+            if col[v] == target:
+                stack.append(_refine(adj, [2 * c + (c == target and w != v) for w, c in enumerate(col)]))
+    return best
+
+
+def _census(max_vertices: int):
+    """Yield ``(n, keys)`` for n = 2, 4, ..., max_vertices: the sorted
+    canonical keys of the connected cubic multigraphs on n vertices."""
+    level = [((0, 0), (0, 1), (1, 1)), ((0, 1), (0, 1), (0, 1))]  # dumbbell, theta: their own keys
+    for n in range(2, max_vertices + 1, 2):
+        level = level if n == 2 else sorted({_canonical(n, h) for g in level for h in _grown(n - 2, g)})
+        yield n, level
+
+
+def _web(n: int, key: tuple) -> Web:
+    """Edge i is ``e{i}``; each vertex lists its edges in key order, a loop twice."""
+    return web_from_incidences({v: [f"e{i}" for i, ends in enumerate(key) for x in ends if x == v] for v in range(n)})
 
 
 def cubic_multigraphs(n: int, allow_loops: bool = True) -> list:
-    """Non-isomorphic connected cubic multigraphs on n vertices."""
+    """Non-isomorphic connected cubic multigraphs on n vertices, as webs,
+    in canonical key order."""
     if n <= 0 or n % 2:
         return []
-    level = [_theta_graph(), _dumbbell_graph()]
-    for _ in range((n - 2) // 2):
-        buckets: dict = {}
-        nxt = []
-        for g in level:
-            for h in _insertions(g):
-                key = _iso_invariant(h)
-                bucket = buckets.setdefault(key, [])
-                if any(_same_graph(h, other) for other in bucket):
-                    continue
-                bucket.append(h)
-                nxt.append(h)
-        level = nxt
-    if not allow_loops:
-        level = [g for g in level if all(u != v for u, v in g.edges())]
-    return level
+    return [_web(n, k) for k in dict(_census(n))[n] if allow_loops or all(u != v for u, v in k)]
 
 
-def is_planar_multigraph(g: nx.MultiGraph) -> bool:
-    simple = nx.Graph()
-    simple.add_nodes_from(g.nodes)
-    for idx, (u, v, _) in enumerate(g.edges(keys=True)):
-        m = ("mid", idx)
-        simple.add_edge(u, m)
-        simple.add_edge(m, v)
-    return nx.check_planarity(simple)[0]
+def is_planar_multigraph(w: Web) -> bool:
+    """Whether ``w`` has a crossing-free diagram: whether one of its
+    rotation systems has genus 0 (Heffter-Edmonds), which ``Diagram``'s
+    Euler test decides.  Mirroring every rotation keeps the genus, so
+    vertex 0 keeps its slot order and each other vertex keeps it or swaps
+    slots 1 and 2; a looped vertex has one rotation."""
+    slots = [w.slot_edges[v] for v in w.vertices]
+    choices = [(s,) if i == 0 or len(set(s)) < 3 else (s, (s[0], s[2], s[1])) for i, s in enumerate(slots)]
+    for rotation in product(*choices):
+        try:
+            Diagram(tuple(map(Vertex, w.vertices, rotation)), (), tuple(w.circles))
+        except WebError:
+            continue
+        return True
+    return False
 
 
-def multigraph_to_web(g: nx.MultiGraph) -> Web:
-    incidences: dict = {v: [] for v in g.nodes}
-    for idx, (u, v, _) in enumerate(g.edges(keys=True)):
-        e = f"e{idx}"
-        if u == v:
-            incidences[u].extend([e, e])  # a loop fills two slots
-        else:
-            incidences[u].append(e)
-            incidences[v].append(e)
-    return web_from_incidences(incidences)
-
-
-def planar_cubic_webs(max_vertices: int = 8, allow_loops: bool = False):
-    """Connected planar trivalent webs with 2..max_vertices vertices."""
-    out = []
-    for n in range(2, max_vertices + 1, 2):
-        for g in cubic_multigraphs(n, allow_loops=allow_loops):
-            if is_planar_multigraph(g):
-                out.append(multigraph_to_web(g))
-    return out
+def planar_cubic_webs(max_vertices: int = 8) -> list:
+    """Connected planar loop-free trivalent webs with 2..max_vertices
+    vertices, by size, then in canonical key order."""
+    webs = (_web(n, k) for n, keys in _census(max_vertices) for k in keys if all(u != v for u, v in k))
+    return list(filter(is_planar_multigraph, webs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import difflib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -8,9 +11,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webfoam.adhm import MAX_RANK
 from webfoam.cli import build_parser, main
+from webfoam.modules import KNOWN_WEBS, MAX_UNLINK
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +221,147 @@ def test_tait_on_invalid_json_names_the_document(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: diagram document must be a JSON object\n")
 
 
+def _data_documents() -> list:
+    from importlib import resources
+
+    folder = resources.files("webfoam").joinpath("data")
+    return [json.loads(f.read_text(encoding="utf-8")) for f in sorted(folder.iterdir(), key=lambda f: f.name)]
+
+
+DOCUMENTS = _data_documents()
+JSON_LEAVES = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(["a", "e1", "u", "", "x"])
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+
+
+@st.composite
+def documents(draw) -> str:
+    """A bundled web or diagram document with up to three mutations (a
+    value replaced, deleted or duplicated), or a short random text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(alphabet='{}[]":,0aev ', max_size=12))
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            k = draw(st.sampled_from(keys))
+            if isinstance(node[k], (dict, list)) and node[k] and draw(st.booleans()):
+                node = node[k]
+                continue
+            action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            if action == "replace":
+                node[k] = draw(JSON_VALUES)
+            elif action == "delete":
+                del node[k]
+            elif isinstance(node, list):
+                node.append(copy.deepcopy(node[k]))
+            break
+    return json.dumps(doc)
+
+
+SMALL_INTS = st.integers(-2, 5).map(str)
+FOAM_ATOMS = st.one_of(
+    st.tuples(st.just("sphere"), SMALL_INTS),
+    st.tuples(st.just("theta"), SMALL_INTS, SMALL_INTS, SMALL_INTS),
+    st.tuples(st.just("tet"), *[SMALL_INTS] * 6),
+    st.tuples(st.just("surface"), SMALL_INTS, SMALL_INTS),
+    st.tuples(st.just("crosscap"), SMALL_INTS, SMALL_INTS, SMALL_INTS),
+    st.tuples(st.sampled_from(["wedge", "sphere"]), st.sampled_from(["x", "1/2", ""])),
+).map(" ".join)
+FOAM_EXPRS = st.recursive(
+    FOAM_ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["plus", "union"]), st.lists(inner, min_size=1, max_size=3)).map(
+            lambda x: f"({x[0]} " + " ".join(f"({e})" for e in x[1]) + ")"
+        ),
+        st.tuples(st.sampled_from(["sum-t2", "sum-r+", "sum-r-"]), inner, st.sampled_from(["", " 1", " 9", " x"])).map(
+            lambda x: f"({x[0]} ({x[1]}){x[2]})"
+        ),
+    ),
+    max_leaves=6,
+) | st.text(alphabet="() spheretauniol0123-", max_size=24)
+FRACTIONS = st.sampled_from(["0", "1/4", "-3/2", "7", "abc", "1/0", "2.5", "", "1//2"])
+INTEGERS = st.sampled_from(["0", "1", "-2", "3", "x", "1.5"])
+MODULE_NAMES = st.sampled_from([*KNOWN_WEBS, *(f"unlink_{k}" for k in range(-1, MAX_UNLINK + 2)), "unlink_x", "mystery"])
+RANKS = st.sampled_from(["-1", "0", "1", "2", "3", str(MAX_RANK + 1), "100000", "x"])
+
+
+COMMANDS = ["tait", "euler", "foam-eval", "module", "dims", "adhm-verify", "catalogue", "frob"]
+
+
+@st.composite
+def invocations(draw, command: str):
+    """``(argv, text)``: an argv of ``command``, and the document that a
+    ``FILE`` or ``-`` argument stands for."""
+    argv = draw(st.sampled_from([[], ["--format", "table"]])) + [command]
+    text = ""
+    if command in ("tait", "euler"):
+        text = draw(documents())
+        argv.append(draw(st.sampled_from(["FILE", "-", "no-such-file.json"])))
+    elif command == "foam-eval":
+        argv.append(draw(FOAM_EXPRS))
+    elif command == "module":
+        if draw(st.integers(0, 9)):
+            argv += ["--web", draw(MODULE_NAMES)]
+        if draw(st.booleans()):
+            argv.append("--decompose")
+    elif command == "dims":
+        for flag, values in (("--kappa", FRACTIONS), ("--sigma2", FRACTIONS), ("--bplus", INTEGERS), ("--b1", INTEGERS),
+                             ("--chi", INTEGERS), ("--t", INTEGERS)):
+            if draw(st.booleans()):
+                argv += [flag, draw(values)]
+    elif command == "adhm-verify":
+        if draw(st.booleans()):
+            argv += ["--rank", draw(RANKS)]
+    elif command == "catalogue" and draw(st.booleans()):
+        argv.append("--verify")
+    if draw(st.integers(0, 19)) == 0:
+        argv.append("--help")
+    return argv, text
+
+
+def call_main(argv, stdin: str):
+    """``main(argv)`` in this process: its status (that of argparse's
+    ``SystemExit`` too), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code or 0
+    finally:
+        sys.stdin = saved
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_property") / "doc.json"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_main_contract(document_path, command, data):
+    """On any argv of every subcommand (and an unknown one), ``main``
+    raises nothing but argparse's ``SystemExit``, ends with status 0, 1
+    or 2, gives one ``error:`` line with status 1, and prints the same on
+    a second call."""
+    argv, text = data.draw(invocations(command))
+    document_path.write_text(text, encoding="utf-8")
+    argv = [str(document_path) if a == "FILE" else a for a in argv]
+    first = call_main(argv, text)
+    status, _, err = first
+    assert status in (0, 1, 2), argv
+    if status == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert call_main(argv, text) == first, argv
+
+
 SRC = str(pathlib.Path(importlib.util.find_spec("webfoam").origin).resolve().parents[1])
 # what setuptools writes for ``[project.scripts] webfoam = "webfoam.cli:run"``
 CONSOLE_SCRIPT = "import sys; from webfoam.cli import run; sys.argv[0] = 'webfoam'; sys.exit(run())"
@@ -303,6 +450,27 @@ class TestProcessBoundary:
         with open("/dev/full", "w") as full:
             out = process("foam-eval", "sphere 2", unbuffered=unbuffered, stdout=full)
         assert (out.returncode, out.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["tait", "--help"]], ids=["help", "tait-help"])
+    def test_help_into_unwritable_stdout(self, argv, unbuffered):
+        """argparse swallows a failed write of its help; the CLI's parsers
+        let it raise, so ``--help`` fails as every other write does."""
+        with open("/dev/full", "w") as full:
+            out = process(*argv, unbuffered=unbuffered, stdout=full)
+        assert (out.returncode, out.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["tait", "--help"]], ids=["help", "tait-help"])
+    def test_help_into_closed_pipe(self, argv, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = process(*argv, unbuffered=unbuffered, stdout=write)
+        finally:
+            os.close(write)
+        assert (out.returncode, out.stderr) == (1, "")
 
     def test_atexit_handlers_run(self):
         code = (

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webfoam import catalogue, tait
-from webfoam.generate import add_kink, add_poke, cubic_multigraphs, multigraph_to_web, planar_cubic_webs, random_diagram
+from webfoam.generate import add_kink, add_poke, cubic_multigraphs, planar_cubic_webs, random_diagram
 from webfoam.skein import (
     ALIGNED_PAIRING,
     CALIBRATED_PAIRING,
@@ -73,7 +73,7 @@ def criterion_3_stream():
 
 
 def census_webs():
-    return [multigraph_to_web(g) for n in range(2, 9, 2) for g in cubic_multigraphs(n, allow_loops=True)]
+    return [w for n in range(2, 9, 2) for w in cubic_multigraphs(n, allow_loops=True)]
 
 
 class TestBaseCases:

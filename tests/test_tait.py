@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_skein import criterion_3_stream
 from webfoam import catalogue, skein, tait
 from webfoam.cli import main
-from webfoam.generate import cubic_multigraphs, multigraph_to_web, planar_cubic_webs
+from webfoam.generate import cubic_multigraphs, planar_cubic_webs
 from webfoam.tait import (
     LOCAL_TABLES,
     MATCHING_WEIGHTS,
@@ -85,9 +85,19 @@ def prism_diagram(k: int):
     return parse_diagram(json.dumps({"vertices": vertices}))
 
 
+def nx_web(g):
+    """The web of a networkx graph: vertices in node order, edge i of
+    ``g.edges()`` named ``e{i}``, each vertex's slots in edge order."""
+    incidences = {v: [] for v in g.nodes}
+    for idx, (u, v) in enumerate(g.edges()):
+        incidences[u].append(f"e{idx}")
+        incidences[v].append(f"e{idx}")
+    return web_from_incidences(incidences)
+
+
 def wide_web():
     """A random cubic web on 100 vertices: its contraction frontier passes 20 arcs."""
-    return multigraph_to_web(nx.MultiGraph(nx.random_regular_graph(3, 100, seed=1)))
+    return nx_web(nx.random_regular_graph(3, 100, seed=1))
 
 
 class TestSizeLimit:
@@ -527,10 +537,9 @@ class TestPlanarDim:
     def test_loopy_webs_vanish(self):
         from webfoam.generate import cubic_multigraphs, is_planar_multigraph
 
-        for g in cubic_multigraphs(4, allow_loops=True):
-            if not is_planar_multigraph(g):
+        for w in cubic_multigraphs(4, allow_loops=True):
+            if not is_planar_multigraph(w):
                 continue
-            w = multigraph_to_web(g)
             if w.has_loop():
                 assert tait_count(w) == 0
                 assert planar_lsharp_dim(w) == 0
@@ -546,21 +555,21 @@ class TestThreeWayIdentity:
         return tait_count(w), planar_lsharp_dim(w), len(list(tait_colorings(w)))
 
     def test_census_with_loops(self):
-        graphs = [g for n in range(2, 9, 2) for g in cubic_multigraphs(n, allow_loops=True)]
-        assert len(graphs) >= 69
-        for g in graphs:
-            count, dim, listed = self.three_ways(multigraph_to_web(g))
+        webs = [w for n in range(2, 9, 2) for w in cubic_multigraphs(n, allow_loops=True)]
+        assert len(webs) >= 69
+        for w in webs:
+            count, dim, listed = self.three_ways(w)
             assert count == dim == listed
 
     def test_petersen(self):
-        assert self.three_ways(multigraph_to_web(nx.MultiGraph(nx.petersen_graph()))) == (0, 0, 0)
+        assert self.three_ways(nx_web(nx.petersen_graph())) == (0, 0, 0)
 
 
 examples = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def web_pool():
-    webs = [multigraph_to_web(g) for n in (2, 4, 6) for g in cubic_multigraphs(n, allow_loops=True)]
+    webs = [w for n in (2, 4, 6) for w in cubic_multigraphs(n, allow_loops=True)]
     theta = theta_web()
     theta_circle = make_web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], ["c"])
     return webs + [prism_web(5), unknot_web(), theta_circle]
