@@ -1,25 +1,38 @@
-"""Run the benchmark on two checkouts in alternating pairs and compare them.
+"""Run the benchmark on two checkouts in alternating pairs and record them.
 
-    python scripts/bench_pairs.py PARENT CHANGE --workload W --seed N --pairs 10 > pairs.json
+    python scripts/bench_pairs.py PARENT CHANGE --workload W --seed N --pairs 10 \\
+        --into BENCH_name.json [--what "what the change does"]
 
 PARENT and CHANGE are the roots of two source trees.  Each pair runs the
 unchanged ``perfbench/run.py --workload W --seed N --seconds T --trace 0``
 once in each tree, where T is ``run_seconds`` of this repository's
 ``BENCHMARK.json``: pair i runs the parent first when i is odd and the
-change first when i is even.  The JSON written to standard output holds,
-per end-to-end metric of ``BENCHMARK.json``, both sides' values, medians
-and quartiles (inclusive method), the pairs the change won (ties count for
-neither side) and whether a gain holds: the change wins at least nine
-tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range.  It also holds each run's attempted and
-failed op counts and its result line.  Progress goes to standard error.
+change first when i is even.  The summary holds, per end-to-end metric
+of ``BENCHMARK.json``, both sides' values, medians and quartiles
+(inclusive method), the pairs the change won (ties count for neither
+side) and whether a gain holds: the change wins at least nine tenths of
+the pairs and its median beats the parent's by more than the parent's
+interquartile range.  It also holds each run's attempted and failed op
+counts and its result line.  Progress goes to standard error.
+
+The summary is written into the ``BENCH_*.json`` document named by
+``--into``, under ``perfbench["W/seedN"]``.  A new document also gets the
+shared fields: ``what`` (from ``--what``), ``host`` (platform, CPU count,
+Python version), ``parent`` and ``change`` (each tree's ``git rev-parse
+HEAD``, marked when the tree has uncommitted changes, or its path when it
+is not the root of a git checkout) and an empty ``counters`` object for
+the change's own work counters.  Adding a run to an existing document
+adds its one key and overwrites nothing: a key already present, or
+shared fields that differ from the document's, are refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import statistics
 import subprocess
 import sys
@@ -56,6 +69,56 @@ def summary(parent: list, change: list, better: str) -> dict:
     }
 
 
+def pairs_summary(lines: dict) -> dict:
+    """The summary of the result lines of both sides, ``{"parent": [...], "change": [...]}``."""
+    metrics = {}
+    for m in BENCHMARK["end_to_end"]:
+        values = {s: [r["metrics"][m["name"]]["value"] for r in lines[s]] for s in lines}
+        metrics[m["name"]] = {"unit": m["unit"], **summary(values["parent"], values["change"], m["better"])}
+    return {
+        "seconds": BENCHMARK["run_seconds"],
+        "pairs": len(lines["parent"]),
+        "order": "pair i runs the parent first when i is odd, the change first when i is even",
+        "correct": all(r["correct"] for side in lines.values() for r in side),
+        "attempted_failed": {s: [[r["attempted"], r["failed"]] for r in lines[s]] for s in lines},
+        "metrics": metrics,
+        "result_lines": lines,
+    }
+
+
+def tree_id(root: pathlib.Path) -> str:
+    """``git rev-parse HEAD`` of a checkout's root, or the tree's path."""
+    def git(*args):
+        out = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or pathlib.Path(top).resolve() != root.resolve():
+        return str(root.resolve())
+    head = git("rev-parse", "HEAD")
+    return f"{head} with uncommitted changes" if git("status", "--porcelain") else head
+
+
+def host() -> dict:
+    return {"platform": platform.platform(), "cpus": os.cpu_count(), "python": platform.python_version()}
+
+
+def merge(doc: dict | None, shared: dict, key: str, run_summary: dict) -> dict:
+    """A copy of ``doc`` (``None`` for a new document) with ``run_summary``
+    added under ``perfbench[key]``; ``shared`` holds ``what`` (``None`` when
+    not given), ``host``, ``parent`` and ``change``."""
+    if doc is None:
+        if shared["what"] is None:
+            raise ValueError("a new document needs --what")
+        doc = {**shared, "perfbench": {}, "counters": {}}
+    for field, value in shared.items():
+        if value is not None and doc.get(field) != value:
+            raise ValueError(f"{field} {value!r} differs from the document's {doc.get(field)!r}")
+    if key in doc["perfbench"]:
+        raise ValueError(f"the document already holds {key}")
+    return {**doc, "perfbench": {**doc["perfbench"], key: run_summary}}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=pathlib.Path)
@@ -63,28 +126,23 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--into", type=pathlib.Path, required=True)
+    parser.add_argument("--what")
     args = parser.parse_args()
+    doc = json.loads(args.into.read_text()) if args.into.exists() else None
+    shared = {"what": args.what, "host": host(), "parent": tree_id(args.parent), "change": tree_id(args.change)}
+    key = f"{args.workload}/seed{args.seed}"
+    try:
+        merge(doc, shared, key, {})  # refuse before the runs, not after them
+    except ValueError as exc:
+        parser.error(f"{args.into}: {exc}")
     lines: dict = {"parent": [], "change": []}
     for i in range(1, args.pairs + 1):
         for side in ("parent", "change") if i % 2 else ("change", "parent"):
             lines[side].append(run(getattr(args, side), args.workload, args.seed))
             print(f"pair {i} {side}: {lines[side][-1]['metrics']}", file=sys.stderr)
-    metrics = {}
-    for m in BENCHMARK["end_to_end"]:
-        values = {s: [r["metrics"][m["name"]]["value"] for r in lines[s]] for s in lines}
-        metrics[m["name"]] = {"unit": m["unit"], **summary(values["parent"], values["change"], m["better"])}
-    json.dump({
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": BENCHMARK["run_seconds"],
-        "pairs": args.pairs,
-        "order": "pair i runs the parent first when i is odd, the change first when i is even",
-        "correct": all(r["correct"] for side in lines.values() for r in side),
-        "attempted_failed": {s: [[r["attempted"], r["failed"]] for r in lines[s]] for s in lines},
-        "metrics": metrics,
-        "result_lines": lines,
-    }, sys.stdout, indent=1)
-    print()
+    doc = merge(doc, shared, key, pairs_summary(lines))
+    args.into.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -8,7 +8,8 @@ file, of ``webfoam euler`` on every bundled diagram file, of ``module
 on fixed argument lists, the ``pass``, ``rank``, ``nu`` and ``nu_mod2``
 fields of ``adhm-verify --rank 3``, and the exit code and ``error:``
 line of malformed inputs (the ones ``tests/test_cli.py`` checks, bad
-module names, a bad ``dims`` fraction, an ``adhm-verify`` rank above
+module names, negative dot counts on a surface, a cross-cap surface, a
+tetrahedron suspension and under a decoration, a bad ``dims`` fraction, an ``adhm-verify`` rank above
 ``adhm.MAX_RANK``, a theta listing its vertices twice, a web end at a
 list vertex, a 2,400-edge prism web, the
 30-sided prism web with more than ``tait.MAX_ONE_SETS`` 1-sets, a
@@ -101,6 +102,8 @@ MALFORMED = [
     (["foam-eval", "wedge 3"], ""),
     (["foam-eval", "(plus " * 3000 + "(sphere 2)" + ")" * 3000], ""),
     (["foam-eval", "(union " + " ".join(f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(40)) + ")"], ""),
+    *((["foam-eval", text], "")
+      for text in ["surface 2 -1", "crosscap 0 1 -2", "tet -1 0 0 1 0 0", "(sum-t2 (surface 1 -2))"]),
     *((["tait", "-"], json.dumps(doc)) for doc in [
         {"edges": [{"id": [1], "circle": True}]},
         {"edges": 5},

@@ -5,6 +5,13 @@ suspension of the tetrahedron, closed orientable surfaces, and sums of
 projective planes, together with connected-sum decorations and formal
 GF(2) combinations of disjoint unions.  Every closed foam evaluated in
 the source calculus reduces to these.
+
+An atom kind is declared once: a named tuple whose last field is
+``dots`` (one count, or a tuple with one count per facet), its
+``eval_*`` function as ``evaluate``, and its word in ``ATOM_WORDS``.
+Facets, dot addition, evaluation and parsing are shared by all kinds.
+Dot counts are non-negative on every atom; every ``eval_*`` refuses a
+negative one with ``FoamError``.
 """
 
 from __future__ import annotations
@@ -23,28 +30,33 @@ class FoamError(ValueError):
 # atom values
 
 
+def _check_dots(*dots: int) -> None:
+    """Refuse a negative dot count: the rule every atom's evaluation applies."""
+    if min(dots) < 0:
+        raise FoamError("dot counts are non-negative")
+
+
 def _reduce_dots(l: int) -> int:
     """Apply the cube relation u^3 = u: reduce a dot count into {0, 1, 2}."""
-    if l < 0:
-        raise FoamError("dot counts are non-negative")
     return l if l < 3 else 2 - l % 2
 
 
 def eval_sphere(l: int) -> int:
     """Unknotted 2-sphere with l dots: 0 for l = 0 or l odd, else 1."""
-    if l < 0:
-        raise FoamError("dot counts are non-negative")
+    _check_dots(l)
     return 0 if (l == 0 or l % 2 == 1) else 1
 
 
 def eval_theta(l1: int, l2: int, l3: int) -> int:
     """Theta foam with dots: 1 iff the reduced triple is a permutation of (0,1,2)."""
+    _check_dots(l1, l2, l3)
     reduced = sorted(_reduce_dots(l) for l in (l1, l2, l3))
     return 1 if reduced == [0, 1, 2] else 0
 
 
 def eval_tet_susp(k1: int, k2: int, k3: int, l1: int, l2: int, l3: int) -> int:
     """Dotted suspension of the tetrahedron: dots on opposite facet pairs add."""
+    _check_dots(k1, k2, k3, l1, l2, l3)
     return eval_theta(k1 + l1, k2 + l2, k3 + l3)
 
 
@@ -52,6 +64,7 @@ def eval_surface(g: int, dots: int) -> int:
     """Standard closed orientable surface of genus g with dots."""
     if g < 0:
         raise FoamError("genus is non-negative")
+    _check_dots(dots)
     if g == 0:
         return eval_sphere(dots)
     return 1 if dots == 0 else 0
@@ -61,6 +74,7 @@ def eval_crosscap(a: int, b: int, dots: int) -> int:
     """Connected sum of a copies of RP^2 (self-int +2) and b copies (-2)."""
     if a < 0 or b < 0 or a + b < 1:
         raise FoamError("need a, b >= 0 with a + b >= 1")
+    _check_dots(dots)
     if b >= 1:
         return 1 if dots == 0 else 0
     return eval_sphere(dots)
@@ -71,9 +85,11 @@ def eval_crosscap(a: int, b: int, dots: int) -> int:
 
 
 class _Atom:
-    """Mixin of the atoms, which are named tuples: atoms of different kinds
-    never compare equal, even with equal fields.  An atom hashes as the
-    tuple of its fields."""
+    """Base of the atoms, which are named tuples whose last field is
+    ``dots``: one count, or a tuple of counts with one facet per entry.
+    Each kind names its evaluation function as ``evaluate``.  Atoms of
+    different kinds never compare equal, even with equal fields.  An atom
+    hashes as the tuple of its fields."""
 
     __slots__ = ()
 
@@ -85,89 +101,51 @@ class _Atom:
 
     __hash__ = tuple.__hash__
 
+    def facets(self) -> int:
+        return len(self.dots) if isinstance(self.dots, tuple) else 1
+
+    def add_dots(self, facet: int, k: int) -> "_Atom":
+        if not 0 <= facet < self.facets():
+            raise FoamError(f"atom {self!r} has no facet {facet}")
+        if not isinstance(self.dots, tuple):
+            return self._replace(dots=self.dots + k)
+        d = list(self.dots)
+        d[facet] += k
+        return self._replace(dots=tuple(d))
+
+    def value(self) -> int:
+        *fields, dots = self
+        return self.evaluate(*fields, *(dots if isinstance(dots, tuple) else (dots,)))
+
 
 class Sphere(_Atom, namedtuple("Sphere", "dots", defaults=(0,))):
     __slots__ = ()
-
-    def facets(self):
-        return 1
-
-    def add_dots(self, facet: int, k: int) -> "Sphere":
-        if facet != 0:
-            raise FoamError("the sphere has a single facet")
-        return Sphere(self.dots + k)
-
-    def value(self) -> int:
-        return eval_sphere(self.dots)
+    evaluate = staticmethod(eval_sphere)
 
 
 class Theta(_Atom, namedtuple("Theta", "dots", defaults=((0, 0, 0),))):
     __slots__ = ()
-
-    def facets(self):
-        return 3
-
-    def add_dots(self, facet: int, k: int) -> "Theta":
-        if not 0 <= facet < 3:
-            raise FoamError("theta facets are 0, 1, 2")
-        d = list(self.dots)
-        d[facet] += k
-        return Theta(tuple(d))
-
-    def value(self) -> int:
-        return eval_theta(*self.dots)
+    evaluate = staticmethod(eval_theta)
 
 
 class TetSusp(_Atom, namedtuple("TetSusp", "dots", defaults=((0,) * 6,))):
     """Suspension of the tetrahedral web; facets 0-2 and 3-5 are opposite pairs."""
 
     __slots__ = ()
-
-    def facets(self):
-        return 6
-
-    def add_dots(self, facet: int, k: int) -> "TetSusp":
-        if not 0 <= facet < 6:
-            raise FoamError("tetrahedron-suspension facets are 0..5")
-        d = list(self.dots)
-        d[facet] += k
-        return TetSusp(tuple(d))
-
-    def value(self) -> int:
-        return eval_tet_susp(*self.dots)
+    evaluate = staticmethod(eval_tet_susp)
 
 
 class OrientableSurface(_Atom, namedtuple("OrientableSurface", "genus dots", defaults=(1, 0))):
     __slots__ = ()
-
-    def facets(self):
-        return 1
-
-    def add_dots(self, facet: int, k: int) -> "OrientableSurface":
-        if facet != 0:
-            raise FoamError("a closed surface has a single facet")
-        return OrientableSurface(self.genus, self.dots + k)
-
-    def value(self) -> int:
-        return eval_surface(self.genus, self.dots)
+    evaluate = staticmethod(eval_surface)
 
 
 class CrossCapSurface(_Atom, namedtuple("CrossCapSurface", "plus minus dots", defaults=(1, 0, 0))):
     __slots__ = ()
-
-    def facets(self):
-        return 1
-
-    def add_dots(self, facet: int, k: int) -> "CrossCapSurface":
-        if facet != 0:
-            raise FoamError("a closed surface has a single facet")
-        return CrossCapSurface(self.plus, self.minus, self.dots + k)
-
-    def value(self) -> int:
-        return eval_crosscap(self.plus, self.minus, self.dots)
+    evaluate = staticmethod(eval_crosscap)
 
 
-Atom = object
+Atom = _Atom
 
 
 class FoamExpr(Frozen):
@@ -235,12 +213,11 @@ def apply_sum(a: Atom, deco: str, facet: int = 0) -> FoamExpr:
     self-intersection +2 is transparent; one of self-intersection -2
     behaves like the torus.
     """
-    if facet >= a.facets() or facet < 0:
-        raise FoamError(f"atom {a!r} has no facet {facet}")
+    dotted = a.add_dots(facet, 2)
     if deco == SUM_R_PLUS:
         return FoamExpr.atom(a)
     if deco in (SUM_T2, SUM_R_MINUS):
-        return FoamExpr.atom(a.add_dots(facet, 2)) + FoamExpr.atom(a)
+        return FoamExpr.atom(dotted) + FoamExpr.atom(a)
     raise FoamError(f"unknown decoration {deco!r}")
 
 
@@ -304,6 +281,8 @@ def burst_bubble(a: Atom, bubble_facet: int = 0) -> FoamExpr:
     """
     if not isinstance(a, Theta):
         raise FoamError("bubble bursting is implemented for theta foams")
+    if not 0 <= bubble_facet < 3:
+        raise FoamError("theta facets are 0, 1, 2")
     hosts = [i for i in range(3) if i != bubble_facet]
     if all(a.dots[h] > 0 for h in hosts):
         raise FoamError("bubble bursting needs a dot-free host disk")
@@ -390,6 +369,14 @@ def sphere_closure_oracle(max_dots: int = 12) -> dict:
 
 MAX_NESTING = 200
 MAX_TERMS = 4096  # term pairs one disjoint union may multiply out
+# atom words; each field reads one integer, or one per entry of a tuple default
+ATOM_WORDS = {
+    "sphere": Sphere,
+    "theta": Theta,
+    "tet": TetSusp,
+    "surface": OrientableSurface,
+    "crosscap": CrossCapSurface,
+}
 
 
 def parse_expr(text: str) -> FoamExpr:
@@ -438,16 +425,12 @@ def parse_expr(text: str) -> FoamExpr:
                 raise FoamError("expected ')'")
             return inner
         head = tok
-        if head == "sphere":
-            return FoamExpr.atom(Sphere(parse_int()))
-        if head == "theta":
-            return FoamExpr.atom(Theta((parse_int(), parse_int(), parse_int())))
-        if head == "tet":
-            return FoamExpr.atom(TetSusp(tuple(parse_int() for _ in range(6))))
-        if head == "surface":
-            return FoamExpr.atom(OrientableSurface(parse_int(), parse_int()))
-        if head == "crosscap":
-            return FoamExpr.atom(CrossCapSurface(parse_int(), parse_int(), parse_int()))
+        if head in ATOM_WORDS:
+            kind = ATOM_WORDS[head]
+            return FoamExpr.atom(kind(*(
+                tuple(parse_int() for _ in default) if isinstance(default, tuple) else parse_int()
+                for default in kind._field_defaults.values()
+            )))
         if head in ("sum-t2", "sum-r+", "sum-r-"):
             deco = {"sum-t2": SUM_T2, "sum-r+": SUM_R_PLUS, "sum-r-": SUM_R_MINUS}[head]
             inner = parse_node(depth + 1)

@@ -1,0 +1,64 @@
+"""The BENCH_*.json document that scripts/bench_pairs.py writes, on made-up
+result lines: no benchmark runs here."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [m["name"] for m in bench_pairs.BENCHMARK["end_to_end"]]
+SHARED = {"what": "a change", "host": {"platform": "p", "cpus": 2, "python": "3"},
+          "parent": "aaa", "change": "bbb"}
+
+
+def result_line(value: float, failed: int = 0) -> dict:
+    return {"correct": True, "attempted": 100, "failed": failed,
+            "metrics": {m: {"value": value, "unit": "u"} for m in METRICS}}
+
+
+def lines(parent: list, change: list) -> dict:
+    return {"parent": [result_line(v) for v in parent], "change": [result_line(v) for v in change]}
+
+
+def test_pairs_summary_applies_the_gain_rule():
+    won = bench_pairs.pairs_summary(lines([10, 11, 12, 13], [5, 6, 7, 8]))
+    assert won["pairs"] == 4 and won["correct"]
+    assert won["attempted_failed"] == {"parent": [[100, 0]] * 4, "change": [[100, 0]] * 4}
+    wall = won["metrics"]["wall_s"]  # lower is better
+    assert (wall["parent_median"], wall["change_median"]) == (11.5, 6.5)
+    assert wall["parent_q1_q3"] == [10.75, 12.25]
+    assert (wall["change_wins"], wall["gain_holds"]) == ("4/4", True)
+    ops = won["metrics"]["ops_per_s"]  # higher is better
+    assert (ops["change_wins"], ops["gain_holds"]) == ("0/4", False)
+    tied = bench_pairs.pairs_summary(lines([10, 11, 12, 13], [10, 11, 12, 13]))
+    assert tied["metrics"]["wall_s"]["change_wins"] == "0/4"
+
+
+def test_merge_adds_one_key_and_overwrites_nothing():
+    first = bench_pairs.pairs_summary(lines([1, 2, 3], [1, 2, 3]))
+    doc = bench_pairs.merge(None, SHARED, "skein_random/seed7", first)
+    assert doc == {**SHARED, "perfbench": {"skein_random/seed7": first}, "counters": {}}
+    written = json.loads(json.dumps(doc))
+    second = bench_pairs.pairs_summary(lines([4, 5, 6], [4, 5, 6]))
+    again = bench_pairs.merge(written, {**SHARED, "what": None}, "cli_cold/seed7", second)
+    assert again == {**doc, "perfbench": {"skein_random/seed7": first, "cli_cold/seed7": second}}
+    assert written == json.loads(json.dumps(doc))  # the input is left as it was
+
+
+@pytest.mark.parametrize("doc,shared,match", [
+    ("existing", SHARED, "already holds"),
+    ("existing", {**SHARED, "parent": "ccc"}, "parent 'ccc' differs"),
+    ("existing", {**SHARED, "what": "another change"}, "what 'another change' differs"),
+    (None, {**SHARED, "what": None}, "needs --what"),
+])
+def test_merge_refuses(doc, shared, match):
+    if doc == "existing":
+        doc = bench_pairs.merge(None, SHARED, "cli_cold/seed7", {})
+    with pytest.raises(ValueError, match=match):
+        bench_pairs.merge(doc, shared, "cli_cold/seed7", {})

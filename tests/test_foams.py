@@ -193,6 +193,29 @@ class TestApplySum:
     def test_unknown_facet(self):
         with pytest.raises(FoamError):
             apply_sum(Sphere(0), SUM_T2, facet=1)
+        # every facet of every kind takes dots; the next one and -1 do not
+        dotted = {
+            Sphere(1): [Sphere(3)],
+            Theta((0, 1, 2)): [Theta((2, 1, 2)), Theta((0, 3, 2)), Theta((0, 1, 4))],
+            TetSusp((0, 1, 2, 3, 4, 5)): [
+                TetSusp((2, 1, 2, 3, 4, 5)),
+                TetSusp((0, 3, 2, 3, 4, 5)),
+                TetSusp((0, 1, 4, 3, 4, 5)),
+                TetSusp((0, 1, 2, 5, 4, 5)),
+                TetSusp((0, 1, 2, 3, 6, 5)),
+                TetSusp((0, 1, 2, 3, 4, 7)),
+            ],
+            OrientableSurface(2, 1): [OrientableSurface(2, 3)],
+            CrossCapSurface(1, 2, 0): [CrossCapSurface(1, 2, 2)],
+        }
+        for atom, results in dotted.items():
+            assert atom.facets() == len(results)
+            assert [atom.add_dots(f, 2) for f in range(atom.facets())] == results
+            for bad in (-1, atom.facets()):
+                for call in (lambda: atom.add_dots(bad, 2), lambda: apply_sum(atom, SUM_R_PLUS, bad),
+                             lambda: apply_sum(atom, "no such decoration", bad)):
+                    with pytest.raises(FoamError, match=f"has no facet {bad}"):
+                        call()
 
 
 class TestNeckCutting:
@@ -234,6 +257,11 @@ class TestBubbleBursting:
     def test_double_dotted_host_rejected(self):
         with pytest.raises(FoamError):
             burst_bubble(Theta((1, 1, 1)))
+
+    def test_facet_outside_theta_rejected(self):
+        for facet in (-1, 3, 5):
+            with pytest.raises(FoamError, match="theta facets are 0, 1, 2"):
+                burst_bubble(Theta((1, 0, 0)), facet)
 
 
 class TestPairingMatrix:
@@ -279,6 +307,26 @@ class TestExpressions:
         for bad in ("", "sphere", "wedge 1", "(sphere 1", "sphere 1 2"):
             with pytest.raises(FoamError):
                 parse_expr(bad)
+
+    def test_negative_dots_rejected_on_every_atom(self):
+        # each dot argument of each evaluation, the others valid
+        for fn, args, dot_slots in (
+            (eval_sphere, (2,), [0]),
+            (eval_theta, (0, 1, 2), [0, 1, 2]),
+            (eval_tet_susp, (1, 0, 0, 1, 2, 0), range(6)),
+            (eval_surface, (2, 2), [1]),
+            (eval_surface, (0, 2), [1]),
+            (eval_crosscap, (0, 1, 2), [2]),
+            (eval_crosscap, (1, 0, 2), [2]),
+        ):
+            for i in dot_slots:
+                bad = list(args)
+                bad[i] = -1 if args[i] % 2 else -2
+                with pytest.raises(FoamError, match="dot counts are non-negative"):
+                    fn(*bad)
+        for text in ("surface 2 -1", "crosscap 0 1 -2", "tet -1 0 0 1 0 0", "(sum-t2 (surface 1 -2))"):
+            with pytest.raises(FoamError, match="dot counts are non-negative"):
+                parse_expr(text).value()
 
     def test_nesting_limit(self):
         # each "(plus" opens two levels and the innermost "(sphere 2)" two more
@@ -360,6 +408,68 @@ def test_fuzzed_expressions_raise_only_foam_error(tokens):
             parse_expr(" ".join(tokens)).value()
         except FoamError:
             pass
+
+
+# --- random expressions against an evaluator written here ------------------------
+
+DOTS = st.integers(0, 9)
+# word -> (evaluation, its arguments, facets: the last arguments are their dots)
+ATOM_KINDS = {
+    "sphere": (eval_sphere, st.tuples(DOTS), 1),
+    "theta": (eval_theta, st.tuples(DOTS, DOTS, DOTS), 3),
+    "tet": (eval_tet_susp, st.tuples(*[DOTS] * 6), 6),
+    "surface": (eval_surface, st.tuples(st.integers(0, 3), DOTS), 1),
+    "crosscap": (
+        eval_crosscap,
+        st.tuples(st.integers(0, 2), st.integers(0, 2), DOTS).filter(lambda t: t[0] + t[1] >= 1),
+        1,
+    ),
+}
+ATOMS = st.sampled_from(sorted(ATOM_KINDS)).flatmap(
+    lambda word: ATOM_KINDS[word][1].map(lambda args: ("atom", word, args))
+)
+DECORATED = st.tuples(st.sampled_from(["sum-t2", "sum-r+", "sum-r-"]), ATOMS).flatmap(
+    lambda d: st.integers(0, ATOM_KINDS[d[1][1]][2] - 1).map(lambda facet: (d[0], d[1], facet))
+)
+TREES = st.recursive(
+    ATOMS | DECORATED,
+    lambda kids: st.tuples(st.sampled_from(["plus", "+", "union", "*"]), st.lists(kids, max_size=3)),
+    max_leaves=10,
+)
+
+
+def prefix_text(tree) -> str:
+    if tree[0] == "atom":
+        return f"({tree[1]} {' '.join(map(str, tree[2]))})"
+    if tree[0].startswith("sum-"):
+        return f"({tree[0]} {prefix_text(tree[1])} {tree[2]})"
+    return f"({tree[0]} {' '.join(prefix_text(kid) for kid in tree[1])})"
+
+
+def expected_value(tree) -> int:
+    """plus is XOR, union is AND, an atom is its eval_*; sum-r+ leaves the
+    atom as it is, sum-t2 and sum-r- add the value with two more dots on
+    the facet."""
+    if tree[0] == "atom":
+        return ATOM_KINDS[tree[1]][0](*tree[2])
+    if tree[0].startswith("sum-"):
+        deco, (_, word, args), facet = tree
+        plain = ATOM_KINDS[word][0](*args)
+        if deco == "sum-r+":
+            return plain
+        dotted = list(args)
+        dotted[len(args) - ATOM_KINDS[word][2] + facet] += 2
+        return ATOM_KINDS[word][0](*dotted) ^ plain
+    values = [expected_value(kid) for kid in tree[1]]
+    if tree[0] in ("plus", "+"):
+        return sum(values) % 2
+    return int(all(values))
+
+
+@settings(max_examples=300, deadline=1000, derandomize=True, database=None)
+@given(TREES)
+def test_values_match_an_independent_evaluator(tree):
+    assert parse_expr(prefix_text(tree)).value() == expected_value(tree)
 
 
 def test_huge_dot_counts_reduce_by_the_cube_relation():
