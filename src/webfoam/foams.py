@@ -277,16 +277,18 @@ def burst_bubble(a: Atom, bubble_facet: int = 0) -> FoamExpr:
     host facets merge into one sphere.  One of the host facets must be
     dot-free (the bounding disk carries no dots).  With k dots on the
     bubble the result is the host sphere with k - 1 extra dots; k = 0
-    gives zero, and k >= 3 first reduces by the cube relation.
+    gives zero, and k >= 3 first reduces by the cube relation.  Negative
+    dot counts are refused, as by every atom's evaluation.
     """
     if not isinstance(a, Theta):
         raise FoamError("bubble bursting is implemented for theta foams")
     if not 0 <= bubble_facet < 3:
         raise FoamError("theta facets are 0, 1, 2")
+    _check_dots(*a.dots)
     hosts = [i for i in range(3) if i != bubble_facet]
     if all(a.dots[h] > 0 for h in hosts):
         raise FoamError("bubble bursting needs a dot-free host disk")
-    k = _reduce_dots(a.dots[bubble_facet]) if a.dots[bubble_facet] >= 3 else a.dots[bubble_facet]
+    k = _reduce_dots(a.dots[bubble_facet])
     if k == 0:
         return FoamExpr.zero()
     host_dots = a.dots[hosts[0]] + a.dots[hosts[1]]

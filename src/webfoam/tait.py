@@ -8,11 +8,13 @@ algorithms give the number, and the tests compare them: ``contract``,
 the one contraction kernel behind ``tait_count``, ``signed_tait_count``
 and ``skein``'s state sum, whose cost follows the width of its frontier,
 not the size of the web; matching branching in ``one_sets``, summed by
-``planar_lsharp_dim``; and the brute-force enumeration
+``planar_lsharp_dim`` over ``one_set_summary``'s union-find count of
+each complement's circles; and the brute-force enumeration
 ``tait_colorings``, the reference oracle.  ``signed_tait_web`` and
 ``signed_tait`` sum over the enumeration, not the kernel, as they are
-the independent check of ``skein.euler_char``.  The enumeration and the
-kernel's vertex nodes read ``Web.slot_edges``, built by validation.
+the independent check of ``skein.euler_char``.  The enumeration, the
+kernel's vertex nodes and ``is_one_set`` read ``Web.slot_edges``, built
+by validation.
 
 ``contract`` numbers the arcs once and plans every step on those
 numbers: the node's expanded table, rows keyed by the colors of its open
@@ -21,15 +23,15 @@ onto the arcs kept.  A step depends only on the node's weight table, its
 pattern (per arc position, the arc's frontier position, or the node
 position where an arc off the frontier first occurs), the frontier's
 width and the call's color symmetry, so ``_step`` resolves it through
-one LRU cache of ``STEPS`` entries.  Behind it, the table depends only on
-the weight table, the node's arc-multiplicity shape, which of its arcs
-are open and the color symmetry, so ``_local_table`` memoizes it on
-those four values in one of ``LOCAL_TABLES`` entries; ``_picker``
-memoizes a projection by its index tuple in one of ``PICKERS``.  Every
-cache is keyed by value, never by identity.  A run over many diagrams
-builds a few dozen tables and pickers and a few hundred steps, not one of
-each per contraction step.  The weight tables are tuples of
-``(colors, weight)`` items so that they can be keys.
+an LRU cache.  Behind it, the table depends only on the weight table,
+the node's arc-multiplicity shape, which of its arcs are open and the
+color symmetry, so ``_local_table`` memoizes it on those four values;
+``_picker`` memoizes a projection by its index tuple.  Each cache,
+``_symmetry``'s too, holds ``CACHE_ENTRIES`` entries and is keyed by
+value, never by identity.  A run over many diagrams builds a few dozen
+tables and pickers and a few hundred steps, not one of each per
+contraction step.  The weight tables are tuples of ``(colors, weight)``
+items so that they can be keys.
 
 The color symmetry: ``VERTEX_WEIGHTS`` and the skein crossing tables are
 unchanged by all six permutations of the colors, ``SIGNED_VERTEX_WEIGHTS``
@@ -53,6 +55,7 @@ step that passes the bound, so its time is bounded too.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import itemgetter
@@ -86,11 +89,10 @@ MAX_STATES = 10**7
 # (15,129 sets, 2.4 MB of JSON) is refused.
 MAX_ONE_SETS = 10_000
 
-# bounds of the LRU caches behind ``contract``: expanded node tables,
-# frontier projections, and planned steps
-LOCAL_TABLES = 512
-PICKERS = 512
-STEPS = 512
+# bound of each LRU cache behind ``contract`` (planned steps, expanded node
+# tables, frontier projections, table symmetries); one cold pass over the
+# timed diagrams of perfbench's ``skein_random`` fills at most 140 of one
+CACHE_ENTRIES = 512
 
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
 _ALL_PERMS = frozenset(permutations(range(3)))  # permutations of the colors 0, 1, 2, as tuples of images
@@ -148,7 +150,7 @@ def tait_colorings(w: Web):
             yield {**base, **dict(zip(circles, colors))}
 
 
-@lru_cache(maxsize=PICKERS)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _picker(idx: tuple):
     """Function taking a tuple to the tuple of its entries at ``idx``.
 
@@ -161,7 +163,7 @@ def _picker(idx: tuple):
     return itemgetter(slice(idx[0], idx[0] + len(idx)) if idx else slice(0))
 
 
-@lru_cache(maxsize=LOCAL_TABLES)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _symmetry(weights: tuple) -> frozenset:
     """The permutations of the colors 0, 1, 2 that leave ``weights``
     unchanged; entries listing one coloring twice are summed first."""
@@ -175,7 +177,7 @@ def _symmetry(weights: tuple) -> frozenset:
     )
 
 
-@lru_cache(maxsize=LOCAL_TABLES)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _local_table(weights: tuple, shape: tuple, is_open: tuple, group: frozenset) -> dict:
     """One node's weight table with its open arcs as the row key.
 
@@ -207,7 +209,7 @@ def _local_table(weights: tuple, shape: tuple, is_open: tuple, group: frozenset)
     return {key: tuple(row.items()) for key, row in local.items()}
 
 
-@lru_cache(maxsize=STEPS)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _step(weights: tuple, pattern: tuple, width: int, group: frozenset) -> tuple:
     """One step of ``contract``, from its node's arc pattern.
 
@@ -440,41 +442,21 @@ def one_sets(w: Web) -> list[frozenset]:
 
 
 def is_one_set(w: Web, s) -> bool:
-    cover = {v: 0 for v in w.vertices}
-    for e in s:
-        if e not in w.circles:
-            for v, _ in w.edge_ends[e]:
-                cover[v] += 1
-    return all(c == 1 for c in cover.values())
-
-
-def complement_components(w: Web, s) -> list[dict]:
-    """Connected components of the 2-set complementary to the 1-set ``s``.
-
-    Each component is reported as {"edges": set, "vertices": set}; every
-    component is a circle (each vertex keeps exactly two incidences).
-    """
-    comp_edges = [e for e in w.edge_ends if e not in s]
-    root = _union_find(w.vertices, ((w.edge_ends[e][0][0], w.edge_ends[e][1][0]) for e in comp_edges))
-    groups: dict = {}
-    for e in comp_edges:
-        (u, _), (v, _) = w.edge_ends[e]
-        group = groups.setdefault(root[u], {"edges": set(), "vertices": set()})
-        group["edges"].add(e)
-        group["vertices"].update((u, v))
-    out = list(groups.values())
-    for c in w.circles:
-        if c not in s:
-            out.append({"edges": {c}, "vertices": set()})
-    return out
+    """True iff every id in ``s`` is an edge or circle of ``w`` and every
+    vertex has exactly one slot on an edge of ``s``."""
+    return all(e in w.edge_ends or e in w.circles for e in s) and all(
+        sum(e in s for e in edges) == 1 for edges in w.slot_edges.values()
+    )
 
 
 def one_set_summary(w: Web, s) -> tuple[bool, int]:
     """``(even, n)`` for the 1-set ``s``: whether every circle of the
     complementary 2-set has evenly many vertices, and the number of those
-    circles."""
-    comps = complement_components(w, s)
-    return all(len(c["vertices"]) % 2 == 0 for c in comps), len(comps)
+    circles.  Every vertex keeps two edges outside ``s``, so each
+    component of those edges is one circle; only its vertices are counted."""
+    root = _union_find(w.vertices, ((u, v) for e, ((u, _), (v, _)) in w.edge_ends.items() if e not in s))
+    sizes = Counter(root.values()).values()
+    return all(k % 2 == 0 for k in sizes), len(sizes) + sum(c not in s for c in w.circles)
 
 
 def is_even_one_set(w: Web, s) -> bool:

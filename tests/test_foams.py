@@ -263,6 +263,11 @@ class TestBubbleBursting:
             with pytest.raises(FoamError, match="theta facets are 0, 1, 2"):
                 burst_bubble(Theta((1, 0, 0)), facet)
 
+    def test_negative_dots_rejected(self):
+        for dots in ((-1, 0, 5), (1, -1, 0), (1, 0, -3), (-2, 0, 0)):
+            with pytest.raises(FoamError, match="dot counts are non-negative"):
+                burst_bubble(Theta(dots), 0)
+
 
 class TestPairingMatrix:
     def test_stated_matrix(self):

@@ -1,30 +1,28 @@
 import json
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_skein import criterion_3_stream
+from test_skein import census_webs, criterion_3_stream
 from webfoam import catalogue, skein, tait
 from webfoam.cli import main
 from webfoam.generate import cubic_multigraphs, planar_cubic_webs
 from webfoam.tait import (
-    LOCAL_TABLES,
+    CACHE_ENTRIES,
     MATCHING_WEIGHTS,
     MAX_EDGES,
     MAX_ONE_SETS,
     MAX_WIDTH,
-    PICKERS,
     SIGNED_VERTEX_WEIGHTS,
-    STEPS,
     VERTEX_WEIGHTS,
-    complement_components,
     contract,
     is_even_one_set,
     is_one_set,
+    one_set_summary,
     one_sets,
     planar_lsharp_dim,
     signed_tait,
@@ -294,21 +292,16 @@ class TestLocalTableCache:
             assert tait_count(w) == count
 
     def test_bounded(self):
-        assert tait._local_table.cache_info().maxsize == LOCAL_TABLES
-        assert tait._symmetry.cache_info().maxsize == LOCAL_TABLES
-        assert tait._picker.cache_info().maxsize == PICKERS
-        assert tait._step.cache_info().maxsize == STEPS
+        caches = (tait._local_table, tait._symmetry, tait._picker, tait._step)
+        assert [c.cache_info().maxsize for c in caches] == [CACHE_ENTRIES] * 4
         theta = theta_web()
-        for m in range(1, max(LOCAL_TABLES, STEPS) + 50):  # each scaled table gets expansions and steps of its own
+        for m in range(1, CACHE_ENTRIES + 50):  # each scaled table gets expansions and steps of its own
             scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
             assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
-        assert tait._local_table.cache_info().currsize <= LOCAL_TABLES
-        assert tait._symmetry.cache_info().currsize <= LOCAL_TABLES
-        assert tait._step.cache_info().currsize <= STEPS
         assert tait_count(theta) == 6
-        for i in range(PICKERS + 50):  # evicts every projection theta used
+        for i in range(CACHE_ENTRIES + 50):  # evicts every projection theta used
             assert tait._picker((i + 1, 0))(tuple(range(i + 2))) == (i + 1, 0)
-        assert tait._picker.cache_info().currsize <= PICKERS
+        assert all(c.cache_info().currsize <= CACHE_ENTRIES for c in caches)
         assert tait_count(theta) == 6
 
 
@@ -477,11 +470,6 @@ class TestOneSets:
         for w in planar_cubic_webs(6):
             for s in one_sets(w):
                 assert is_one_set(w, s)
-                for comp in complement_components(w, s):
-                    # every vertex keeps exactly two incidences
-                    for v in comp["vertices"]:
-                        slots = [e for e in w.vertex_edges(v) if e in comp["edges"]]
-                        assert len(slots) == 2
 
     def test_evenness(self):
         assert is_even_one_set(unknot_web(), frozenset())
@@ -507,6 +495,45 @@ class TestOneSets:
     def test_not_a_one_set_raises(self):
         with pytest.raises(ValueError):
             is_even_one_set(theta_web(), frozenset({"e1", "e2"}))
+
+    def test_unknown_id_is_not_a_one_set(self):
+        theta = theta_web()
+        for s in ({"zz"}, {"e1", "zz"}):
+            assert not is_one_set(theta, frozenset(s))
+            with pytest.raises(ValueError, match="not a 1-set"):
+                is_even_one_set(theta, frozenset(s))
+        assert not is_one_set(unknot_web(), frozenset({"zz"}))  # no vertex to cover: the id alone decides
+        assert not is_one_set(handcuffs_web(), frozenset({"b", 7}))
+
+    def test_one_sets_are_the_edge_sets_covering_each_vertex_once(self):
+        for n in (2, 4, 6):
+            for w in cubic_multigraphs(n, allow_loops=True):
+                edges = list(w.edge_ends)
+                found = {
+                    frozenset(c) for k in range(len(edges) + 1) for c in combinations(edges, k) if is_one_set(w, c)
+                }
+                assert found == set(one_sets(w))
+
+    def test_summary_matches_networkx_components(self):
+        # the complement of every 1-set, as a multigraph: each vertex keeps
+        # degree 2 (a loop counts twice), so each component is one circle
+        with_circles = [
+            make_web(w.vertices, [(e, *ends) for e, ends in w.edge_ends.items()], ["o1", "o2"])
+            for w in (theta_web(), handcuffs_web())
+        ]
+        pool = census_webs() + [prism_web(k) for k in range(3, 13)] + with_circles + [unknot_web()]
+        checked = 0
+        for w in pool:
+            for s in one_sets(w):
+                g = nx.MultiGraph()
+                g.add_nodes_from(w.vertices)
+                g.add_edges_from((u, v) for e, ((u, _), (v, _)) in w.edge_ends.items() if e not in s)
+                assert all(d == 2 for _, d in g.degree())
+                sizes = [len(c) for c in nx.connected_components(g)]
+                n = len(sizes) + len(w.circles - s)
+                assert one_set_summary(w, s) == (all(k % 2 == 0 for k in sizes), n)
+                checked += 1
+        assert checked == 1198
 
 
 class TestPlanarDim:

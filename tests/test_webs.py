@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -214,6 +215,19 @@ class TestUnderlyingWeb:
     def test_lhc_handcuffs(self):
         uw = underlying_web(catalogue.load_diagram(catalogue.get("lhc")))
         assert sorted(uw.is_loop(e) for e in uw.edge_ends) == [False, True, True]
+
+    def test_bundled_webs_derive_from_their_diagrams(self):
+        # each bundled .web.json with a .diagram.json sibling is, byte for
+        # byte, the serialized underlying web of that diagram
+        data = resources.files("webfoam").joinpath("data")
+        derived = []
+        for f in sorted(data.iterdir(), key=lambda f: f.name):
+            sibling = data.joinpath(f.name.replace(".web.json", ".diagram.json"))
+            if f.name.endswith(".web.json") and sibling.is_file():
+                web = underlying_web(parse_diagram(sibling.read_text()))
+                assert f.read_text() == json.dumps(json.loads(serialize_web(web)), indent=1) + "\n", f.name
+                derived.append(f.name.removesuffix(".web.json"))
+        assert derived == ["cube", "handcuffs", "tetrahedron", "theta", "unknot", "unlink_2"]
 
 
 class TestResolveCrossing:
