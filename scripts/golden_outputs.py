@@ -14,7 +14,10 @@ tetrahedron suspension and under a decoration, a bad ``dims`` fraction, an ``adh
 list vertex, a 2,400-edge prism web, the
 30-sided prism web with more than ``tait.MAX_ONE_SETS`` 1-sets, a
 random cubic web on 100 vertices whose contraction frontier passes
-``tait.MAX_WIDTH``, and a diagram whose second component is toroidal).
+``tait.MAX_WIDTH``, a diagram whose second component is toroidal, a web
+document given to ``euler``, a ``dims`` exponent above
+``cli.MAX_EXPONENT``, and 10,000 free circles, whose chi has more digits
+than an int may print).
 It also holds the faces of every catalogue diagram,
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
@@ -142,6 +145,9 @@ MALFORMED = [
         {"id": "x", "darts": ["A", "A", "B", "B"]},
         {"id": "y", "darts": ["a", "b", "a", "b"]},
     ]})),
+    (["euler", "-"], (DATA / "unknot.web.json").read_text()),
+    (["dims", "--kappa", "1e30000000"], ""),
+    (["euler", "-"], json.dumps({"circles": [f"c{i}" for i in range(10000)]})),
 ]
 
 

@@ -27,13 +27,12 @@ import os
 import sys
 
 
-def _emit(doc: dict, fmt: str) -> None:
+def _render(doc: dict, fmt: str) -> str:
+    """The text of ``doc``, each line ended by a newline."""
     if fmt == "table":
         width = max((len(str(k)) for k in doc), default=0)
-        for k in sorted(doc, key=str):
-            print(f"{str(k):<{width}}  {doc[k]}")
-    else:
-        print(json.dumps(doc, sort_keys=True, default=str))
+        return "".join(f"{str(k):<{width}}  {doc[k]}\n" for k in sorted(doc, key=str))
+    return json.dumps(doc, sort_keys=True, default=str) + "\n"
 
 
 def _read(path: str) -> str:
@@ -53,12 +52,20 @@ def _load_web_or_diagram(text: str):
     return webs.underlying_web(d), d
 
 
+MAX_EXPONENT = 4300  # Python's default limit on the digits of a printed int
+
+
 def fraction(text: str):
     """argparse type of the rational options; argparse names it in a
-    usage error ("invalid fraction value").  Only ``dims`` uses it, so
-    ``fractions`` is imported here, not by every command."""
+    usage error ("invalid fraction value").  An exponent above
+    ``MAX_EXPONENT`` in absolute value is refused before the power of 10
+    is built.  Only ``dims`` uses it, so ``fractions`` is imported here,
+    not by every command."""
     from fractions import Fraction
 
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -220,17 +227,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its status.  A command returns its
-    document, or its document and status; the document is emitted here,
-    outside the ``try``, so a failed write reaches ``run``."""
+    document, or its document and status.  Its text is built inside the
+    ``try``, so a result too large to print is an error like any other,
+    and written outside it, so a failed write reaches ``run``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         doc = args.func(args)
+        doc, status = doc if isinstance(doc, tuple) else (doc, 0)
+        text = _render(doc, args.format)
     except (ValueError, OSError) as exc:  # every layer's error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc, status = doc if isinstance(doc, tuple) else (doc, 0)
-    _emit(doc, args.format)
+    print(text, end="")
     return status
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import combinations, product
 
-from .webs import Crossing, Diagram, Vertex, Web, WebError, fresh_namer, web_from_incidences
+from .webs import Crossing, Diagram, Vertex, Web, WebError, flip_crossing, fresh_namer, web_from_incidences
 
 
 # ---------------------------------------------------------------------------
@@ -138,28 +138,21 @@ def add_kink(d: Diagram, arc, cross_id, rng: random.Random) -> Diagram:
         crossing = Crossing(cross_id, (k, k, r1, r1), over)
         circles = tuple(x for x in d.circles if x != arc)
         return Diagram(d.vertices, d.crossings + (crossing,), circles)
-    records = list(d.vertices) + list(d.crossings)
-    records, circles, found = _split_arc(records, d.circles, arc, (r1, r2))
+    vertices, crossings, found = _split_arc(d.vertices, d.crossings, arc, (r1, r2))
     if found != 2:
         raise ValueError(f"arc {arc!r} does not have two endpoints")
-    vertices = tuple(rec for rec in records if isinstance(rec, Vertex))
-    crossings = tuple(rec for rec in records if isinstance(rec, Crossing))
     crossing = Crossing(cross_id, (k, k, r1, r2), over)
-    return Diagram(vertices, crossings + (crossing,), tuple(circles))
+    return Diagram(vertices, crossings + (crossing,), d.circles)
 
 
 def _face_arcs(d: Diagram) -> list[list]:
-    return [[d.arc_at[dart] for dart in face] for face in d.faces]
+    labels = d._labels
+    return [list(map(labels.__getitem__, face)) for face in d._dart_faces()]
 
 
 def add_poke(d: Diagram, rng: random.Random, tag: str) -> Diagram | None:
     """Slide one arc across another along a shared face (two new crossings)."""
-    candidates = []
-    for arcs in _face_arcs(d):
-        distinct = sorted(set(arcs), key=str)
-        for r, s in combinations_with_replacement(distinct, 2):
-            if r != s:
-                candidates.append((r, s))
+    candidates = [pair for arcs in _face_arcs(d) for pair in combinations(sorted(set(arcs), key=str), 2)]
     if not candidates:
         return None
     rng.shuffle(candidates)
@@ -172,30 +165,31 @@ def add_poke(d: Diagram, rng: random.Random, tag: str) -> Diagram | None:
     return None
 
 
-def _split_arc(records, circles, arc, pieces):
+def _split_arc(vertices: tuple, crossings: tuple, arc, pieces: tuple) -> tuple:
+    """The vertices and the crossings with the first and second ends of
+    ``arc``, in dart order, relabelled ``pieces[0]`` and ``pieces[1]``,
+    and the number of ends found."""
     found = 0
     out = []
-    for rec in records:
-        arcs = list(rec.arcs)
-        for i, a in enumerate(arcs):
-            if a == arc and found < 2:
-                arcs[i] = pieces[0] if found == 0 else pieces[-1]
-                found += 1
-        if isinstance(rec, Vertex):
-            out.append(Vertex(rec.id, tuple(arcs)))
-        else:
-            out.append(Crossing(rec.id, tuple(arcs), rec.over))
-    return out, [c for c in circles if c != arc], found
+    for nodes in (vertices, crossings):
+        split = []
+        for rec in nodes:
+            arcs = list(rec.arcs)
+            for i, a in enumerate(arcs):
+                if a == arc and found < 2:
+                    arcs[i] = pieces[found]
+                    found += 1
+            split.append(rec._replace(arcs=tuple(arcs)))
+        out.append(tuple(split))
+    return *out, found
 
 
 def _poke(d: Diagram, r, s, flip: bool, tag: str) -> Diagram:
     x_id, y_id = f"px{tag}", f"py{tag}"
     fresh = fresh_namer(d)
     r1, rm, r2, s1, sm, s2 = (fresh(f"p{tag}_") for _ in range(6))
-    records = list(d.vertices) + list(d.crossings)
-    circles = list(d.circles)
-    records, circles, found_r = _split_arc(records, circles, r, (r1, r2))
-    records, circles, found_s = _split_arc(records, circles, s, (s1, s2))
+    vertices, crossings, found_r = _split_arc(d.vertices, d.crossings, r, (r1, r2))
+    vertices, crossings, found_s = _split_arc(vertices, crossings, s, (s1, s2))
     if found_r != 2 or found_s != 2:
         raise ValueError("poke needs two attached arcs")
     over = (0, 2)
@@ -208,15 +202,11 @@ def _poke(d: Diagram, r, s, flip: bool, tag: str) -> Diagram:
     else:
         x = Crossing(x_id, (rm, s1, r1, sm), over)
         y = Crossing(y_id, (r2, s2, rm, sm), over)
-    vertices = tuple(rec for rec in records if isinstance(rec, Vertex))
-    crossings = tuple(rec for rec in records if isinstance(rec, Crossing)) + (x, y)
-    return Diagram(vertices, crossings, tuple(circles))
+    return Diagram(vertices, crossings + (x, y), d.circles)
 
 
 def random_diagram(seed_diagrams, max_crossings: int, rng: random.Random) -> Diagram:
     """Grow a random valid diagram from a random seed."""
-    from .webs import flip_crossing
-
     d = rng.choice(seed_diagrams)
     target = rng.randint(0, max_crossings)
     step = 0

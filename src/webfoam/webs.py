@@ -12,14 +12,13 @@ All structures are immutable after construction; every operation returns
 a new object.  Validation keeps the tables it builds:
 ``Web.slot_edges`` (each vertex's edges in slot order), which the other
 layers read, and a ``Diagram``'s integer dart tables (the arc at each
-dart and the dart involution), which ``underlying_web`` walks.  A
-``Diagram`` checks the Euler formula on construction; its tuple-keyed
-tables (``arc_ends``, the involution ``partner`` on (node id, position)
-darts, the dart -> arc map ``arc_at`` and the sorted ``faces``) are
-views built from the integer tables on first use.  One strand-rewrite
-engine, ``Splice`` (the involution on node slots, starting from a
-diagram's own), serves ``resolve_crossing`` (read back as a diagram) and
-the Tutte-site modifications of ``skein`` (read back as webs).
+dart and the dart involution), its one representation of the darts,
+which ``underlying_web`` and ``Splice`` read.  A ``Diagram`` checks the
+Euler formula on construction; its sorted ``faces`` are the one view
+built on first use.  One strand-rewrite engine, ``Splice`` (the
+involution on node slots, starting from a diagram's own), serves
+``resolve_crossing`` (read back as a diagram) and the Tutte-site
+modifications of ``skein`` (read back as webs).
 """
 
 from __future__ import annotations
@@ -285,12 +284,9 @@ class Diagram(Frozen):
     crossings before it, each node's in position order.  Construction
     validates on integer tables, which it keeps: ``_labels`` holds each
     dart's arc and ``_partner`` the dart at the other end of that arc.
-    The tuple-keyed tables are views built from them on first use:
-    ``arc_ends`` maps each attached arc to its two (node id, position)
-    ends, in dart order, ``partner`` each such dart to the other end of
-    its arc, ``arc_at`` each dart to its arc, and ``faces`` lists the
-    faces as tuples of darts, each from its least dart by ``_dart_key``,
-    in that order.
+    ``_darts`` names each dart by its (node id, position), and ``faces``
+    lists the faces as tuples of those names, each from its least dart
+    by ``_dart_key``, in that order; both are built on first use.
 
     Construction counts the face orbits and the connected components c
     on flat integer lists, with a ``bytearray`` of marks each and no
@@ -399,28 +395,23 @@ class Diagram(Frozen):
         """(node id, position) of each dart, in dart order."""
         return [(n.id, pos) for nodes in (self.vertices, self.crossings) for n in nodes for pos in range(len(n.arcs))]
 
-    @cached_property
-    def arc_ends(self) -> dict:
-        darts, labels = self._darts, self._labels
-        return {labels[d]: [darts[d], darts[p]] for d, p in enumerate(self._partner) if d < p}
-
-    @cached_property
-    def partner(self) -> dict:
-        return {x: y for x, y in self.arc_ends.values() for x, y in ((x, y), (y, x))}
-
-    @cached_property
-    def arc_at(self) -> dict:
-        return {dart: a for a, ends in self.arc_ends.items() for dart in ends}
+    def _dart_faces(self) -> list:
+        """The face orbits as lists of integer darts, each traced from its
+        least dart by ``_dart_key``, in that order."""
+        darts, partner = self._darts, self._partner
+        starts = sorted(_by_arc(partner), key=lambda x: _dart_key(darts[x]))
+        return _face_orbits(_face_successor(partner, 3 * len(self.vertices)), starts)
 
     @cached_property
     def faces(self) -> tuple:
-        darts, partner = self._darts, self._partner
-        # both ends of each arc, arcs by first dart: the order of ``partner``'s
-        # keys, which decides ties between ids equal as strings, such as 1 and "1"
-        ends = (x for d, p in enumerate(partner) if d < p for x in (d, p))
-        starts = sorted(ends, key=lambda x: _dart_key(darts[x]))
-        orbits = _face_orbits(_face_successor(partner, 3 * len(self.vertices)), starts)
-        return tuple(tuple(map(darts.__getitem__, face)) for face in orbits)
+        darts = self._darts
+        return tuple(tuple(map(darts.__getitem__, face)) for face in self._dart_faces())
+
+
+def _by_arc(partner: list):
+    """Both ends of each arc, arcs in order of their first darts: the order
+    that decides ties between ids equal as strings, such as 1 and "1"."""
+    return (x for d, p in enumerate(partner) if d < p for x in (d, p))
 
 
 def _face_successor(partner: list, n3: int) -> list:
@@ -464,9 +455,12 @@ def parse_diagram(text: str | dict) -> Diagram:
     Arc labels pair the darts: each label occurs exactly twice.  An
     explicit ``"strands": [[d1, d2], ...]`` list may be given instead, in
     which case dart labels are treated as unique endpoint names.  A node
-    record without ``darts`` may give its list as ``arcs``.
+    record without ``darts`` may give its list as ``arcs``.  A document
+    with an ``"edges"`` key is a web document and is refused.
     """
     doc = load_document(text, "diagram")
+    if "edges" in doc:
+        raise WebError("this is a web document (it has 'edges'), not a diagram")
     rename = {}
     for pair in _items(doc.get("strands", []), "'strands'"):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -522,13 +516,13 @@ def underlying_web(d: Diagram) -> Web:
     A web edge or circle made of several arcs is labelled by the least of
     their labels (compared as strings).  Edges are walked from the vertex
     darts, and circles from the crossing darts, in (str(node id),
-    position) order.  The walk reads the diagram's integer dart tables.
+    position) order.  The walk reads the diagram's integer dart tables
+    and names an edge's ends by the numbering: vertex dart k is
+    position k % 3 of vertex k // 3.  It caches no table on ``d``.
     """
-    partner, labels = d._partner, d._labels
-    n3 = 3 * len(d.vertices)
-    ends = [(n.id, pos) for n in d.vertices for pos in range(3)]
-    keys = [_dart_key(x) for x in ends]
-    keys += [(str(c.id), pos) for c in d.crossings for pos in range(4)]
+    partner, labels, vertices = d._partner, d._labels, d.vertices
+    n3 = 3 * len(vertices)
+    keys = [(str(n.id), pos) for nodes in (vertices, d.crossings) for n in nodes for pos in range(len(n.arcs))]
     edges = []
     walked = bytearray(len(labels))  # vertex darts ending an edge, crossing darts passed through
     for start in sorted(range(n3), key=keys.__getitem__):
@@ -542,7 +536,7 @@ def underlying_web(d: Diagram) -> Web:
             arcs.append(labels[out])
             dart = partner[out]
         walked[start] = walked[dart] = 1
-        edges.append((str(min(arcs, key=str)), ends[start], ends[dart]))
+        edges.append((str(min(arcs, key=str)), (vertices[start // 3].id, start % 3), (vertices[dart // 3].id, dart % 3)))
     circles = list(d.circles)
     # closed strands running through crossings only
     for start in sorted(range(n3, len(labels)), key=keys.__getitem__):
@@ -586,7 +580,7 @@ def fresh_namer(d: Diagram):
     """Function ``fresh(base)`` giving the first name ``"<base><k>"``, k =
     0, 1, ..., that is neither an arc label or node id of ``d`` (compared
     as strings) nor given out by an earlier call."""
-    used = {str(x) for x in d.arcs}
+    used = set(map(str, chain(d._labels, d.circles)))
     used.update(str(n.id) for nodes in (d.vertices, d.crossings) for n in nodes)
 
     def fresh(base: str) -> str:
@@ -606,7 +600,7 @@ class Splice:
     other end of its arc; ``verts`` and ``crossings`` hold the ids of the
     trivalent and 4-valent nodes, and ``circles`` counts free circles.
     Each step copies ``links`` before changing it and returns a new
-    splice, so ``from_diagram`` shares the diagram's ``partner``.
+    splice, so one splice can be stepped several ways.
     ``insert_edge`` at crossing ``cid`` adds the vertices ("w", cid, 0)
     and ("w", cid, 1).  It serves
     ``resolve_crossing`` (``to_diagram``) and the Tutte sites of
@@ -623,8 +617,10 @@ class Splice:
 
     @staticmethod
     def from_diagram(d: Diagram) -> "Splice":
+        darts, partner = d._darts, d._partner
+        links = {darts[x]: darts[partner[x]] for x in _by_arc(partner)}
         verts, crossings = (frozenset(n.id for n in nodes) for nodes in (d.vertices, d.crossings))
-        return Splice(d.partner, verts, crossings, len(d.circles))
+        return Splice(links, verts, crossings, len(d.circles))
 
     def smooth(self, cid, kind: str) -> "Splice":
         out = Splice(dict(self.links), self.verts, self.crossings, self.circles)
@@ -664,10 +660,11 @@ class Splice:
         """The validated diagram of this splice of ``d``, labelled as
         ``resolve_crossing`` describes."""
         fresh = fresh_namer(d)
+        arc_at = dict(zip(d._darts, d._labels))
         label: dict = {}
         for s, t in self.links.items():
             if s not in label:
-                kept = [d.arc_at[x] for x in (s, t) if x in d.arc_at]
+                kept = [arc_at[x] for x in (s, t) if x in arc_at]
                 label[s] = label[t] = min(kept, key=str) if kept else fresh("s")
         new = sorted(self.verts.difference(n.id for n in d.vertices), key=lambda v: v[2])
         vertices = [
@@ -709,7 +706,8 @@ def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:
     Labels depend on ``d`` alone.  Nodes and free circles of ``d`` keep
     their ids.  An arc keeps the label of an arc of ``d`` that ended
     where it ends, the least as a string if two did (a smoothing joins
-    two arcs into one).  The new vertices take the first unused names
+    two arcs into one; of two equal as strings, the one with the first
+    dart).  The new vertices take the first unused names
     ``"<cid>.w0"``, ``"<cid>.w1"``, ...; the inserted edge, any other arc
     with both ends at the crossing, and any circle closed by a smoothing
     take the first unused names ``"s0"``, ``"s1"``, ...

@@ -124,7 +124,13 @@ class TestExitCodes:
             main(["module"])  # missing --web
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--kappa", "abc"), ("--sigma2", "1/2/3"), ("--kappa", "1/0")])
+    # an exponent past MAX_EXPONENT is refused before the power of 10 is
+    # built: Fraction("1e30000000") alone takes ~27 s
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--kappa", "abc"), ("--sigma2", "1/2/3"), ("--kappa", "1/0"),
+         ("--kappa", "1e30000000"), ("--kappa", "1e-30000000"), ("--sigma2", "1E+4301")],
+    )
     def test_bad_fraction_is_two(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["dims", flag, value])
@@ -132,6 +138,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flag}: invalid fraction value: '{value}'" in err
         assert "_frac" not in err
+
+    def test_large_exponent_is_exact(self, capsys):
+        code, out, err = run_cli(capsys, "dims", "--kappa", "1e400")
+        assert (code, err) == (0, "")
+        dim = json.loads(out)["dim"]
+        assert dim == str(12 * 10**400 - 8) and len(dim) == 402
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_result_past_the_digit_limit_is_one(self, capsys, tmp_path, fmt):
+        # chi = 3^10000 has 4,772 digits, more than an int may print
+        doc = tmp_path / "circles.json"
+        doc.write_text(json.dumps({"circles": [f"c{i}" for i in range(10000)]}))
+        code, out, err = run_cli(capsys, "--format", fmt, "euler", str(doc))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["unknot.web.json", "theta.web.json"])
+    def test_euler_on_a_web_is_one(self, capsys, name):
+        code, out, err = run_cli(capsys, "euler", data_path(name))
+        assert (code, out, err) == (1, "", "error: this is a web document (it has 'edges'), not a diagram\n")
 
     def test_bad_expression_is_one(self, capsys):
         code, _, err = run_cli(capsys, "foam-eval", "wedge 3")
@@ -394,6 +420,11 @@ class TestProcessBoundary:
         out = process("tait", "no-such-file.json")
         assert (out.returncode, out.stdout) == (1, "")
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+    def test_result_past_the_digit_limit(self):
+        out = process("euler", "-", input=json.dumps({"circles": [f"c{i}" for i in range(10000)]}))
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr.startswith("error: Exceeds the limit (4300 digits)") and out.stderr.count("\n") == 1
 
     def test_usage_error(self):
         out = process("frob")

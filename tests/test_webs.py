@@ -186,6 +186,15 @@ class TestParseDiagram:
             parse_diagram(json.dumps(doc))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("name", ["unknot", "theta"])
+    def test_web_document_refused(self, name):
+        # read as a diagram, the unknot's edges were ignored (an empty
+        # diagram) and theta's vertex ids were taken for vertex records
+        text = catalogue.data_text(f"{name}.web.json")
+        for doc in (text, json.loads(text)):
+            with pytest.raises(WebError, match=r"^this is a web document \(it has 'edges'\), not a diagram$"):
+                parse_diagram(doc)
+
     def test_arcs_stand_in_for_missing_darts(self):
         doc = {"crossings": [{"id": "x", "arcs": ["A", "A", "B", "B"]}]}
         assert parse_diagram(json.dumps(doc)) == parse_diagram(KINK_DOC)
@@ -292,6 +301,15 @@ class TestResolveCrossing:
         assert sorted(r.arcs) == ["a", "b", "c", "d", "s0"]
         # a smoothing joins two arcs under the lesser label
         assert resolve_crossing(d, "c1", SMOOTH_A).crossing("c2").arcs == ("b", "b", "a", "a")
+
+    def test_tied_labels_keep_the_arc_with_the_first_dart(self):
+        # smoothing x0 joins the arcs 2 (first dart: x0's position 2) and
+        # "2" (position 3), equal as strings; the joined arc is labelled 2
+        x1 = Crossing("x1", (1, 1, 0, "2"), (1, 3))
+        d = Diagram((), (Crossing("x0", ("1", "1", 2, "2"), (1, 3)), x1, Crossing("x2", ("0", "0", 2, 0))))
+        r = resolve_crossing(d, "x0", SMOOTH_A)
+        assert r.crossings == (x1._replace(arcs=(1, 1, 0, 2)), Crossing("x2", ("0", "0", 2, 0)))
+        assert r.circles == ("s0",)
 
     def test_resolution_kinds_closed(self):
         assert set(RESOLUTIONS) == {SMOOTH_A, SMOOTH_B, EDGE_A, EDGE_B}
@@ -423,16 +441,21 @@ def test_stored_involution_matches_the_node_records():
     diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file] + criterion_3_stream()
     diagrams += [parse_diagram(KINK_DOC), hopf_diagram()]
     for d in diagrams:
-        assert d.partner == node_partner(d)
-        assert all(d.partner[d.partner[x]] == x != d.partner[x] for x in d.partner)
-        assert d.arc_at == {(n.id, pos): a for n in d.vertices + d.crossings for pos, a in enumerate(n.arcs)}
+        darts, partner, labels = d._darts, d._partner, d._labels
+        assert darts == [(n.id, pos) for n in d.vertices + d.crossings for pos in range(len(n.arcs))]
+        assert len(partner) == len(labels) == len(darts)
+        assert {darts[x]: darts[y] for x, y in enumerate(partner)} == node_partner(d)
+        assert all(partner[partner[x]] == x != partner[x] for x in range(len(partner)))
+        assert dict(zip(darts, labels)) == {(n.id, pos): a for n in d.vertices + d.crossings for pos, a in enumerate(n.arcs)}
 
 
 def tuple_walk_underlying_web(d) -> Web:
-    """``underlying_web`` by a walk over the tuple-keyed tables ``partner``
-    and ``arc_at``, from the vertex darts and then the crossing darts in
-    (str(node id), position) order."""
-    partner, arc_at = d.partner, d.arc_at
+    """``underlying_web`` by a walk over tuple-keyed tables built from the
+    node records (the dart involution and the arc at each dart), from the
+    vertex darts and then the crossing darts in (str(node id), position)
+    order."""
+    partner = node_partner(d)
+    arc_at = {(n.id, pos): a for n in d.vertices + d.crossings for pos, a in enumerate(n.arcs)}
     crossings = [c.id for c in d.crossings]
     key = lambda dart: (str(dart[0]), dart[1])  # noqa: E731
     edges = []
@@ -471,7 +494,8 @@ def test_underlying_web_matches_the_tuple_walk():
     for d in diagrams:
         d = parse_diagram(serialize_diagram(d))
         w = underlying_web(d)
-        assert not {"partner", "arc_ends", "arc_at"} & d.__dict__.keys()
+        # the walk reads the integer tables alone and caches no table on d
+        assert d.__dict__.keys() == {"vertices", "crossings", "circles", "_labels", "_partner"}
         want = tuple_walk_underlying_web(d)
         assert w == want
         assert list(w.edge_ends.items()) == list(want.edge_ends.items())
