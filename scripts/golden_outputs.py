@@ -26,6 +26,9 @@ at every ordered pair of distinct edges of ``planar_cubic_webs(6)``, and
 ``tait_count``, ``planar_lsharp_dim`` and the number of 1-sets of every
 ``cubic_multigraphs(n, allow_loops=True)`` graph with n <= 8 and of the
 3- to 9-sided prisms.
+Its ``digests`` section pins streams of objects too many to print whole:
+each entry holds a stream's item count and the sha1 of its items'
+encodings, concatenated; ``digests`` spells out each encoding.
 The committed copy is ``tests/golden_outputs.json``, and
 ``tests/test_cli.py::test_golden_document`` compares ``document()`` with
 it.  A change that means to alter an output rewrites that file in the
@@ -35,18 +38,17 @@ same change:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
 import random
 import sys
 
-import networkx as nx
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from webfoam import catalogue, cli, modules, skein, webs  # noqa: E402
-from webfoam.generate import cubic_multigraphs, planar_cubic_webs, random_diagram  # noqa: E402
+from webfoam.generate import add_kink, add_poke, cubic_multigraphs, planar_cubic_webs, random_diagram  # noqa: E402
 from webfoam.tait import one_sets, planar_lsharp_dim, tait_count  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "webfoam" / "data"
@@ -89,6 +91,8 @@ def wide_web() -> str:
     """Web document of a random cubic graph on 100 vertices (150 edges):
     vertices in networkx's node order, edge i of its edge list named
     ``e{i}``, each vertex's slots in edge order."""
+    import networkx as nx  # here only: the digests' subprocesses need none of it
+
     g = nx.random_regular_graph(3, 100, seed=1)
     incidences = {v: [] for v in g.nodes}
     for idx, (u, v) in enumerate(g.edges()):
@@ -194,6 +198,87 @@ def tutte_sites():
                     yield {"web": i, "site": [e, f], "counts": counts}
 
 
+def relabelled(d: webs.Diagram) -> webs.Diagram:
+    """``d`` with arc labels the integers 0, 1, ... in ``d.arcs`` order and
+    node ids the strings "0", "1", ..., vertices first, in record order:
+    two kinds whose ids print alike across kinds, never within one."""
+    arc = {a: i for i, a in enumerate(d.arcs)}
+    node = {n.id: str(i) for i, n in enumerate(d.vertices + d.crossings)}
+    return webs.Diagram(
+        tuple(webs.Vertex(node[n.id], tuple(map(arc.get, n.arcs))) for n in d.vertices),
+        tuple(webs.Crossing(node[c.id], tuple(map(arc.get, c.arcs)), c.over) for c in d.crossings),
+        tuple(map(arc.get, d.circles)),
+    )
+
+
+def resolutions(d: webs.Diagram, crossings=None):
+    """Each crossing of ``d`` (all of them by default, in record order)
+    resolved by each kind."""
+    for c in d.crossings if crossings is None else crossings:
+        for kind in webs.RESOLUTIONS:
+            yield webs.resolve_crossing(d, c.id, kind)
+
+
+def web_and_faces(d: webs.Diagram) -> str:
+    return webs.serialize_web(webs.underlying_web(d)) + json.dumps(d.faces)
+
+
+def moved(d: webs.Diagram, i: int):
+    """A kink and a poke of ``d``, drawn by ``random.Random(i)``: the moves
+    of the random diagram generator, which pick among ``d``'s arcs."""
+    rng = random.Random(i)
+    yield add_kink(d, rng.choice(d.arcs), "k", rng) if d.arcs else None
+    yield add_poke(d, rng, "p")
+
+
+def digest_streams() -> dict:
+    """Each stream as a list of item encodings (JSON texts).  A diagram is
+    encoded by ``serialize_diagram``, a web by ``serialize_web`` and faces
+    by ``json.dumps``; ``None`` (no poke found) as ``null``.
+
+    - ``criterion_3``: the 200 diagrams of ``stream()``;
+    - ``resolutions``: ``resolutions(d)`` of each of them;
+    - ``webs_and_faces``: of each, its underlying web, then its faces;
+    - ``tutte_sites``: the webs ``recon_a``, ``recon_b``, ``bar_a``,
+      ``bar_b`` of ``skein.site_modifications`` at every ordered pair of
+      distinct edges of each of ``planar_cubic_webs(6)``, in ``edges`` order;
+    - ``mixed_ids``: of each ``r = relabelled(d)``, the diagram, the
+      resolutions of its first crossing (if any), its web and faces, and
+      ``moved(r, i)``, ``d`` being the i-th diagram of the stream.
+    """
+    diagrams = list(stream())
+    mixed = []
+    for i, d in enumerate(diagrams):
+        r = relabelled(d)
+        mixed += [webs.serialize_diagram(r), *map(webs.serialize_diagram, resolutions(r, r.crossings[:1]))]
+        mixed.append(web_and_faces(r))
+        mixed += [json.dumps(None) if m is None else webs.serialize_diagram(m) for m in moved(r, i)]
+    sites = [
+        webs.serialize_web(m)
+        for w in planar_cubic_webs(6)
+        for e in w.edges
+        for f in w.edges
+        if e != f
+        for m in skein.site_modifications(w, e, f).values()
+    ]
+    return {
+        "criterion_3": list(map(webs.serialize_diagram, diagrams)),
+        "resolutions": [webs.serialize_diagram(r) for d in diagrams for r in resolutions(d)],
+        "webs_and_faces": list(map(web_and_faces, diagrams)),
+        "tutte_sites": sites,
+        "mixed_ids": mixed,
+    }
+
+
+def digests() -> dict:
+    """Per stream of ``digest_streams``, its item count and the sha1 of
+    its items' UTF-8 encodings, concatenated."""
+    return {
+        name: {"count": len(items), "sha1": hashlib.sha1("".join(items).encode()).hexdigest()}
+        for name, items in digest_streams().items()
+    }
+
+
 def tait_numbers():
     census = [w for n in range(2, 9, 2) for w in cubic_multigraphs(n, allow_loops=True)]
     named = [(f"census {i}", w) for i, w in enumerate(census)]
@@ -233,6 +318,7 @@ def document() -> str:
         ],
         "tutte_sites": list(tutte_sites()),
         "tait_numbers": list(tait_numbers()),
+        "digests": digests(),
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 

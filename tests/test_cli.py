@@ -646,14 +646,45 @@ def test_golden_outputs(capsys):
         assert out == expected
 
 
-def test_golden_document():
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_outputs.json"
+
+
+@pytest.fixture(scope="module")
+def golden_document() -> str:
+    """``document()`` of ``scripts/golden_outputs.py``, computed once."""
+    spec = importlib.util.spec_from_file_location("golden_outputs", ROOT / "scripts" / "golden_outputs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.document()
+
+
+def test_golden_document(golden_document):
     """Every output that ``scripts/golden_outputs.py`` pins equals the
     committed ``tests/golden_outputs.json``; a change that means to alter
     an output rewrites that file in the same change."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("golden_outputs", root / "scripts" / "golden_outputs.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    expected = (root / "tests" / "golden_outputs.json").read_text(encoding="utf-8").splitlines()
-    diff = list(difflib.unified_diff(expected, script.document().splitlines(), "committed", "now", lineterm="", n=1))
+    expected = GOLDEN.read_text(encoding="utf-8").splitlines()
+    diff = list(difflib.unified_diff(expected, golden_document.splitlines(), "committed", "now", lineterm="", n=1))
     assert not diff, "\n".join(diff[:80])
+
+
+def test_digests_do_not_depend_on_the_hash_seed(golden_document):
+    """The committed digests, recomputed in this process (by the golden
+    document) and in two processes under other ``PYTHONHASHSEED``s, run
+    side by side."""
+    committed = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+    assert json.loads(golden_document)["digests"] == committed
+    code = "import json, golden_outputs; print(json.dumps(golden_outputs.digests()))"
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "scripts"), PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    for run in runs:
+        out, _ = run.communicate(timeout=60)
+        assert run.returncode == 0
+        assert json.loads(out) == committed
