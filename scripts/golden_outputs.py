@@ -16,8 +16,11 @@ list vertex, a 2,400-edge prism web, the
 random cubic web on 100 vertices whose contraction frontier passes
 ``tait.MAX_WIDTH``, a diagram whose second component is toroidal, a web
 document given to ``euler``, a ``dims`` exponent above
-``cli.MAX_EXPONENT``, and 10,000 free circles, whose chi has more digits
-than an int may print).
+``cli.MAX_EXPONENT``, 10,000 free circles, whose chi has more digits
+than an int may print, ids that are not strings or integers (a float
+node id, a bool arc, a null circle, NaN and Infinity arcs), arcs 0 and
+"0" under ``tait`` and ``euler``, web vertices 1 and "1", and an
+over-pair with a bool).
 It also holds the faces of every catalogue diagram,
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
@@ -91,7 +94,7 @@ def wide_web() -> str:
     """Web document of a random cubic graph on 100 vertices (150 edges):
     vertices in networkx's node order, edge i of its edge list named
     ``e{i}``, each vertex's slots in edge order."""
-    import networkx as nx  # here only: the digests' subprocesses need none of it
+    import networkx as nx
 
     g = nx.random_regular_graph(3, 100, seed=1)
     incidences = {v: [] for v in g.nodes}
@@ -101,58 +104,74 @@ def wide_web() -> str:
     return webs.serialize_web(webs.web_from_incidences(incidences))
 
 
-# (argv, stdin) of inputs the CLI must refuse with exit code 1 or 2
-MALFORMED = [
-    (["euler", "-"], '{"vertices": [{"id": "v", "darts": ["a", "a", "a"]}]}'),
-    (["tait", "no-such-file.json"], ""),
-    (["module"], ""),
-    (["foam-eval", "wedge 3"], ""),
-    (["foam-eval", "(plus " * 3000 + "(sphere 2)" + ")" * 3000], ""),
-    (["foam-eval", "(union " + " ".join(f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(40)) + ")"], ""),
-    *((["foam-eval", text], "")
-      for text in ["surface 2 -1", "crosscap 0 1 -2", "tet -1 0 0 1 0 0", "(sum-t2 (surface 1 -2))"]),
-    *((["tait", "-"], json.dumps(doc)) for doc in [
-        {"edges": [{"id": [1], "circle": True}]},
-        {"edges": 5},
-        {"vertices": ["u"], "edges": [{"id": "a", "ends": 5}]},
-        {"vertices": [{"darts": ["a", "b", "c"]}]},
-        {"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": 5}]},
-        {"circles": 5},
-        {"circles": [["a"]]},
-        {"vertices": [{"id": "u", "darts": "abc"}, {"id": "w", "darts": "acb"}]},
-        {"circles": ["a", "a"]},
-        {"edges": [{"id": "a", "circle": True}, {"id": "a", "circle": True}]},
-        {
-            "vertices": ["u", "w"],
-            "edges": [
-                {"id": "e", "ends": [["u", 0], ["w", 0]]},
-                {"id": "e", "ends": [["u", 1], ["w", 1]]},
-                {"id": "f", "ends": [["u", 2], ["w", 2]]},
-            ],
-        },
-        {
-            "vertices": ["u", "w", "u", "w"],
-            "edges": [{"id": f"e{k}", "ends": [["u", k], ["w", k]]} for k in range(3)],
-        },
-        {
-            "vertices": ["u", "w"],
-            "edges": [{"id": f"e{k}", "ends": [["u", k], [["w"] if k else "w", k]]} for k in range(3)],
-        },
-    ]),
-    *((["module", "--web", name], "") for name in ["mystery", "unlink_0", "unlink_-1", "unlink_1_2", "unlink_x"]),
-    (["dims", "--kappa", "abc"], ""),
-    (["adhm-verify", "--rank", "100000"], ""),
-    (["tait", "-"], prism_web(800)),
-    (["tait", "-"], prism_web(30)),
-    (["tait", "-"], wide_web()),
-    (["euler", "-"], json.dumps({"crossings": [
-        {"id": "x", "darts": ["A", "A", "B", "B"]},
-        {"id": "y", "darts": ["a", "b", "a", "b"]},
-    ]})),
-    (["euler", "-"], (DATA / "unknot.web.json").read_text()),
-    (["dims", "--kappa", "1e30000000"], ""),
-    (["euler", "-"], json.dumps({"circles": [f"c{i}" for i in range(10000)]})),
-]
+def malformed() -> list:
+    """(argv, stdin) of inputs the CLI must refuse with exit code 1 or 2."""
+    return [
+        (["euler", "-"], '{"vertices": [{"id": "v", "darts": ["a", "a", "a"]}]}'),
+        (["tait", "no-such-file.json"], ""),
+        (["module"], ""),
+        (["foam-eval", "wedge 3"], ""),
+        (["foam-eval", "(plus " * 3000 + "(sphere 2)" + ")" * 3000], ""),
+        (["foam-eval", "(union " + " ".join(f"(plus (sphere {2 * i}) (sphere {2 * i + 1}))" for i in range(40)) + ")"], ""),
+        *((["foam-eval", text], "")
+          for text in ["surface 2 -1", "crosscap 0 1 -2", "tet -1 0 0 1 0 0", "(sum-t2 (surface 1 -2))"]),
+        *((["tait", "-"], json.dumps(doc)) for doc in [
+            {"edges": [{"id": [1], "circle": True}]},
+            {"edges": 5},
+            {"vertices": ["u"], "edges": [{"id": "a", "ends": 5}]},
+            {"vertices": [{"darts": ["a", "b", "c"]}]},
+            {"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": 5}]},
+            {"circles": 5},
+            {"circles": [["a"]]},
+            {"vertices": [{"id": "u", "darts": "abc"}, {"id": "w", "darts": "acb"}]},
+            {"circles": ["a", "a"]},
+            {"edges": [{"id": "a", "circle": True}, {"id": "a", "circle": True}]},
+            {
+                "vertices": ["u", "w"],
+                "edges": [
+                    {"id": "e", "ends": [["u", 0], ["w", 0]]},
+                    {"id": "e", "ends": [["u", 1], ["w", 1]]},
+                    {"id": "f", "ends": [["u", 2], ["w", 2]]},
+                ],
+            },
+            {
+                "vertices": ["u", "w", "u", "w"],
+                "edges": [{"id": f"e{k}", "ends": [["u", k], ["w", k]]} for k in range(3)],
+            },
+            {
+                "vertices": ["u", "w"],
+                "edges": [{"id": f"e{k}", "ends": [["u", k], [["w"] if k else "w", k]]} for k in range(3)],
+            },
+        ]),
+        *((["module", "--web", name], "") for name in ["mystery", "unlink_0", "unlink_-1", "unlink_1_2", "unlink_x"]),
+        (["dims", "--kappa", "abc"], ""),
+        (["adhm-verify", "--rank", "100000"], ""),
+        (["tait", "-"], prism_web(800)),
+        (["tait", "-"], prism_web(30)),
+        (["tait", "-"], wide_web()),
+        (["euler", "-"], json.dumps({"crossings": [
+            {"id": "x", "darts": ["A", "A", "B", "B"]},
+            {"id": "y", "darts": ["a", "b", "a", "b"]},
+        ]})),
+        (["euler", "-"], (DATA / "unknot.web.json").read_text()),
+        (["dims", "--kappa", "1e30000000"], ""),
+        (["euler", "-"], json.dumps({"circles": [f"c{i}" for i in range(10000)]})),
+        *((["tait", "-"], json.dumps(doc)) for doc in [
+            {"vertices": [{"id": 1.5, "darts": ["a", "b", "c"]}, {"id": "w", "darts": ["a", "c", "b"]}]},
+            {"crossings": [{"id": "x", "darts": [True, True, "b", "b"]}]},
+            {"circles": [None]},
+            {"crossings": [{"id": "x", "darts": [float("nan"), float("nan"), float("inf"), float("inf")]}]},
+        ]),
+        *(([command, "-"], json.dumps({"crossings": [
+            {"id": "x", "darts": [0, 0, 1, 1]},
+            {"id": "y", "darts": ["0", "0", "1", "1"]},
+        ]})) for command in ("tait", "euler")),
+        (["tait", "-"], json.dumps({
+            "vertices": [1, "1"],
+            "edges": [{"id": f"e{k}", "ends": [[1, k], ["1", k]]} for k in range(3)],
+        })),
+        (["tait", "-"], json.dumps({"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": [True, 3]}]})),
+    ]
 
 
 def run_cli(*argv, stdin: str = "") -> str:
@@ -234,7 +253,8 @@ def moved(d: webs.Diagram, i: int):
 def digest_streams() -> dict:
     """Each stream as a list of item encodings (JSON texts).  A diagram is
     encoded by ``serialize_diagram``, a web by ``serialize_web`` and faces
-    by ``json.dumps``; ``None`` (no poke found) as ``null``.
+    by ``json.dumps``; ``None`` (no arc to kink, or no poke found) as
+    ``null``.
 
     - ``criterion_3``: the 200 diagrams of ``stream()``;
     - ``resolutions``: ``resolutions(d)`` of each of them;
@@ -312,7 +332,7 @@ def document() -> str:
         "dims": {" ".join(args): run_cli("dims", *args) for args in DIMS_ARGS},
         "adhm_verify": adhm_fields(),
         "faces": {e.name: catalogue.load_diagram(e).faces for e in catalogue.CATALOGUE if e.diagram_file},
-        "malformed": [{"argv": [a[:60] for a in argv], "out": run_cli(*argv, stdin=stdin)} for argv, stdin in MALFORMED],
+        "malformed": [{"argv": [a[:60] for a in argv], "out": run_cli(*argv, stdin=stdin)} for argv, stdin in malformed()],
         "criterion_3": [
             {"report": skein.euler_char_report(d), "dual": skein.euler_char_dual(d)} for d in stream()
         ],

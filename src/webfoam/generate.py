@@ -145,14 +145,12 @@ def add_kink(d: Diagram, arc, cross_id, rng: random.Random) -> Diagram:
     return Diagram(vertices, crossings + (crossing,), d.circles)
 
 
-def _face_arcs(d: Diagram) -> list[list]:
-    labels = d._labels
-    return [list(map(labels.__getitem__, face)) for face in d._dart_faces()]
-
-
 def add_poke(d: Diagram, rng: random.Random, tag: str) -> Diagram | None:
-    """Slide one arc across another along a shared face (two new crossings)."""
-    candidates = [pair for arcs in _face_arcs(d) for pair in combinations(sorted(set(arcs), key=str), 2)]
+    """Slide one arc across another along a shared face (two new crossings).
+    The candidate pairs are the arcs of each face, sorted as strings, which
+    is a total order on arc labels."""
+    faces = (set(map(d._labels.__getitem__, face)) for face in d._dart_faces())
+    candidates = [pair for arcs in faces for pair in combinations(sorted(arcs, key=str), 2)]
     if not candidates:
         return None
     rng.shuffle(candidates)

@@ -6,7 +6,10 @@ presentation of a spatial web: trivalent vertices and 4-valent crossings,
 each carrying a counterclockwise cyclic order of incident arcs, with an
 over-strand designation at every crossing.  Strands are encoded PD-style:
 every arc label occurs exactly twice among the node slots (or not at all,
-for a free circle).
+for a free circle).  An id is a string or an integer that is not a bool,
+and two ids of one kind that differ may not print alike (``_check_ids``),
+so every order and derived name, which go by ``str``, is total and
+deterministic.  An over-pair is the integer pair (0, 2) or (1, 3).
 
 All structures are immutable after construction; every operation returns
 a new object.  Validation keeps the tables it builds:
@@ -53,6 +56,8 @@ class Web(Frozen):
 
     def __init__(self, vertices: tuple, edge_ends: Mapping, circles: frozenset):
         self.__dict__.update(vertices=vertices, edge_ends=edge_ends, circles=circles)
+        _check_ids(("vertex id", vertices))
+        _check_ids(("edge id", edge_ends), ("edge id", circles))
         table = {v: {} for v in self.vertices}  # vertex -> slot -> edge
         if len(table) != len(self.vertices):
             repeated = [v for v, k in Counter(self.vertices).items() if k > 1]
@@ -61,8 +66,7 @@ class Web(Frozen):
             if len(ends) != 2:
                 raise WebError(f"edge {e!r} must have exactly 2 ends")
             for v, slot in ends:
-                at = None if isinstance(v, (list, dict)) else table.get(v)  # JSON lists, objects: no ids
-                if at is None:
+                if not _is_id(v) or (at := table.get(v)) is None:
                     raise WebError(f"edge {e!r} meets unknown vertex {v!r}")
                 if slot not in (0, 1, 2):
                     raise WebError(f"edge {e!r} uses slot {slot!r}; vertices are trivalent")
@@ -109,17 +113,18 @@ class Web(Frozen):
 def make_web(vertices: Iterable, edges: Iterable, circles: Iterable = ()) -> Web:
     """Build a web from (edge_id, (v, slot), (v, slot)) triples.
 
-    A repeated vertex, edge or circle id raises ``WebError``.
+    Repeated ids, and ids that break the rule of ``_check_ids``, raise ``WebError``.
     """
-    vertices = tuple(vertices)
     edges = list(edges)
     circles = list(circles)
-    for what, ids in (("vertex", vertices), ("edge", [e for e, _, _ in edges]), ("circle", circles)):
+    names = [e for e, _, _ in edges]
+    _check_ids(("edge id", names + circles))
+    for what, ids in (("edge", names), ("circle", circles)):
         repeated = [x for x, k in Counter(ids).items() if k > 1]
         if repeated:
             raise WebError(f"{what} id {repeated[0]!r} is used more than once")
     ends = {e: (tuple(a), tuple(b)) for e, a, b in edges}
-    return Web(vertices, ends, frozenset(circles))
+    return Web(tuple(vertices), ends, frozenset(circles))
 
 
 def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:
@@ -164,22 +169,31 @@ def _items(x, what: str) -> list:
     return x
 
 
-def _ident(x, what: str):
-    if isinstance(x, (list, dict)):
-        raise WebError(f"{what} {x!r} must be a string or a number")
-    return x
+def _is_id(x) -> bool:
+    """A string, a non-bool integer, or a tuple: ``Splice.insert_edge``'s vertex names, which JSON cannot hold."""
+    return type(x) in (str, int, tuple)
 
 
-def _idents(xs: list, what: str) -> tuple:
-    """``xs`` as a tuple of ids.  Lists and dicts, JSON's only unhashable
-    values, make the tuple's hash fail; then ``_ident`` names the first."""
-    xs = tuple(xs)
-    try:
-        hash(xs)
+def _check_ids(*kinds) -> None:
+    """The id rule on the ids of one kind, as (noun, ids) pairs: each id
+    passes ``_is_id`` (a float, a bool, null, a list or an object does
+    not), and no two that differ print alike, as 1 and "1" do; a refusal
+    names the id, or both.  The kinds: node ids, arcs with circles, web
+    vertices, web edges with circles."""
+    try:  # strings alone, the common case, print apart when they differ; a join finds them fast
+        for _, ids in kinds:
+            "".join(ids)
+        return
     except TypeError:
-        for x in xs:
-            _ident(x, what)
-    return xs
+        pass
+    printed: dict = {}  # str(id) -> (noun, id)
+    for what, ids in kinds:
+        for x in ids:
+            if not _is_id(x):  # a float is a number, but not an integer
+                raise WebError(f"{what} {x!r} must be a string or {'an integer' if type(x) is float else 'a number'}")
+            other, y = printed.setdefault(str(x), (what, x))
+            if y != x:
+                raise WebError(f"{other} {y!r} and {what} {x!r} print alike")
 
 
 def parse_web(text: str | dict) -> Web:
@@ -192,13 +206,13 @@ def parse_web(text: str | dict) -> Web:
     doc = load_document(text, "web")
     if "edges" not in doc:
         raise WebError("web document must be an object with an 'edges' list")
-    vertices = _idents(_items(doc.get("vertices", []), "'vertices'"), "vertex id")
+    vertices = _items(doc.get("vertices", []), "'vertices'")
     edges = []
     circles = []
     for rec in _items(doc["edges"], "'edges'"):
         if not isinstance(rec, dict) or "id" not in rec:
             raise WebError("every edge record needs an 'id'")
-        e = _ident(rec["id"], "edge id")
+        e = rec["id"]
         if rec.get("circle"):
             circles.append(e)
         else:
@@ -302,19 +316,21 @@ class Diagram(Frozen):
     def __init__(self, vertices: tuple = (), crossings: tuple = (), circles: tuple = ()):
         self.__dict__.update(vertices=vertices, crossings=crossings, circles=circles)
         ids = [n.id for n in vertices] + [c.id for c in crossings]
+        _check_ids(("node id", ids))
         if len(ids) != len(set(ids)):
             raise WebError("node ids must be distinct")
         for kind, nodes, k in (("vertex", vertices, 3), ("crossing", crossings, 4)):
             for n in nodes:
                 if len(n.arcs) != k:
                     raise WebError(f"{kind} {n.id!r} must list {k} arcs")
-                if k == 4 and tuple(n.over) not in ((0, 2), (1, 3)):
+                if k == 4 and not ((over := tuple(n.over)) in ((0, 2), (1, 3)) and type(over[0]) is type(over[1]) is int):
                     raise WebError(
-                        f"crossing {n.id!r}: over-pair {n.over!r} must be opposite positions [0,2] or [1,3]"
+                        f"crossing {n.id!r}: over-pair {n.over!r} must be opposite positions [0,2] or [1,3], as integers"
                     )
         labels = [a for n in vertices for a in n.arcs]
         n3 = len(labels)
         labels += [a for c in crossings for a in c.arcs]
+        _check_ids(("arc", labels), ("circle", circles))
         n = len(labels)
         first: dict = {}  # arc -> its first dart
         partner = [-1] * n
@@ -399,19 +415,13 @@ class Diagram(Frozen):
         """The face orbits as lists of integer darts, each traced from its
         least dart by ``_dart_key``, in that order."""
         darts, partner = self._darts, self._partner
-        starts = sorted(_by_arc(partner), key=lambda x: _dart_key(darts[x]))
+        starts = sorted(range(len(partner)), key=lambda x: _dart_key(darts[x]))
         return _face_orbits(_face_successor(partner, 3 * len(self.vertices)), starts)
 
     @cached_property
     def faces(self) -> tuple:
         darts = self._darts
         return tuple(tuple(map(darts.__getitem__, face)) for face in self._dart_faces())
-
-
-def _by_arc(partner: list):
-    """Both ends of each arc, arcs in order of their first darts: the order
-    that decides ties between ids equal as strings, such as 1 and "1"."""
-    return (x for d, p in enumerate(partner) if d < p for x in (d, p))
 
 
 def _face_successor(partner: list, n3: int) -> list:
@@ -462,13 +472,11 @@ def parse_diagram(text: str | dict) -> Diagram:
     if "edges" in doc:
         raise WebError("this is a web document (it has 'edges'), not a diagram")
     rename = {}
-    for pair in _items(doc.get("strands", []), "'strands'"):
-        if not isinstance(pair, list) or len(pair) != 2:
+    if strands := _items(doc.get("strands", []), "'strands'"):
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in strands):
             raise WebError("each strand must pair exactly 2 darts")
-        a, b = _idents(pair, "dart")
-        label = str(min(a, b, key=str))
-        rename[a] = label
-        rename[b] = label
+        _check_ids(("dart", [x for pair in strands for x in pair]))
+        rename = {x: str(min(pair, key=str)) for pair in strands for x in pair}
     new = tuple.__new__  # the namedtuples' own __new__ adds a Python call
     nodes = []
     for kind, key in (("vertex", "vertices"), ("crossing", "crossings")):
@@ -482,17 +490,16 @@ def parse_diagram(text: str | dict) -> Diagram:
                 if arcs is None:
                     raise WebError(f"{kind} {i!r} needs a 'darts' list")
                 raise WebError(f"'darts' of {kind} {i!r} must be a list, not {arcs!r}")
-            arcs = _idents(arcs, "arc")
-            if type(i) not in (str, int):
-                _ident(i, f"{kind} id")
             if rename:
-                arcs = tuple(map(rename.get, arcs, arcs))
+                _check_ids(("dart", arcs))
+                arcs = map(rename.get, arcs, arcs)
+            arcs = tuple(arcs)
             if kind == "vertex":
                 out.append(new(Vertex, (i, arcs)))
             else:
                 out.append(new(Crossing, (i, arcs, tuple(_items(rec.get("over", [0, 2]), "'over'")))))
         nodes.append(tuple(out))
-    return Diagram(*nodes, _idents(_items(doc.get("circles", []), "'circles'"), "circle"))
+    return Diagram(*nodes, tuple(_items(doc.get("circles", []), "'circles'")))
 
 
 def serialize_diagram(d: Diagram) -> str:
@@ -549,10 +556,6 @@ def underlying_web(d: Diagram) -> Web:
             dart = partner[out]
         if arcs:
             circles.append(str(min(arcs, key=str)))
-    # guard against a merged edge label colliding with a circle label
-    names = [e[0] for e in edges] + circles
-    if len(names) != len(set(names)):
-        edges = [(f"e{idx}:{lbl}", a, b) for idx, (lbl, a, b) in enumerate(edges)]
     return make_web([n.id for n in d.vertices], edges, circles)
 
 
@@ -618,7 +621,7 @@ class Splice:
     @staticmethod
     def from_diagram(d: Diagram) -> "Splice":
         darts, partner = d._darts, d._partner
-        links = {darts[x]: darts[partner[x]] for x in _by_arc(partner)}
+        links = {darts[x]: darts[partner[x]] for e, p in enumerate(partner) if e < p for x in (e, p)}
         verts, crossings = (frozenset(n.id for n in nodes) for nodes in (d.vertices, d.crossings))
         return Splice(links, verts, crossings, len(d.circles))
 
@@ -706,8 +709,7 @@ def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:
     Labels depend on ``d`` alone.  Nodes and free circles of ``d`` keep
     their ids.  An arc keeps the label of an arc of ``d`` that ended
     where it ends, the least as a string if two did (a smoothing joins
-    two arcs into one; of two equal as strings, the one with the first
-    dart).  The new vertices take the first unused names
+    two arcs into one).  The new vertices take the first unused names
     ``"<cid>.w0"``, ``"<cid>.w1"``, ...; the inserted edge, any other arc
     with both ends at the crossing, and any circle closed by a smoothing
     take the first unused names ``"s0"``, ``"s1"``, ...

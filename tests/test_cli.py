@@ -651,8 +651,21 @@ GOLDEN = ROOT / "tests" / "golden_outputs.json"
 
 
 @pytest.fixture(scope="module")
-def golden_document() -> str:
-    """``document()`` of ``scripts/golden_outputs.py``, computed once."""
+def digest_runs() -> list:
+    """Two processes computing the golden document's digests under other
+    ``PYTHONHASHSEED``s, each printing them as JSON."""
+    code = "import json, golden_outputs; print(json.dumps(golden_outputs.digests()))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
+    return [
+        subprocess.Popen([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE)
+        for seed in ("1", "2")
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden_document(digest_runs) -> str:
+    """``document()`` of ``scripts/golden_outputs.py``, computed once; the
+    digest processes, started first, run meanwhile."""
     spec = importlib.util.spec_from_file_location("golden_outputs", ROOT / "scripts" / "golden_outputs.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -668,23 +681,12 @@ def test_golden_document(golden_document):
     assert not diff, "\n".join(diff[:80])
 
 
-def test_digests_do_not_depend_on_the_hash_seed(golden_document):
-    """The committed digests, recomputed in this process (by the golden
-    document) and in two processes under other ``PYTHONHASHSEED``s, run
-    side by side."""
+def test_digests_do_not_depend_on_the_hash_seed(golden_document, digest_runs):
+    """The committed digests equal those computed in this process (by the
+    golden document) and in the two processes under other hash seeds."""
     committed = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
     assert json.loads(golden_document)["digests"] == committed
-    code = "import json, golden_outputs; print(json.dumps(golden_outputs.digests()))"
-    runs = [
-        subprocess.Popen(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "scripts"), PYTHONHASHSEED=seed),
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        for seed in ("1", "2")
-    ]
-    for run in runs:
-        out, _ = run.communicate(timeout=60)
+    for run in digest_runs:
+        out, _ = run.communicate(timeout=120)
         assert run.returncode == 0
         assert json.loads(out) == committed

@@ -30,15 +30,29 @@ A000421 = [1, 2, 6, 20, 91]  # the loop-free ones
 PLANAR_LOOP_FREE = [1, 2, 5, 17, 71]
 
 
-@pytest.fixture(scope="module")
-def census():
-    """The census for n = 2..10, built once for the module."""
-    return {n: cubic_multigraphs(n) for n in SIZES}
+@pytest.fixture(scope="session")
+def levels() -> list:
+    """The census levels for n = 2..10, grown once: ``generate._census(10)``."""
+    return list(generate._census(max(SIZES)))
 
 
-@pytest.fixture(scope="module")
-def planar_webs():
-    return planar_cubic_webs(10)
+def from_levels(levels, build):
+    """``build()`` with ``generate._census`` serving the levels grown once,
+    so the public functions it calls do not regrow them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generate, "_census", lambda top: iter([lv for lv in levels if lv[0] <= top]))
+        return build()
+
+
+@pytest.fixture(scope="session")
+def census(levels):
+    """The census for n = 2..10, by ``cubic_multigraphs(n)``."""
+    return from_levels(levels, lambda: {n: cubic_multigraphs(n) for n in SIZES})
+
+
+@pytest.fixture(scope="session")
+def planar_webs(levels):
+    return from_levels(levels, lambda: planar_cubic_webs(10))
 
 
 @pytest.fixture(scope="module")

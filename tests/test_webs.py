@@ -302,14 +302,12 @@ class TestResolveCrossing:
         # a smoothing joins two arcs under the lesser label
         assert resolve_crossing(d, "c1", SMOOTH_A).crossing("c2").arcs == ("b", "b", "a", "a")
 
-    def test_tied_labels_keep_the_arc_with_the_first_dart(self):
-        # smoothing x0 joins the arcs 2 (first dart: x0's position 2) and
-        # "2" (position 3), equal as strings; the joined arc is labelled 2
+    def test_labels_that_print_alike_are_refused(self):
+        # the arcs 2 and "2" (and 1 and "1") would make a smoothing's least
+        # label as a string a tie; the diagram itself is refused
         x1 = Crossing("x1", (1, 1, 0, "2"), (1, 3))
-        d = Diagram((), (Crossing("x0", ("1", "1", 2, "2"), (1, 3)), x1, Crossing("x2", ("0", "0", 2, 0))))
-        r = resolve_crossing(d, "x0", SMOOTH_A)
-        assert r.crossings == (x1._replace(arcs=(1, 1, 0, 2)), Crossing("x2", ("0", "0", 2, 0)))
-        assert r.circles == ("s0",)
+        with pytest.raises(WebError, match="^arc 2 and arc '2' print alike$"):
+            Diagram((), (Crossing("x0", ("1", "1", 2, "2"), (1, 3)), x1, Crossing("x2", ("0", "0", 2, 0))))
 
     def test_resolution_kinds_closed(self):
         assert set(RESOLUTIONS) == {SMOOTH_A, SMOOTH_B, EDGE_A, EDGE_B}
@@ -399,6 +397,97 @@ class TestRepeatedLabels:
             Web(("u", "w", "u", "w"), ends, frozenset())
 
 
+NOT_IDS = [1.5, 1.0, True, False, None, float("nan"), float("inf")]
+
+
+class TestIdRule:
+    """An id is a string or an integer that is not a bool, and two ids of
+    one kind that differ do not print alike."""
+
+    @pytest.mark.parametrize("x", NOT_IDS)
+    @pytest.mark.parametrize("place, noun", [("node", "node id"), ("arc", "arc"), ("circle", "circle"), ("strand", "dart")])
+    def test_diagram_documents_refuse_other_scalars(self, x, place, noun):
+        doc = json.loads(KINK_DOC)
+        if place == "node":
+            doc["crossings"][0]["id"] = x
+        elif place == "arc":
+            doc["crossings"][0]["darts"] = [x, x, "B", "B"]
+        elif place == "circle":
+            doc["circles"] = [x]
+        else:
+            doc["strands"] = [[x, "B"]]
+        with pytest.raises(WebError, match=rf"^{noun} .* must be a string or an? (number|integer)$"):
+            parse_diagram(json.dumps(doc))
+
+    @pytest.mark.parametrize("x", NOT_IDS)
+    @pytest.mark.parametrize("place, noun", [("vertex", "vertex id"), ("edge", "edge id"), ("circle", "edge id")])
+    def test_web_documents_refuse_other_scalars(self, x, place, noun):
+        doc = json.loads(THETA_DOC)
+        if place == "vertex":
+            doc["vertices"][0] = x
+        elif place == "edge":
+            doc["edges"][0]["id"] = x
+        else:
+            doc["edges"].append({"id": x, "circle": True})
+        with pytest.raises(WebError, match=rf"^{noun} .* must be a string or an? (number|integer)$"):
+            parse_web(json.dumps(doc))
+
+    @pytest.mark.parametrize("x", [True, 1.0])
+    def test_an_end_that_only_equals_a_vertex_is_unknown(self, x):
+        # True == 1.0 == 1, but none of them prints like the vertex 1
+        doc = {"vertices": [1, "w"], "edges": [{"id": f"e{k}", "ends": [[1, k], ["w", k]]} for k in range(3)]}
+        doc["edges"][1]["ends"][0][0] = x
+        with pytest.raises(WebError, match=f"^edge 'e1' meets unknown vertex {x!r}$"):
+            parse_web(json.dumps(doc))
+        doc["edges"][1]["ends"][0][0] = 1
+        assert parse_web(json.dumps(doc)).vertices == (1, "w")
+
+    def test_ids_that_print_alike_are_refused(self):
+        kink = Crossing("x", (1, 1, 2, 2))
+        cases = [
+            (lambda: Diagram((), (kink, Crossing("y", ("1", "1", "b", "b")))), "arc 1 and arc '1'"),
+            (lambda: Diagram((), (kink,), ("2",)), "arc 2 and circle '2'"),
+            (lambda: Diagram((), (kink, Crossing(1, ("a", "a", "b", "b")), Crossing("1", ("c", "c", "d", "d")))),
+             "node id 1 and node id '1'"),
+            (lambda: make_web((7, "7"), [(f"e{k}", (7, k), ("7", k)) for k in range(3)]), "vertex id 7 and vertex id '7'"),
+            (lambda: make_web((), [], [0, "0"]), "edge id 0 and edge id '0'"),
+            (lambda: Web((), {}, frozenset({3, "3"})), "edge id (3 and edge id '3'|'3' and edge id 3)"),
+        ]
+        for build, both in cases:
+            with pytest.raises(WebError, match=f"^{both} print alike$"):
+                build()
+
+    def test_kinds_may_print_alike(self):
+        # a node "1" beside an arc 1, a vertex 0 beside an edge "0"
+        d = Diagram((), (Crossing("1", (1, 1, 2, 2)),))
+        assert underlying_web(d).circles == {"1"}
+        assert make_web((0, 1), [(str(k), (0, k), (1, k)) for k in range(3)]).edges == ["0", "1", "2"]
+
+    def test_found_document_refused_by_both_commands(self):
+        # arcs 0 and "0": erasing crossings used to name two circles "0"
+        doc = {"crossings": [{"id": "x", "darts": [0, 0, 1, 1]}, {"id": "y", "darts": ["0", "0", "1", "1"]}]}
+        with pytest.raises(WebError, match="^arc 0 and arc '0' print alike$"):
+            parse_diagram(json.dumps(doc))
+
+    @pytest.mark.parametrize("over", [[True, 3], [0.0, 2.0], [1, 3.0], [False, 2], [0, 2, 0], [2, 0]])
+    def test_over_pairs_are_integer_pairs(self, over):
+        doc = json.loads(KINK_DOC)
+        doc["crossings"][0]["over"] = over
+        with pytest.raises(WebError, match="over-pair .* must be opposite positions"):
+            parse_diagram(json.dumps(doc))
+
+    @pytest.mark.parametrize("over", [[0, 2], [1, 3]])
+    def test_integer_over_pairs_round_trip(self, over):
+        doc = json.loads(KINK_DOC)
+        doc["crossings"][0]["over"] = over
+        assert json.loads(serialize_diagram(parse_diagram(json.dumps(doc))))["crossings"][0]["over"] == over
+
+    def test_ids_may_mix_integers_and_strings(self):
+        d = parse_diagram(json.dumps({"vertices": [{"id": 0, "darts": [1, "a", 2]}, {"id": "v", "darts": [1, 2, "a"]}]}))
+        assert d.arcs == [1, 2, "a"]
+        assert underlying_web(d).vertices == (0, "v")
+
+
 @pytest.mark.parametrize("vertex", [["u"], {"u": 0}, [], None])
 def test_end_at_a_non_vertex_is_a_web_error(vertex):
     doc = json.loads(THETA_DOC)
@@ -482,9 +571,6 @@ def tuple_walk_underlying_web(d) -> Web:
             cur = partner[(cur[0], cur[1] ^ 2)]
         if labels:
             circles.append(str(min(labels, key=str)))
-    labels = [e[0] for e in edges] + circles
-    if len(labels) != len(set(labels)):
-        edges = [(f"e{idx}:{lbl}", a, b) for idx, (lbl, a, b) in enumerate(edges)]
     return make_web([n.id for n in d.vertices], edges, circles)
 
 
