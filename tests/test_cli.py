@@ -651,15 +651,18 @@ GOLDEN = ROOT / "tests" / "golden_outputs.json"
 
 
 @pytest.fixture(scope="module")
-def digest_runs() -> list:
+def digest_runs():
     """Two processes computing the golden document's digests under other
-    ``PYTHONHASHSEED``s, each printing them as JSON."""
+    ``PYTHONHASHSEED``s, each printing them as JSON; waited for at teardown."""
     code = "import json, golden_outputs; print(json.dumps(golden_outputs.digests()))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "scripts"))
-    return [
-        subprocess.Popen([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE)
-        for seed in ("1", "2")
-    ]
+    with contextlib.ExitStack() as runs:
+        yield [
+            runs.enter_context(
+                subprocess.Popen([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE)
+            )
+            for seed in ("1", "2")
+        ]
 
 
 @pytest.fixture(scope="module")
