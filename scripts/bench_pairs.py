@@ -12,7 +12,7 @@ of ``BENCHMARK.json``, both sides' values, medians and quartiles
 (inclusive method), the pairs the change won (ties count for neither
 side) and whether a gain holds: the change wins at least nine tenths of
 the pairs and its median beats the parent's by more than the parent's
-interquartile range.  It also holds each run's attempted and failed op
+interquartile range (one pair is summarised, but shows no gain).  It also holds each run's attempted and failed op
 counts and its result line.  Progress goes to standard error.
 
 The summary is written into the ``BENCH_*.json`` document named by
@@ -49,9 +49,11 @@ def run(root: pathlib.Path, workload: str, seed: int) -> dict:
 
 
 def summary(parent: list, change: list, better: str) -> dict:
-    """Medians, quartiles, pairs won and the gain rule for one metric."""
+    """Medians, quartiles, pairs won and the gain rule for one metric.
+    One pair shows no spread: its quartiles are those of [x, x], and no
+    gain holds on it."""
     def quartiles(xs):
-        q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+        q1, _, q3 = statistics.quantiles(xs * 2 if len(xs) == 1 else xs, n=4, method="inclusive")
         return [q1, q3]
 
     sign = 1 if better == "higher" else -1
@@ -65,7 +67,7 @@ def summary(parent: list, change: list, better: str) -> dict:
         "change_median": cm,
         "change_q1_q3": quartiles(change),
         "change_wins": f"{wins}/{len(parent)}",
-        "gain_holds": wins >= 0.9 * len(parent) and sign * (cm - pm) > q3 - q1,
+        "gain_holds": len(parent) > 1 and wins >= 0.9 * len(parent) and sign * (cm - pm) > q3 - q1,
     }
 
 

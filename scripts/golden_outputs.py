@@ -19,8 +19,8 @@ document given to ``euler``, a ``dims`` exponent above
 ``cli.MAX_EXPONENT``, 10,000 free circles, whose chi has more digits
 than an int may print, ids that are not strings or integers (a float
 node id, a bool arc, a null circle, NaN and Infinity arcs), arcs 0 and
-"0" under ``tait`` and ``euler``, web vertices 1 and "1", and an
-over-pair with a bool).
+"0" under ``tait`` and ``euler``, web vertices 1 and "1", an
+over-pair with a bool, and web slots ``true`` and ``2.0``).
 It also holds the faces of every catalogue diagram,
 ``euler_char_report`` plus ``euler_char_dual`` on criterion 3's stream
 of 200 random diagrams (seed 20250809, up to 10 crossings), and the Tait
@@ -171,6 +171,10 @@ def malformed() -> list:
             "edges": [{"id": f"e{k}", "ends": [[1, k], ["1", k]]} for k in range(3)],
         })),
         (["tait", "-"], json.dumps({"crossings": [{"id": "x", "darts": ["A", "A", "B", "B"], "over": [True, 3]}]})),
+        *((["tait", "-"], json.dumps({
+            "vertices": ["u", "w"],
+            "edges": [{"id": f"e{k}", "ends": [["u", k], ["w", slot if k == 1 else k]]} for k in range(3)],
+        })) for slot in (True, 1.0)),
     ]
 
 

@@ -9,12 +9,12 @@ the one contraction kernel behind ``tait_count``, ``signed_tait_count``
 and ``skein``'s state sum, whose cost follows the width of its frontier,
 not the size of the web; matching branching in ``one_sets``, summed by
 ``planar_lsharp_dim`` over ``one_set_summary``'s union-find count of
-each complement's circles; and the brute-force enumeration
-``tait_colorings``, the reference oracle.  ``signed_tait_web`` and
-``signed_tait`` sum over the enumeration, not the kernel, as they are
-the independent check of ``skein.euler_char``.  The enumeration, the
-kernel's vertex nodes and ``is_one_set`` read ``Web.slot_edges``, built
-by validation.
+each complement's circles; and the enumeration ``tait_colorings``, the
+reference oracle: a backtracker with one bitmask of used colors per
+vertex, which yields nothing at once on a web with a loop and shares no
+code or table with the kernel.  ``signed_tait_web`` and ``signed_tait``
+sum over it, as they are the independent check of ``skein.euler_char``.
+The kernel's vertex nodes and ``is_one_set`` read ``Web.slot_edges``.
 
 ``contract`` numbers the arcs once and plans every step on those
 numbers: the node's expanded table, rows keyed by the colors of its open
@@ -121,33 +121,33 @@ def _check_size(n_edges: int) -> None:
 def tait_colorings(w: Web):
     """Yield all Tait colorings as edge -> color maps.
 
-    Backtracking over edges in sorted order with forward checking.
-    Vertexless circles take a free color.
+    Backtracks over the regular edges sorted by ``str``, one level per
+    edge, each trying the colors neither end's bitmask of used colors
+    holds, then every coloring of the circles; a loop yields none, at once.
     """
     _check_size(len(w.edge_ends))
     regular = sorted(w.edge_ends, key=str)
-    circles = sorted(w.circles, key=str)
-    slot_edges = w.slot_edges
+    names = regular + sorted(w.circles, key=str)
+    at = {v: i for i, v in enumerate(w.vertices)}  # vertex -> its position
+    ends = [(at[u], at[v]) for (u, _), (v, _) in map(w.edge_ends.__getitem__, regular)]
+    if any(a == b for a, b in ends):
+        return
+    used = [0] * len(at)  # vertex position -> bitmask of the colors its edges took
 
-    def consistent(assign, v) -> bool:
-        known = [assign[e] for e in slot_edges[v] if e in assign]
-        return len(set(known)) == len(known)
-
-    def backtrack(i, assign):
+    def backtrack(i, colors):
         if i == len(regular):
-            yield dict(assign)
+            for free in product(COLORS, repeat=len(names) - i):
+                yield dict(zip(names, colors + free))
             return
-        e = regular[i]
-        (u, _), (v, _) = w.edge_ends[e]
+        a, b = ends[i]
+        ua, ub = used[a], used[b]
         for c in COLORS:
-            assign[e] = c
-            if consistent(assign, u) and consistent(assign, v):
-                yield from backtrack(i + 1, assign)
-        del assign[e]
+            if not (ua | ub) >> c & 1:
+                used[a], used[b] = ua | 1 << c, ub | 1 << c
+                yield from backtrack(i + 1, colors + (c,))
+        used[a], used[b] = ua, ub
 
-    for base in backtrack(0, {}):
-        for colors in product(COLORS, repeat=len(circles)):
-            yield {**base, **dict(zip(circles, colors))}
+    yield from backtrack(0, ())
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -383,16 +383,16 @@ def signed_tait_web(w: Web, orders: dict) -> int:
     """Signed Tait count for explicit per-vertex ccw edge orders.
 
     ``orders`` maps each vertex to its counterclockwise triple of edge
-    labels; the sign of a coloring is the product over vertices of the
-    parity of its color triple.
+    labels; the sign of a coloring, summed over ``tait_colorings``, is
+    the product over vertices of the parity of its color triple.
     """
-    if w.has_loop():
-        return 0
+    triples = [orders[v] for v in w.vertices]
     total = 0
     for t in tait_colorings(w):
         sign = 1
-        for v in w.vertices:
-            sign *= vertex_sign(tuple(t[e] for e in orders[v]))
+        for a, b, c in triples:
+            if (t[a], t[b], t[c]) not in _EVEN_PERMS:
+                sign = -sign
         total += sign
     return total
 

@@ -68,8 +68,8 @@ class Web(Frozen):
             for v, slot in ends:
                 if not _is_id(v) or (at := table.get(v)) is None:
                     raise WebError(f"edge {e!r} meets unknown vertex {v!r}")
-                if slot not in (0, 1, 2):
-                    raise WebError(f"edge {e!r} uses slot {slot!r}; vertices are trivalent")
+                if type(slot) is not int or slot not in (0, 1, 2):  # a bool or float slot would pass ==
+                    raise WebError(f"edge {e!r} uses slot {slot!r}; a slot is the integer 0, 1 or 2")
                 if slot in at:
                     raise WebError(f"vertex {v!r} slot {slot} used twice")
                 at[slot] = e
@@ -120,9 +120,8 @@ def make_web(vertices: Iterable, edges: Iterable, circles: Iterable = ()) -> Web
     names = [e for e, _, _ in edges]
     _check_ids(("edge id", names + circles))
     for what, ids in (("edge", names), ("circle", circles)):
-        repeated = [x for x, k in Counter(ids).items() if k > 1]
-        if repeated:
-            raise WebError(f"{what} id {repeated[0]!r} is used more than once")
+        if len(set(ids)) != len(ids):  # then name the first repeat
+            raise WebError(f"{what} id {next(x for x, k in Counter(ids).items() if k > 1)!r} is used more than once")
     ends = {e: (tuple(a), tuple(b)) for e, a, b in edges}
     return Web(tuple(vertices), ends, frozenset(circles))
 
@@ -522,41 +521,42 @@ def underlying_web(d: Diagram) -> Web:
 
     A web edge or circle made of several arcs is labelled by the least of
     their labels (compared as strings).  Edges are walked from the vertex
-    darts, and circles from the crossing darts, in (str(node id),
-    position) order.  The walk reads the diagram's integer dart tables
-    and names an edge's ends by the numbering: vertex dart k is
-    position k % 3 of vertex k // 3.  It caches no table on ``d``.
+    darts, then circles from the crossing darts left, in node order (nodes
+    by ``str(id)``, a total order under the id rule; darts by position),
+    on the diagram's integer dart tables: vertex dart k is position k % 3
+    of vertex k // 3.  It caches no table on ``d``.
     """
-    partner, labels, vertices = d._partner, d._labels, d.vertices
+    partner, labels, vertices, crossings = d._partner, d._labels, d.vertices, d.crossings
     n3 = 3 * len(vertices)
-    keys = [(str(n.id), pos) for nodes in (vertices, d.crossings) for n in nodes for pos in range(len(n.arcs))]
-    edges = []
+    ends = {}  # edge label -> its two (vertex id, slot) ends
     walked = bytearray(len(labels))  # vertex darts ending an edge, crossing darts passed through
-    for start in sorted(range(n3), key=keys.__getitem__):
-        if walked[start]:
-            continue
-        arcs = [labels[start]]
-        dart = partner[start]
-        while dart >= n3:  # go straight through: position p exits at p ^ 2
-            out = n3 + ((dart - n3) ^ 2)
-            walked[dart] = walked[out] = 1
-            arcs.append(labels[out])
-            dart = partner[out]
-        walked[start] = walked[dart] = 1
-        edges.append((str(min(arcs, key=str)), (vertices[start // 3].id, start % 3), (vertices[dart // 3].id, dart % 3)))
-    circles = list(d.circles)
-    # closed strands running through crossings only
-    for start in sorted(range(n3, len(labels)), key=keys.__getitem__):
-        arcs = []
-        dart = start
-        while not walked[dart]:
-            out = n3 + ((dart - n3) ^ 2)
-            walked[dart] = walked[out] = 1
-            arcs.append(labels[dart])
-            dart = partner[out]
-        if arcs:
-            circles.append(str(min(arcs, key=str)))
-    return make_web([n.id for n in d.vertices], edges, circles)
+    for i in sorted(range(len(vertices)), key=lambda i: str(vertices[i].id)):
+        for start in range(3 * i, 3 * i + 3):
+            if walked[start]:
+                continue
+            arcs = [labels[start]]
+            dart = partner[start]
+            while dart >= n3:  # go straight through: position p exits at p ^ 2
+                out = n3 + ((dart - n3) ^ 2)
+                walked[dart] = walked[out] = 1
+                arcs.append(labels[out])
+                dart = partner[out]
+            walked[start] = walked[dart] = 1
+            ends[str(min(arcs, key=str))] = (vertices[i].id, start % 3), (vertices[dart // 3].id, dart % 3)
+    circles = [*d.circles]
+    if 0 in walked:  # closed strands running through crossings only
+        for j in sorted(range(len(crossings)), key=lambda j: str(crossings[j].id)):
+            for start in range(n3 + 4 * j, n3 + 4 * j + 4):
+                arcs = []
+                dart = start
+                while not walked[dart]:
+                    out = n3 + ((dart - n3) ^ 2)
+                    walked[dart] = walked[out] = 1
+                    arcs.append(labels[dart])
+                    dart = partner[out]
+                if arcs:
+                    circles.append(str(min(arcs, key=str)))
+    return Web(tuple(n.id for n in vertices), ends, frozenset(circles))  # distinct arcs print apart, so do their labels
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,14 @@ def test_pairs_summary_applies_the_gain_rule():
     assert tied["metrics"]["wall_s"]["change_wins"] == "0/4"
 
 
+def test_one_pair_is_summarised_without_a_gain():
+    one = bench_pairs.pairs_summary(lines([10], [5]))
+    assert one["pairs"] == 1
+    wall = one["metrics"]["wall_s"]
+    assert (wall["parent_median"], wall["parent_q1_q3"], wall["change_q1_q3"]) == (10, [10, 10], [5, 5])
+    assert (wall["change_wins"], wall["gain_holds"]) == ("1/1", False)
+
+
 def test_merge_adds_one_key_and_overwrites_nothing():
     first = bench_pairs.pairs_summary(lines([1, 2, 3], [1, 2, 3]))
     doc = bench_pairs.merge(None, SHARED, "skein_random/seed7", first)

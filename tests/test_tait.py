@@ -1,6 +1,7 @@
 import json
 import time
 from itertools import combinations, permutations, product
+from math import prod
 
 import networkx as nx
 import pytest
@@ -13,6 +14,7 @@ from webfoam.cli import main
 from webfoam.generate import cubic_multigraphs, planar_cubic_webs
 from webfoam.tait import (
     CACHE_ENTRIES,
+    COLORS,
     MATCHING_WEIGHTS,
     MAX_EDGES,
     MAX_ONE_SETS,
@@ -30,6 +32,7 @@ from webfoam.tait import (
     signed_tait_web,
     tait_colorings,
     tait_count,
+    vertex_sign,
 )
 from webfoam.webs import (
     WebError,
@@ -349,6 +352,51 @@ class TestPrism:
     def test_closed_form_up_to_100_sides(self, by_rings):
         for k in range(3, 101):
             assert tait_count(prism_web(k, by_rings)) == prism_tait(k), k
+
+
+def filtered_product(w) -> list:
+    """The Tait colorings of ``w`` by brute force: every coloring of its
+    regular edges, sorted as strings, in the lexicographic order of
+    ``product``, kept when every vertex sees three colors, each followed
+    by every coloring of its circles, sorted as strings, in that order."""
+    regular = sorted(w.edge_ends, key=str)
+    circles = sorted(w.circles, key=str)
+    at_vertex = [[regular.index(e) for e in w.slot_edges[v]] for v in w.vertices]
+    out = []
+    for colors in product(COLORS, repeat=len(regular)):
+        if all(len({colors[i] for i in slots}) == 3 for slots in at_vertex):
+            out += [dict(zip(regular + circles, colors + free)) for free in product(COLORS, repeat=len(circles))]
+    return out
+
+
+@pytest.fixture(scope="module")
+def enumerated() -> list:
+    """The census to 6 vertices with loops, two prisms, and webs with one
+    and two circles, each with its colorings by ``filtered_product``."""
+    theta = theta_web()
+    with_circles = [
+        make_web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], circles)
+        for circles in (["c"], ["c", "d"])
+    ]
+    census = [w for n in (2, 4, 6) for w in cubic_multigraphs(n, allow_loops=True)]
+    pool = census + [prism_web(3), prism_web(4), unknot_web(), make_web((), [], ["a", "b"]), *with_circles]
+    return [(w, filtered_product(w)) for w in pool]
+
+
+class TestEnumerationOracle:
+    """``tait_colorings`` against a filter of every coloring, which shares no search with it."""
+
+    def test_colorings_and_their_order(self, enumerated):
+        assert any(w.has_loop() for w, _ in enumerated)
+        for w, want in enumerated:
+            got = list(tait_colorings(w))
+            assert [list(t.items()) for t in got] == [list(t.items()) for t in want]
+
+    def test_signed_count_is_the_sum_of_vertex_sign_products(self, enumerated):
+        for w, colorings in enumerated:
+            for orders in (w.slot_edges, {v: (b, a, c) for v, (a, b, c) in w.slot_edges.items()}):
+                want = sum(prod(vertex_sign(t[e] for e in orders[v]) for v in w.vertices) for t in colorings)
+                assert signed_tait_web(w, orders) == want
 
 
 class TestTaitCount:
