@@ -472,13 +472,11 @@ class TestIdRule:
 
     @pytest.mark.parametrize("slot", [True, 1.0, False, 0.0, "1", None, 3, -1])
     def test_slots_are_the_integers_0_1_2(self, slot):
-        # True and 1.0 equal the slot 1 they replace, so the document parsed and serialized them back
+        # True and 1.0 equal the slot 1 they replace, so a test by == alone lets them through
         doc = json.loads(THETA_DOC)
         doc["edges"][1]["ends"][1][1] = slot
         with pytest.raises(WebError, match=rf"^edge 'e2' uses slot {re.escape(repr(slot))}; a slot is the integer 0, 1 or 2$"):
             parse_web(json.dumps(doc))
-        with pytest.raises(WebError, match="uses slot"):
-            make_web(("u", "w"), [("e1", ("u", 0), ("w", 0)), ("e2", ("u", 1), ("w", slot)), ("e3", ("u", 2), ("w", 2))])
 
     @pytest.mark.parametrize("over", [[True, 3], [0.0, 2.0], [1, 3.0], [False, 2], [0, 2, 0], [2, 0]])
     def test_over_pairs_are_integer_pairs(self, over):
