@@ -27,19 +27,22 @@ oracle runs on the kernel.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
 
 from .tait import VERTEX_WEIGHTS, contract, tait_count
 from .webs import (
     _PAIRS,
+    Crossing,
     Diagram,
     EDGE_A,
     EDGE_B,
     SMOOTH_A,
     SMOOTH_B,
-    Splice,
+    Vertex,
     Web,
     WebError,
+    make_web,
+    resolved_records,
     underlying_web,
 )
 
@@ -106,13 +109,18 @@ def site_modifications(w: Web, e, f) -> dict:
     webs, keyed 'recon_a', 'recon_b', 'bar_a', 'bar_b'; bar_x groups the
     strand ends exactly like recon_x.
 
-    The site is one virtual crossing on a ``Splice`` of ``w``: the ends
-    of ``e`` sit at its positions 0 and 2 and those of ``f`` at 1 and 3
-    (a circle links its two positions to each other).  recon_x is its
-    smoothing ``smooth_x`` and bar_x its inserted edge ``edge_x``, so
-    recon_a and bar_a pair the first ends of ``e`` and ``f`` and the
-    second ends, and recon_b and bar_b pair each end of ``e`` with the
-    other end of ``f``.  An id that is not an edge of ``w`` raises
+    The site is one virtual crossing on the node records of ``w``, which
+    ``webs.resolved_records`` resolves: the ends of ``e`` sit at its
+    positions 0 and 2 and those of ``f`` at 1 and 3, each end's half of
+    the edge labelled by its position (a circle is one arc from 0 to 2,
+    or 1 to 3).  recon_x is its smoothing ``smooth_x`` and bar_x its
+    inserted edge ``edge_x``, on the vertices ("w", ("site",), 0) and
+    ("w", ("site",), 1), so recon_a and bar_a pair the first ends of ``e``
+    and ``f`` and the second ends, and recon_b and bar_b pair each end of
+    ``e`` with the other end of ``f``.  Each result is read back as a web:
+    vertices sorted as strings, edge ``"s<k>"`` the k-th label met in
+    slot order (vertices by ``str(id)``, then slots), and the circles
+    after the edges.  An id that is not an edge of ``w`` raises
     ``WebError``.
     """
     for x in (e, f):
@@ -120,29 +128,34 @@ def site_modifications(w: Web, e, f) -> dict:
             raise WebError(f"invalid site ({e!r}, {f!r}): {x!r} is not an edge of the web")
     if e == f:
         raise WebError("site needs two distinct edges")
-    links = {}
-
-    def join(a, b):
-        links[a] = b
-        links[b] = a
-
-    for x, (a, b) in w.edge_ends.items():
-        if x not in (e, f):
-            join(a, b)
+    slots = dict(w.slot_edges)  # vertex -> its labels in slot order
+    site = [None] * 4
     for x, (p, q) in ((e, (0, 2)), (f, (1, 3))):
         if w.is_circle(x):
-            join((_SITE, p), (_SITE, q))
-        else:
-            a, b = w.edge_ends[x]
-            join(a, (_SITE, p))
-            join(b, (_SITE, q))
-    sp = Splice(links, frozenset(w.vertices), frozenset({_SITE}), len(w.circles - {e, f}))
-    return {
-        "recon_a": sp.smooth(_SITE, SMOOTH_A).to_web(),
-        "recon_b": sp.smooth(_SITE, SMOOTH_B).to_web(),
-        "bar_a": sp.insert_edge(_SITE, EDGE_A).to_web(),
-        "bar_b": sp.insert_edge(_SITE, EDGE_B).to_web(),
-    }
+            site[p] = site[q] = (_SITE, p)
+            continue
+        for (v, i), pos in zip(w.edge_ends[x], (p, q)):
+            site[pos] = (_SITE, pos)  # no edge id is a tuple
+            slots[v] = (*slots[v][:i], site[pos], *slots[v][i + 1 :])
+    vertices = tuple([Vertex(v, slots[v]) for v in w.vertices])
+    crossings, circles = (Crossing(_SITE, tuple(site)),), tuple(w.circles - {e, f})
+    fresh = zip(count()).__next__  # (0,), (1,), ...: neither an edge id nor a half
+    new_ids = ("w", _SITE, 0), ("w", _SITE, 1)
+    ids = (*w.vertices, *new_ids)
+    order = sorted(range(len(ids)), key=lambda i: str(ids[i]))
+    darts = [((v, 0), (v, 1), (v, 2)) for v in ids]
+    out = {}
+    for key, kind in (("recon_a", SMOOTH_A), ("recon_b", SMOOTH_B), ("bar_a", EDGE_A), ("bar_b", EDGE_B)):
+        nodes, _, free = resolved_records(vertices, crossings, circles, 0, kind, fresh, new_ids)
+        kept = [i for i in order if i < len(nodes)]  # a smoothing adds no vertex
+        ends: dict = {}  # label -> its two (vertex, slot) ends
+        for i in kept:
+            for x, a in zip(darts[i], nodes[i].arcs):
+                ends.setdefault(a, []).append(x)
+        edges = [(f"s{k}", *pair) for k, pair in enumerate(ends.values())]
+        names = [f"s{k}" for k in range(len(edges), len(edges) + len(free))]
+        out[key] = make_web([ids[i] for i in kept], edges, names)
+    return out
 
 
 def tutte_check(d: Diagram, site) -> bool:

@@ -16,12 +16,13 @@ a new object.  Validation keeps the tables it builds:
 ``Web.slot_edges`` (each vertex's edges in slot order), which the other
 layers read, and a ``Diagram``'s integer dart tables (the arc at each
 dart and the dart involution), its one representation of the darts,
-which ``underlying_web`` and ``Splice`` read.  A ``Diagram`` checks the
-Euler formula on construction; its sorted ``faces`` are the one view
-built on first use.  One strand-rewrite engine, ``Splice`` (the
-involution on node slots, starting from a diagram's own), serves
-``resolve_crossing`` (read back as a diagram) and the Tutte-site
-modifications of ``skein`` (read back as webs).
+which ``underlying_web``, ``fresh_namer`` and the face walk read.  A
+``Diagram`` checks the Euler formula on construction; its sorted
+``faces`` are the one view built on first use.  One label rewrite,
+``resolved_records`` (a crossing resolved on the node records, whose
+labels pair the darts), serves ``resolve_crossing`` (validated as a
+diagram) and the Tutte-site modifications of ``skein`` (read back as
+webs).
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _items(x, what: str) -> list:
 
 
 def _is_id(x) -> bool:
-    """A string, a non-bool integer, or a tuple: ``Splice.insert_edge``'s vertex names, which JSON cannot hold."""
+    """A string, a non-bool integer, or a tuple: the vertex ids of ``skein.site_modifications``, which JSON cannot hold."""
     return type(x) in (str, int, tuple)
 
 
@@ -297,9 +298,10 @@ class Diagram(Frozen):
     crossings before it, each node's in position order.  Construction
     validates on integer tables, which it keeps: ``_labels`` holds each
     dart's arc and ``_partner`` the dart at the other end of that arc.
-    ``_darts`` names each dart by its (node id, position), and ``faces``
-    lists the faces as tuples of those names, each from its least dart
-    by ``_dart_key``, in that order; both are built on first use.
+    ``faces``, built on first use, lists the faces as tuples of darts
+    named (node id, position), each from its least dart in node order
+    (nodes by ``str(id)``, a total order under the id rule, darts by
+    position), in that order.
 
     Construction counts the face orbits and the connected components c
     on flat integer lists, with a ``bytearray`` of marks each and no
@@ -396,30 +398,30 @@ class Diagram(Frozen):
     # -- structure ---------------------------------------------------------
 
     def crossing(self, cid) -> Crossing:
-        for c in self.crossings:
-            if c.id == cid:
-                return c
+        """The crossing ``cid``; an id that breaks the id rule names none,
+        though it may equal one (True and 1.0 equal 1)."""
+        if _is_id(cid):
+            for c in self.crossings:
+                if c.id == cid:
+                    return c
         raise WebError(f"unknown crossing id {cid!r}")
 
     @property
     def arcs(self) -> list:
         return sorted({*self.circles, *self._labels}, key=str)
 
-    @cached_property
-    def _darts(self) -> list:
-        """(node id, position) of each dart, in dart order."""
-        return [(n.id, pos) for nodes in (self.vertices, self.crossings) for n in nodes for pos in range(len(n.arcs))]
-
     def _dart_faces(self) -> list:
         """The face orbits as lists of integer darts, each traced from its
-        least dart by ``_dart_key``, in that order."""
-        darts, partner = self._darts, self._partner
-        starts = sorted(range(len(partner)), key=lambda x: _dart_key(darts[x]))
-        return _face_orbits(_face_successor(partner, 3 * len(self.vertices)), starts)
+        least dart in node order (nodes by ``str(id)``, darts by position)."""
+        nodes, n3 = (*self.vertices, *self.crossings), 3 * len(self.vertices)
+        first = [*range(0, n3, 3), *range(n3, len(self._partner), 4)]  # each node's first dart
+        order = sorted(range(len(nodes)), key=lambda i: str(nodes[i].id))
+        starts = [x for i in order for x in range(first[i], first[i] + len(nodes[i].arcs))]
+        return _face_orbits(_face_successor(self._partner, n3), starts)
 
     @cached_property
     def faces(self) -> tuple:
-        darts = self._darts
+        darts = [(n.id, pos) for n in (*self.vertices, *self.crossings) for pos in range(len(n.arcs))]
         return tuple(tuple(map(darts.__getitem__, face)) for face in self._dart_faces())
 
 
@@ -447,10 +449,6 @@ def _face_orbits(successor: list, starts) -> list:
                 dart = successor[dart]
             faces.append(face)
     return faces
-
-
-def _dart_key(dart) -> tuple:
-    return str(dart[0]), dart[1]
 
 
 def parse_diagram(text: str | dict) -> Diagram:
@@ -596,105 +594,49 @@ def fresh_namer(d: Diagram):
     return fresh
 
 
-class Splice:
-    """A diagram or web under local moves: the strand involution on node slots.
+def resolved_records(vertices: tuple, crossings: tuple, circles: tuple, j: int, kind: str, fresh, new_ids) -> tuple:
+    """The records (vertices, crossings, circles) with ``crossings[j]``
+    resolved by ``kind``, on labels alone, since labels pair the darts.
 
-    ``links`` pairs each slot (node id, position) with the slot at the
-    other end of its arc; ``verts`` and ``crossings`` hold the ids of the
-    trivalent and 4-valent nodes, and ``circles`` counts free circles.
-    Each step copies ``links`` before changing it and returns a new
-    splice, so one splice can be stepped several ways.
-    ``insert_edge`` at crossing ``cid`` adds the vertices ("w", cid, 0)
-    and ("w", cid, 1).  It serves
-    ``resolve_crossing`` (``to_diagram``) and the Tutte sites of
-    ``skein.site_modifications``, a virtual crossing on a web (``to_web``).
+    A smoothing joins the labels at its two position pairs.  A strand that
+    closes on itself becomes a ``fresh()`` circle; otherwise, of the
+    strand's labels that leave the crossing, the least as a string
+    replaces the other on that label's one dart outside the crossing.  An
+    inserted edge appends the vertices ``new_ids``: for the kind's pairs
+    (p, q), (r, s), the first takes positions p, q in its slots 0, 1, the
+    second r, s, and their slots 2 hold the edge.  Each arc with both
+    ends at the crossing takes a ``fresh()`` label, in position order p,
+    q, r, s, and then the edge.
     """
-
-    __slots__ = ("links", "verts", "crossings", "circles")
-
-    def __init__(self, links, verts, crossings, circles):
-        self.links = links
-        self.verts = verts
-        self.crossings = crossings
-        self.circles = circles
-
-    @staticmethod
-    def from_diagram(d: Diagram) -> "Splice":
-        darts, partner = d._darts, d._partner
-        links = {darts[x]: darts[partner[x]] for e, p in enumerate(partner) if e < p for x in (e, p)}
-        verts, crossings = (frozenset(n.id for n in nodes) for nodes in (d.vertices, d.crossings))
-        return Splice(links, verts, crossings, len(d.circles))
-
-    def smooth(self, cid, kind: str) -> "Splice":
-        out = Splice(dict(self.links), self.verts, self.crossings, self.circles)
-        for p, q in _PAIRS[kind]:
-            a = out.links.pop((cid, p))
-            if a == (cid, q):
-                out.links.pop((cid, q), None)
-                out.circles += 1
-            else:
-                b = out.links.pop((cid, q))
-                out.links[a] = b
-                out.links[b] = a
-        out.crossings = self.crossings - {cid}
-        return out
-
-    def insert_edge(self, cid, kind: str) -> "Splice":
-        out = Splice(dict(self.links), self.verts, self.crossings, self.circles)
-        w1, w2 = ("w", cid, 0), ("w", cid, 1)
-        rehome = {}
-        for vid, (p, q) in zip((w1, w2), _PAIRS[kind]):
-            rehome[(cid, p)] = (vid, 0)
-            rehome[(cid, q)] = (vid, 1)
-        for s, new_s in rehome.items():
-            partner = out.links.pop(s)
-            if partner in rehome:
-                out.links[new_s] = rehome[partner]
-            else:
-                out.links[new_s] = partner
-                out.links[partner] = new_s
-        out.links[(w1, 2)] = (w2, 2)
-        out.links[(w2, 2)] = (w1, 2)
-        out.verts = self.verts | {w1, w2}
-        out.crossings = self.crossings - {cid}
-        return out
-
-    def to_diagram(self, d: Diagram) -> Diagram:
-        """The validated diagram of this splice of ``d``, labelled as
-        ``resolve_crossing`` describes."""
-        fresh = fresh_namer(d)
-        arc_at = dict(zip(d._darts, d._labels))
-        label: dict = {}
-        for s, t in self.links.items():
-            if s not in label:
-                kept = [arc_at[x] for x in (s, t) if x in arc_at]
-                label[s] = label[t] = min(kept, key=str) if kept else fresh("s")
-        new = sorted(self.verts.difference(n.id for n in d.vertices), key=lambda v: v[2])
-        vertices = [
-            Vertex(n.id, tuple(label[(n.id, k)] for k in range(3)))
-            for n in d.vertices
-            if n.id in self.verts
-        ] + [Vertex(fresh(f"{v[1]}.w"), tuple(label[(v, k)] for k in range(3))) for v in new]
-        crossings = [
-            Crossing(c.id, tuple(label[(c.id, k)] for k in range(4)), c.over)
-            for c in d.crossings
-            if c.id in self.crossings
-        ]
-        circles = list(d.circles) + [fresh("s") for _ in range(self.circles - len(d.circles))]
-        return Diagram(tuple(vertices), tuple(crossings), tuple(circles))
-
-    def to_web(self) -> Web:
-        """The web of a crossing-free splice.  Vertices are sorted as
-        strings; edge ``"s<k>"`` joins the k-th unvisited slot, in slot
-        order, to its partner, and the circles come after the edges."""
-        edges = []
-        done = set()
-        for s in sorted(self.links, key=_dart_key):
-            if s not in done:
-                done.update((s, self.links[s]))
-                edges.append((f"s{len(edges)}", s, self.links[s]))
-        circles = [f"s{k}" for k in range(len(edges), len(edges) + self.circles)]
-        return make_web(sorted(self.verts, key=str), edges, circles)
+    arcs = crossings[j].arcs
+    crossings = crossings[:j] + crossings[j + 1 :]
+    (p, q), (r, s) = _PAIRS[kind]
+    a, b, c, e = arcs[p], arcs[q], arcs[r], arcs[s]
+    if kind in (EDGE_A, EDGE_B):
+        inner = {}  # an arc with both ends here -> its fresh label
+        for x in (a, b, c, e):
+            if x not in inner and arcs.count(x) == 2:
+                inner[x] = fresh()
+        if inner:
+            a, b, c, e = map(inner.get, (a, b, c, e), (a, b, c, e))
+        edge = fresh()
+        return (*vertices, Vertex(new_ids[0], (a, b, edge)), Vertex(new_ids[1], (c, e, edge))), crossings, circles
+    # the pairs make two strands, or one if an arc runs from pair to pair
+    strands = ((a, b), (c, e)) if {a, b}.isdisjoint((c, e)) else (tuple({a, b} ^ {c, e}) or (a, a),)
+    rename = {}
+    for x, y in strands:
+        if x == y:
+            circles = (*circles, fresh())
+        else:
+            keep, drop = sorted((x, y), key=str)
+            rename[drop] = keep
+    if rename:
+        untouched = rename.keys().isdisjoint
+        vertices, crossings = (
+            tuple([n if untouched(n.arcs) else n._replace(arcs=tuple(map(rename.get, n.arcs, n.arcs))) for n in nodes])
+            for nodes in (vertices, crossings)
+        )
+    return vertices, crossings, circles
 
 
 def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:
@@ -710,16 +652,20 @@ def resolve_crossing(d: Diagram, cid, kind: str) -> Diagram:
     their ids.  An arc keeps the label of an arc of ``d`` that ended
     where it ends, the least as a string if two did (a smoothing joins
     two arcs into one).  The new vertices take the first unused names
-    ``"<cid>.w0"``, ``"<cid>.w1"``, ...; the inserted edge, any other arc
-    with both ends at the crossing, and any circle closed by a smoothing
-    take the first unused names ``"s0"``, ``"s1"``, ...
+    ``"<cid>.w0"``, ``"<cid>.w1"``, ...; each arc with both ends at the
+    crossing, by its first position in the order p, q, r, s of the kind's
+    pairs (p, q), (r, s), then the inserted edge, and any circle closed
+    by a smoothing take the first unused names ``"s0"``, ``"s1"``, ...
+    ``resolved_records`` rewrites the records, and they are validated as
+    a new ``Diagram``.  A ``cid`` that breaks the id rule, or names no
+    crossing, raises ``WebError``.
     """
-    d.crossing(cid)  # an unknown crossing id raises WebError
+    j = d.crossings.index(d.crossing(cid))  # an unknown crossing id raises WebError
     if kind not in RESOLUTIONS:
         raise WebError(f"unknown resolution kind {kind!r}")
-    sp = Splice.from_diagram(d)
-    sp = sp.smooth(cid, kind) if kind in (SMOOTH_A, SMOOTH_B) else sp.insert_edge(cid, kind)
-    return sp.to_diagram(d)
+    fresh = fresh_namer(d)
+    new_ids = fresh(f"{cid}.w"), fresh(f"{cid}.w")  # no "s<k>" name holds ".w", so the order of calls is free
+    return Diagram(*resolved_records(d.vertices, d.crossings, d.circles, j, kind, lambda: fresh("s"), new_ids))
 
 
 def flip_crossing(d: Diagram, cid) -> Diagram:

@@ -1,6 +1,7 @@
 import json
 import re
 from collections import Counter
+from itertools import chain, count, permutations
 from importlib import resources
 from types import SimpleNamespace
 
@@ -9,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_skein import census_webs, criterion_3_stream
+from test_tait import prism_web
 from webfoam import catalogue, gf2, modules
 from webfoam.foams import FoamExpr, Theta
+from webfoam.generate import cubic_multigraphs
+from webfoam.skein import site_modifications
 from webfoam.webs import (
     EDGE_A,
     EDGE_B,
@@ -310,6 +314,16 @@ class TestResolveCrossing:
         with pytest.raises(WebError, match="^arc 2 and arc '2' print alike$"):
             Diagram((), (Crossing("x0", ("1", "1", 2, "2"), (1, 3)), x1, Crossing("x2", ("0", "0", 2, 0))))
 
+    def test_ids_outside_the_id_rule_name_no_crossing(self):
+        # True and 1.0 equal the crossing id 1 but are not ids; they named
+        # it, and the new vertices "True.w0" and "1.0.w0"
+        d = Diagram((), (Crossing(1, ("A", "A", "B", "B")),))
+        assert resolve_crossing(d, 1, EDGE_A).vertices[0].id == "1.w0"
+        for cid in (True, 1.0):
+            for op in (d.crossing, lambda cid: flip_crossing(d, cid), lambda cid: resolve_crossing(d, cid, EDGE_A)):
+                with pytest.raises(WebError, match=f"^unknown crossing id {cid!r}$"):
+                    op(cid)
+
     def test_resolution_kinds_closed(self):
         assert set(RESOLUTIONS) == {SMOOTH_A, SMOOTH_B, EDGE_A, EDGE_B}
 
@@ -539,8 +553,8 @@ def test_stored_involution_matches_the_node_records():
     diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file] + criterion_3_stream()
     diagrams += [parse_diagram(KINK_DOC), hopf_diagram()]
     for d in diagrams:
-        darts, partner, labels = d._darts, d._partner, d._labels
-        assert darts == [(n.id, pos) for n in d.vertices + d.crossings for pos in range(len(n.arcs))]
+        partner, labels = d._partner, d._labels
+        darts = [(n.id, pos) for n in d.vertices + d.crossings for pos in range(len(n.arcs))]  # in dart order
         assert len(partner) == len(labels) == len(darts)
         assert {darts[x]: darts[y] for x, y in enumerate(partner)} == node_partner(d)
         assert all(partner[partner[x]] == x != partner[x] for x in range(len(partner)))
@@ -594,6 +608,135 @@ def test_underlying_web_matches_the_tuple_walk():
         want = tuple_walk_underlying_web(d)
         assert w == want
         assert list(w.edge_ends.items()) == list(want.edge_ends.items())
+
+
+# --- the two local moves against a slot-involution model ---------------------
+
+MODEL_PAIRS = {SMOOTH_A: ((0, 1), (2, 3)), SMOOTH_B: ((1, 2), (3, 0))}
+MODEL_PAIRS.update({EDGE_A: MODEL_PAIRS[SMOOTH_A], EDGE_B: MODEL_PAIRS[SMOOTH_B]})
+
+
+def model_move(links, cid, kind) -> tuple:
+    """The involution ``links`` on slots (node id, position) after crossing
+    ``cid`` is resolved by ``kind``, and the number of circles it closes.  A
+    smoothing joins the slots each position pair meets, pair by pair; an
+    inserted edge moves positions p, q, r, s to slots 0, 1 of the vertices
+    ("w", cid, 0), ("w", cid, 1) and joins their slots 2."""
+    links = dict(links)
+    if kind in (EDGE_A, EDGE_B):
+        new = {(cid, pos): (("w", cid, i // 2), i % 2) for i, pos in enumerate(chain(*MODEL_PAIRS[kind]))}
+        links = {new.get(x, x): new.get(y, y) for x, y in links.items()}
+        links[("w", cid, 0), 2], links[("w", cid, 1), 2] = (("w", cid, 1), 2), (("w", cid, 0), 2)
+        return links, 0
+    closed = 0
+    for p, q in MODEL_PAIRS[kind]:
+        a, b = links.pop((cid, p)), links.pop((cid, q))
+        if a == (cid, q):
+            closed += 1
+        else:
+            links[a], links[b] = b, a
+    return links, closed
+
+
+def model_resolution(d, cid, kind) -> str:
+    """``resolve_crossing(d, cid, kind)`` as ``model_move`` and the labels
+    its docstring gives, serialized."""
+    arc_at = {(n.id, pos): a for n in d.vertices + d.crossings for pos, a in enumerate(n.arcs)}
+    links, closed = model_move(node_partner(d), cid, kind)
+    used = {str(x) for x in [*arc_at.values(), *d.circles, *(n.id for n in d.vertices + d.crossings)]}
+
+    def fresh(base):
+        used.add(name := next(f"{base}{k}" for k in count() if f"{base}{k}" not in used))
+        return name
+
+    new = [(("w", cid, i), k) for i, k in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))]  # p, q, r, s, the edge
+    label = {}
+    for x in [*arc_at, *new]:
+        if x in links and x not in label:
+            kept = [arc_at[y] for y in (x, links[x]) if y in arc_at]
+            label[x] = label[links[x]] = min(kept, key=str) if kept else fresh("s")
+    vertices = [Vertex(n.id, tuple(label[n.id, j] for j in range(3))) for n in d.vertices]
+    if kind in (EDGE_A, EDGE_B):
+        vertices += [Vertex(fresh(f"{cid}.w"), tuple(label[("w", cid, i), j] for j in range(3))) for i in (0, 1)]
+    crossings = [Crossing(c.id, tuple(label[c.id, j] for j in range(4)), c.over) for c in d.crossings if c.id != cid]
+    circles = (*d.circles, *(fresh("s") for _ in range(closed)))
+    return serialize_diagram(Diagram(tuple(vertices), tuple(crossings), circles))
+
+
+def model_sites(w, e, f) -> dict:
+    """``site_modifications(w, e, f)`` as ``model_move`` at the virtual
+    crossing ("site",) and the web its docstring gives, serialized."""
+    cid = ("site",)
+    ends = dict(w.edge_ends)
+    for x, (p, q) in ((e, (0, 2)), (f, (1, 3))):
+        a, b = ends.pop(x, ((cid, q), (cid, p)))  # a circle joins p to q
+        ends[x, 0], ends[x, 1] = (a, (cid, p)), (b, (cid, q))
+    links = {y: z for a, b in ends.values() for y, z in ((a, b), (b, a))}
+    out = {}
+    for key, kind in (("recon_a", SMOOTH_A), ("recon_b", SMOOTH_B), ("bar_a", EDGE_A), ("bar_b", EDGE_B)):
+        moved, closed = model_move(links, cid, kind)
+        edges, done = [], set()
+        for x in sorted(moved, key=lambda x: (str(x[0]), x[1])):
+            if x not in done:
+                done.update((x, moved[x]))
+                edges.append((f"s{len(edges)}", x, moved[x]))
+        circles = [f"s{k}" for k in range(len(edges), len(edges) + len(w.circles - {e, f}) + closed)]
+        out[key] = serialize_web(make_web(sorted({x[0] for x in moved}, key=str), edges, circles))
+    return out
+
+
+def matchings(slots) -> list:
+    """Every pairing of the slots into twos."""
+    if not slots:
+        return [[]]
+    return [[(slots[0], y), *rest] for k, y in enumerate(slots[1:]) for rest in matchings(slots[1:k + 1] + slots[k + 2:])]
+
+
+def one_crossing_layouts() -> list:
+    """Every planar diagram of the crossing "x" and none or two vertices
+    "u", "v" in which an arc joins two positions of "x", opposite ones
+    included."""
+    layouts = []
+    for nodes in ({"x": 4}, {"x": 4, "u": 3, "v": 3}):
+        for pairs in matchings([(n, pos) for n, k in nodes.items() for pos in range(k)]):
+            if not any(a[0] == b[0] == "x" for a, b in pairs):
+                continue
+            label = {x: f"a{i}" for i, pair in enumerate(pairs) for x in pair}
+            arcs = {n: tuple(label[n, pos] for pos in range(k)) for n, k in nodes.items()}
+            try:
+                layouts.append(Diagram(tuple(Vertex(v, arcs[v]) for v in "uv" if v in nodes), (Crossing("x", arcs["x"]),)))
+            except WebError:  # not planar
+                pass
+    return layouts
+
+
+def turned(d, r):
+    """``d`` with each crossing's positions renumbered r places back: the
+    same plane diagram."""
+    crossings = (Crossing(c.id, c.arcs[r:] + c.arcs[:r], tuple(sorted((k - r) % 4 for k in c.over))) for c in d.crossings)
+    return Diagram(d.vertices, tuple(crossings), d.circles)
+
+
+def test_resolutions_match_the_slot_model():
+    # the digests reach kinks at positions 0-1 alone (``add_kink`` writes no
+    # other), so the layouts and turns put arcs between every two positions
+    layouts = one_crossing_layouts()
+    assert {tuple(c.arcs.count(a) for a in c.arcs) for d in layouts for c in d.crossings} >= {(2, 1, 2, 1), (2, 2, 2, 2)}
+    diagrams = [catalogue.load_diagram(e) for e in catalogue.CATALOGUE if e.diagram_file] + criterion_3_stream()[:20]
+    for d in layouts + [turned(d, r) for d in diagrams for r in range(4)]:
+        for c in d.crossings:
+            for kind in RESOLUTIONS:
+                assert serialize_diagram(resolve_crossing(d, c.id, kind)) == model_resolution(d, c.id, kind)
+
+
+def test_tutte_sites_match_the_slot_model():
+    census = [w for n in (2, 4, 6) for w in cubic_multigraphs(n, allow_loops=True)]
+    webs = census + [make_web(w.vertices, [(e, *ends) for e, ends in w.edge_ends.items()], ["o1", "o2"]) for w in census[:8]]
+    webs += [make_web((), (), ["o1", "o2"]), make_web((), (), ["o1", "o2", "o3"]), prism_web(3), prism_web(4)]
+    assert any(w.has_loop() for w in webs)
+    for w in webs:
+        for e, f in permutations(w.edges, 2):
+            assert {k: serialize_web(m) for k, m in site_modifications(w, e, f).items()} == model_sites(w, e, f)
 
 
 class TestParseProperties:
