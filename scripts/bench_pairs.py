@@ -10,10 +10,16 @@ once in each tree, where T is ``run_seconds`` of this repository's
 change first when i is even.  The summary holds, per end-to-end metric
 of ``BENCHMARK.json``, both sides' values, medians and quartiles
 (inclusive method), the pairs the change won (ties count for neither
-side) and whether a gain holds: the change wins at least nine tenths of
+side), whether a gain holds: the change wins at least nine tenths of
 the pairs and its median beats the parent's by more than the parent's
-interquartile range (one pair is summarised, but shows no gain).  It also holds each run's attempted and failed op
-counts and its result line.  Progress goes to standard error.
+interquartile range (one pair is summarised, but shows no gain), and a
+no-regression verdict on the metric's ``bound``, a fraction of the
+parent's median: ``within_bound`` when the change's median is no worse
+than the parent's by more than the bound, ``worse`` when it is, and
+``unresolved`` when the parent's interquartile range exceeds the bound,
+unless every run of the change beats every run of the parent.  It also
+holds each run's attempted and failed op counts and its result line.
+Progress goes to standard error.
 
 The summary is written into the ``BENCH_*.json`` document named by
 ``--into``, under ``perfbench["W/seedN"]``.  A new document also gets the
@@ -48,10 +54,10 @@ def run(root: pathlib.Path, workload: str, seed: int) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def summary(parent: list, change: list, better: str) -> dict:
-    """Medians, quartiles, pairs won and the gain rule for one metric.
-    One pair shows no spread: its quartiles are those of [x, x], and no
-    gain holds on it."""
+def summary(parent: list, change: list, better: str, bound: float) -> dict:
+    """Medians, quartiles, pairs won, the gain rule and the no-regression
+    verdict for one metric.  One pair shows no spread: its quartiles are
+    those of [x, x], and no gain holds on it."""
     def quartiles(xs):
         q1, _, q3 = statistics.quantiles(xs * 2 if len(xs) == 1 else xs, n=4, method="inclusive")
         return [q1, q3]
@@ -59,6 +65,12 @@ def summary(parent: list, change: list, better: str) -> dict:
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     (q1, q3), pm, cm = quartiles(parent), statistics.median(parent), statistics.median(change)
+    if all(sign * (c - p) > 0 for p in parent for c in change):
+        verdict = "within_bound"
+    elif q3 - q1 > bound * abs(pm):
+        verdict = "unresolved"
+    else:
+        verdict = "worse" if sign * (pm - cm) > bound * abs(pm) else "within_bound"
     return {
         "parent": parent,
         "change": change,
@@ -68,6 +80,7 @@ def summary(parent: list, change: list, better: str) -> dict:
         "change_q1_q3": quartiles(change),
         "change_wins": f"{wins}/{len(parent)}",
         "gain_holds": len(parent) > 1 and wins >= 0.9 * len(parent) and sign * (cm - pm) > q3 - q1,
+        "no_regression": verdict,
     }
 
 
@@ -76,7 +89,8 @@ def pairs_summary(lines: dict) -> dict:
     metrics = {}
     for m in BENCHMARK["end_to_end"]:
         values = {s: [r["metrics"][m["name"]]["value"] for r in lines[s]] for s in lines}
-        metrics[m["name"]] = {"unit": m["unit"], **summary(values["parent"], values["change"], m["better"])}
+        metrics[m["name"]] = {"unit": m["unit"], "bound": m["bound"],
+                              **summary(values["parent"], values["change"], m["better"], m["bound"])}
     return {
         "seconds": BENCHMARK["run_seconds"],
         "pairs": len(lines["parent"]),

@@ -27,7 +27,7 @@ oracle runs on the kernel.
 
 from __future__ import annotations
 
-from itertools import count, product
+from itertools import count, islice, product
 
 from .tait import VERTEX_WEIGHTS, contract, tait_count
 from .webs import (
@@ -41,7 +41,6 @@ from .webs import (
     Vertex,
     Web,
     WebError,
-    make_web,
     resolved_records,
     underlying_web,
 )
@@ -99,7 +98,7 @@ def euler_char_report(d: Diagram) -> dict:
 # the Tutte relation at a marked planar site
 
 
-_SITE = ("site",)  # the virtual crossing of a Tutte site; no parsed id is a tuple
+_SITE = ("site",)  # the virtual crossing of a Tutte site; no id is a tuple
 
 
 def site_modifications(w: Web, e, f) -> dict:
@@ -114,24 +113,25 @@ def site_modifications(w: Web, e, f) -> dict:
     positions 0 and 2 and those of ``f`` at 1 and 3, each end's half of
     the edge labelled by its position (a circle is one arc from 0 to 2,
     or 1 to 3).  recon_x is its smoothing ``smooth_x`` and bar_x its
-    inserted edge ``edge_x``, on the vertices ("w", ("site",), 0) and
-    ("w", ("site",), 1), so recon_a and bar_a pair the first ends of ``e``
-    and ``f`` and the second ends, and recon_b and bar_b pair each end of
-    ``e`` with the other end of ``f``.  Each result is read back as a web:
+    inserted edge ``edge_x``, on the first two vertices ``"site.w<k>"``
+    that print like no vertex of ``w``, so recon_a and bar_a pair the
+    first ends of ``e`` and ``f`` and the second ends, and recon_b and
+    bar_b pair each end of ``e`` with the other end of ``f``.  Each
+    result is read back as a web:
     vertices sorted as strings, edge ``"s<k>"`` the k-th label met in
     slot order (vertices by ``str(id)``, then slots), and the circles
     after the edges.  An id that is not an edge of ``w`` raises
     ``WebError``.
     """
     for x in (e, f):
-        if x not in w.edge_ends and not w.is_circle(x):
+        if x not in w.edge_ends and x not in w.circles:
             raise WebError(f"invalid site ({e!r}, {f!r}): {x!r} is not an edge of the web")
     if e == f:
         raise WebError("site needs two distinct edges")
     slots = dict(w.slot_edges)  # vertex -> its labels in slot order
     site = [None] * 4
     for x, (p, q) in ((e, (0, 2)), (f, (1, 3))):
-        if w.is_circle(x):
+        if x in w.circles:
             site[p] = site[q] = (_SITE, p)
             continue
         for (v, i), pos in zip(w.edge_ends[x], (p, q)):
@@ -140,7 +140,8 @@ def site_modifications(w: Web, e, f) -> dict:
     vertices = tuple([Vertex(v, slots[v]) for v in w.vertices])
     crossings, circles = (Crossing(_SITE, tuple(site)),), tuple(w.circles - {e, f})
     fresh = zip(count()).__next__  # (0,), (1,), ...: neither an edge id nor a half
-    new_ids = ("w", _SITE, 0), ("w", _SITE, 1)
+    taken = set(map(str, w.vertices))
+    new_ids = tuple(islice((x for k in count() if (x := f"site.w{k}") not in taken), 2))
     ids = (*w.vertices, *new_ids)
     order = sorted(range(len(ids)), key=lambda i: str(ids[i]))
     darts = [((v, 0), (v, 1), (v, 2)) for v in ids]
@@ -154,7 +155,7 @@ def site_modifications(w: Web, e, f) -> dict:
                 ends.setdefault(a, []).append(x)
         edges = [(f"s{k}", *pair) for k, pair in enumerate(ends.values())]
         names = [f"s{k}" for k in range(len(edges), len(edges) + len(free))]
-        out[key] = make_web([ids[i] for i in kept], edges, names)
+        out[key] = Web([ids[i] for i in kept], edges, names)
     return out
 
 

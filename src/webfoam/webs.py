@@ -12,7 +12,9 @@ so every order and derived name, which go by ``str``, is total and
 deterministic.  An over-pair is the integer pair (0, 2) or (1, 3).
 
 All structures are immutable after construction; every operation returns
-a new object.  Validation keeps the tables it builds:
+a new object.  Each has one constructor, on raw parts (a ``Web`` on
+vertex ids, edge triples and circle ids, a ``Diagram`` on node
+records), which validates them and keeps the tables it builds:
 ``Web.slot_edges`` (each vertex's edges in slot order), which the other
 layers read, and a ``Diagram``'s integer dart tables (the arc at each
 dart and the dart involution), its one representation of the darts,
@@ -45,9 +47,11 @@ class WebError(ValueError):
 
 
 class Web(Frozen):
-    """Abstract trivalent graph with circle components.
+    """Abstract trivalent graph with circle components, built from raw
+    parts: vertex ids, ``(edge id, (v, slot), (v, slot))`` triples and
+    circle ids, which the one constructor validates.
 
-    ``edge_ends`` maps a regular edge id to a pair of (vertex, slot)
+    ``edge_ends`` maps a regular edge id to its pair of (vertex, slot)
     endpoints; slots at each vertex are 0, 1, 2.  A loop uses the same
     vertex twice with different slots.  ``circles`` holds the ids of
     vertexless circle edges.  ``slot_edges`` maps each vertex to its
@@ -55,17 +59,20 @@ class Web(Frozen):
     Equality compares ``vertices``, ``edge_ends`` and ``circles``.
     """
 
-    def __init__(self, vertices: tuple, edge_ends: Mapping, circles: frozenset):
-        self.__dict__.update(vertices=vertices, edge_ends=edge_ends, circles=circles)
+    def __init__(self, vertices: Iterable, edges: Iterable, circles: Iterable = ()):
+        vertices, edges, circles = tuple(vertices), list(edges), list(circles)
+        names = [e for e, _, _ in edges]
+        _check_ids(("edge id", names + circles))
+        for what, ids in (("edge", names), ("circle", circles)):
+            if len(set(ids)) != len(ids):  # then name the first repeat
+                raise WebError(f"{what} id {next(x for x, k in Counter(ids).items() if k > 1)!r} is used more than once")
         _check_ids(("vertex id", vertices))
-        _check_ids(("edge id", edge_ends), ("edge id", circles))
-        table = {v: {} for v in self.vertices}  # vertex -> slot -> edge
-        if len(table) != len(self.vertices):
-            repeated = [v for v, k in Counter(self.vertices).items() if k > 1]
-            raise WebError(f"vertex id {repeated[0]!r} is used more than once")
-        for e, ends in self.edge_ends.items():
-            if len(ends) != 2:
-                raise WebError(f"edge {e!r} must have exactly 2 ends")
+        table = {v: {} for v in vertices}  # vertex -> slot -> edge
+        if len(table) != len(vertices):
+            raise WebError(f"vertex id {next(v for v, k in Counter(vertices).items() if k > 1)!r} is used more than once")
+        edge_ends = {}
+        for e, (x, i), (y, j) in edges:  # each end a (vertex, slot) pair, kept as a tuple
+            edge_ends[e] = ends = (x, i), (y, j)
             for v, slot in ends:
                 if not _is_id(v) or (at := table.get(v)) is None:
                     raise WebError(f"edge {e!r} meets unknown vertex {v!r}")
@@ -78,12 +85,12 @@ class Web(Frozen):
             if len(at) != 3:
                 raise WebError(f"vertex {v!r} has degree {len(at)}, not 3")
             table[v] = (at[0], at[1], at[2])
-        for c in self.circles:
-            if c in self.edge_ends:
+        for c in circles:
+            if c in edge_ends:
                 raise WebError(f"edge id {c!r} is both a circle and a regular edge")
-        if len(self.vertices) % 2 != 0:
+        if len(vertices) % 2 != 0:
             raise WebError("a trivalent graph has an even number of vertices")
-        object.__setattr__(self, "slot_edges", table)
+        self.__dict__.update(vertices=vertices, edge_ends=edge_ends, circles=frozenset(circles), slot_edges=table)
 
     def _key(self) -> tuple:
         return self.vertices, self.edge_ends, self.circles
@@ -94,13 +101,6 @@ class Web(Frozen):
     def edges(self) -> list:
         return sorted(self.edge_ends, key=str) + sorted(self.circles, key=str)
 
-    def is_circle(self, e) -> bool:
-        return e in self.circles
-
-    def vertex_edges(self, v) -> list:
-        """Edges at ``v`` in slot order 0, 1, 2 (a loop appears twice)."""
-        return list(self.slot_edges[v])
-
     def is_loop(self, e) -> bool:
         if e in self.circles:
             return False
@@ -109,22 +109,6 @@ class Web(Frozen):
 
     def has_loop(self) -> bool:
         return any(self.is_loop(e) for e in self.edge_ends)
-
-
-def make_web(vertices: Iterable, edges: Iterable, circles: Iterable = ()) -> Web:
-    """Build a web from (edge_id, (v, slot), (v, slot)) triples.
-
-    Repeated ids, and ids that break the rule of ``_check_ids``, raise ``WebError``.
-    """
-    edges = list(edges)
-    circles = list(circles)
-    names = [e for e, _, _ in edges]
-    _check_ids(("edge id", names + circles))
-    for what, ids in (("edge", names), ("circle", circles)):
-        if len(set(ids)) != len(ids):  # then name the first repeat
-            raise WebError(f"{what} id {next(x for x, k in Counter(ids).items() if k > 1)!r} is used more than once")
-    ends = {e: (tuple(a), tuple(b)) for e, a, b in edges}
-    return Web(tuple(vertices), ends, frozenset(circles))
 
 
 def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:
@@ -144,7 +128,7 @@ def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:
         if len(pts) != 2:
             raise WebError(f"edge {e!r} has {len(pts)} endpoints, expected 2")
         edges.append((e, pts[0], pts[1]))
-    return make_web(tuple(vertex_edges), edges, circles)
+    return Web(vertex_edges, edges, circles)
 
 
 def load_document(text: str | dict, what: str) -> dict:
@@ -170,16 +154,16 @@ def _items(x, what: str) -> list:
 
 
 def _is_id(x) -> bool:
-    """A string, a non-bool integer, or a tuple: the vertex ids of ``skein.site_modifications``, which JSON cannot hold."""
-    return type(x) in (str, int, tuple)
+    """A string or an integer that is not a bool."""
+    return type(x) in (str, int)
 
 
 def _check_ids(*kinds) -> None:
     """The id rule on the ids of one kind, as (noun, ids) pairs: each id
-    passes ``_is_id`` (a float, a bool, null, a list or an object does
-    not), and no two that differ print alike, as 1 and "1" do; a refusal
-    names the id, or both.  The kinds: node ids, arcs with circles, web
-    vertices, web edges with circles."""
+    passes ``_is_id`` (a float, a bool, null, a list, an object or a
+    tuple does not), and no two that differ print alike, as 1 and "1"
+    do; a refusal names the id, or both.  The kinds: node ids, arcs with
+    circles, web vertices, web edges with circles."""
     try:  # strings alone, the common case, print apart when they differ; a join finds them fast
         for _, ids in kinds:
             "".join(ids)
@@ -222,7 +206,7 @@ def parse_web(text: str | dict) -> Web:
             ):
                 raise WebError(f"edge {e!r}: need 'ends' with 2 [vertex, slot] entries or 'circle': true")
             edges.append((e, tuple(ends[0]), tuple(ends[1])))
-    return make_web(vertices, edges, circles)
+    return Web(vertices, edges, circles)
 
 
 def serialize_web(w: Web) -> str:
@@ -270,7 +254,7 @@ def disjoint_union_webs(a: Web, b: Web, tags=("A", "B")) -> Web:
         for e, ((u, i), (v, j)) in w.edge_ends.items():
             edges.append((f"{t}:{e}", (f"{t}:{u}", i), (f"{t}:{v}", j)))
     circles = [f"{t}:{c}" for t, w in zip(tags, (a, b)) for c in w.circles]
-    return make_web(verts, edges, circles)
+    return Web(verts, edges, circles)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +510,7 @@ def underlying_web(d: Diagram) -> Web:
     """
     partner, labels, vertices, crossings = d._partner, d._labels, d.vertices, d.crossings
     n3 = 3 * len(vertices)
-    ends = {}  # edge label -> its two (vertex id, slot) ends
+    edges = []  # (edge label, its two (vertex id, slot) ends)
     walked = bytearray(len(labels))  # vertex darts ending an edge, crossing darts passed through
     for i in sorted(range(len(vertices)), key=lambda i: str(vertices[i].id)):
         for start in range(3 * i, 3 * i + 3):
@@ -540,7 +524,7 @@ def underlying_web(d: Diagram) -> Web:
                 arcs.append(labels[out])
                 dart = partner[out]
             walked[start] = walked[dart] = 1
-            ends[str(min(arcs, key=str))] = (vertices[i].id, start % 3), (vertices[dart // 3].id, dart % 3)
+            edges.append((str(min(arcs, key=str)), (vertices[i].id, start % 3), (vertices[dart // 3].id, dart % 3)))
     circles = [*d.circles]
     if 0 in walked:  # closed strands running through crossings only
         for j in sorted(range(len(crossings)), key=lambda j: str(crossings[j].id)):
@@ -554,7 +538,7 @@ def underlying_web(d: Diagram) -> Web:
                     dart = partner[out]
                 if arcs:
                     circles.append(str(min(arcs, key=str)))
-    return Web(tuple(n.id for n in vertices), ends, frozenset(circles))  # distinct arcs print apart, so do their labels
+    return Web([n.id for n in vertices], edges, circles)  # distinct arcs print apart, so do their labels
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +672,3 @@ def disjoint_union_diagrams(a: Diagram, b: Diagram, tags=("A", "B")) -> Diagram:
             crossings.append(Crossing(f"{t}:{c.id}", tuple(f"{t}:{x}" for x in c.arcs), c.over))
         circles.extend(f"{t}:{x}" for x in d.circles)
     return Diagram(tuple(verts), tuple(crossings), tuple(circles))
-
-
-def diagram_vertex_orders(d: Diagram) -> dict:
-    """Vertex id -> ccw tuple of web edge labels: the slots of underlying_web."""
-    return dict(underlying_web(d).slot_edges)

@@ -73,7 +73,7 @@ def report(number: int, label: str, start: float, budget: float) -> None:
 
 
 def test_criterion_1_planar_tait_theorem():
-    from webfoam.webs import disjoint_union_webs, make_web
+    from webfoam.webs import Web, disjoint_union_webs
 
     start = time.monotonic()
     checked = 0
@@ -102,7 +102,7 @@ def test_criterion_1_planar_tait_theorem():
             checked += 1
     for w in generated:
         if len(w.vertices) <= 6:
-            wc = make_web(
+            wc = Web(
                 w.vertices, [(e, *w.edge_ends[e]) for e in w.edge_ends], ["extra-circle"]
             )
             assert planar_lsharp_dim(wc) == tait_count(wc)

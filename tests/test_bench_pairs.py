@@ -40,12 +40,27 @@ def test_pairs_summary_applies_the_gain_rule():
     assert tied["metrics"]["wall_s"]["change_wins"] == "0/4"
 
 
+def test_no_regression_verdicts_use_each_metrics_bound():
+    parent = [10, 10.5, 11, 11.5, 12]  # median 11, quartile spread 1
+    near = bench_pairs.pairs_summary(lines(parent, [11, 12, 12.5, 13, 13]))["metrics"]  # median 12.5
+    assert near["wall_s"]["bound"] == 0.25 and near["wall_s"]["no_regression"] == "within_bound"  # 1.5 <= 0.25 * 11
+    assert near["peak_rss_mb"]["bound"] == 0.1 and near["peak_rss_mb"]["no_regression"] == "worse"  # 1.5 > 0.1 * 11
+    far = bench_pairs.pairs_summary(lines(parent, [14, 15, 15, 16, 16]))["metrics"]  # median 15
+    assert far["wall_s"]["no_regression"] == "worse"
+    assert far["ops_per_s"]["no_regression"] == "within_bound"  # higher is better
+    wide = [5, 10, 15, 20, 25]  # quartile spread 10 > 0.25 * 15
+    assert bench_pairs.pairs_summary(lines(wide, wide))["metrics"]["wall_s"]["no_regression"] == "unresolved"
+    beaten = bench_pairs.pairs_summary(lines(wide, [1, 2, 3, 4, 4.5]))["metrics"]  # every change run beats every parent run
+    assert beaten["wall_s"]["no_regression"] == "within_bound"
+    assert beaten["ops_per_s"]["no_regression"] == "unresolved"
+
+
 def test_one_pair_is_summarised_without_a_gain():
     one = bench_pairs.pairs_summary(lines([10], [5]))
     assert one["pairs"] == 1
     wall = one["metrics"]["wall_s"]
     assert (wall["parent_median"], wall["parent_q1_q3"], wall["change_q1_q3"]) == (10, [10, 10], [5, 5])
-    assert (wall["change_wins"], wall["gain_holds"]) == ("1/1", False)
+    assert (wall["change_wins"], wall["gain_holds"], wall["no_regression"]) == ("1/1", False, "within_bound")
 
 
 def test_merge_adds_one_key_and_overwrites_nothing():

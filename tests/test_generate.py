@@ -217,7 +217,7 @@ def test_webs_are_valid_and_trivalent():
     for w in planar_cubic_webs(6):
         assert len(w.vertices) % 2 == 0
         for v in w.vertices:
-            assert len(w.vertex_edges(v)) == 3
+            assert len(w.slot_edges[v]) == 3
 
 
 def test_k4_and_cube_present():

@@ -35,10 +35,9 @@ from webfoam.tait import (
     vertex_sign,
 )
 from webfoam.webs import (
+    Web,
     WebError,
-    diagram_vertex_orders,
     disjoint_union_webs,
-    make_web,
     parse_diagram,
     serialize_diagram,
     serialize_web,
@@ -52,7 +51,7 @@ def theta_web():
 
 
 def unknot_web():
-    return make_web((), [], ["e"])
+    return Web((), [], ["e"])
 
 
 def handcuffs_web():
@@ -255,7 +254,7 @@ class TestOneSetLimit:
         assert len(sets) == 5780 <= MAX_ONE_SETS
         assert len(set(sets)) == len(sets) and all(len(s) == 18 for s in sets)
 
-    @pytest.mark.parametrize("w", [prism_web(20), make_web((), [], [f"c{i}" for i in range(14)])])
+    @pytest.mark.parametrize("w", [prism_web(20), Web((), [], [f"c{i}" for i in range(14)])])
     def test_refused_before_listing(self, w):
         start = time.perf_counter()
         for search in (one_sets, planar_lsharp_dim):
@@ -375,11 +374,11 @@ def enumerated() -> list:
     and two circles, each with its colorings by ``filtered_product``."""
     theta = theta_web()
     with_circles = [
-        make_web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], circles)
+        Web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], circles)
         for circles in (["c"], ["c", "d"])
     ]
     census = [w for n in (2, 4, 6) for w in cubic_multigraphs(n, allow_loops=True)]
-    pool = census + [prism_web(3), prism_web(4), unknot_web(), make_web((), [], ["a", "b"]), *with_circles]
+    pool = census + [prism_web(3), prism_web(4), unknot_web(), Web((), [], ["a", "b"]), *with_circles]
     return [(w, filtered_product(w)) for w in pool]
 
 
@@ -413,7 +412,7 @@ class TestTaitCount:
         assert tait_count(handcuffs_web()) == 0
 
     def test_circle_factor(self):
-        w = make_web((), [], ["a", "b", "c"])
+        w = Web((), [], ["a", "b", "c"])
         assert tait_count(w) == 27
 
     def test_multiplicative_under_disjoint_union(self):
@@ -428,7 +427,7 @@ class TestTaitCount:
         w = catalogue.load_web(catalogue.get("cube"))
         for t in tait_colorings(w):
             for v in w.vertices:
-                assert sorted(t[e] for e in w.vertex_edges(v)) == [1, 2, 3]
+                assert sorted(t[e] for e in w.slot_edges[v]) == [1, 2, 3]
 
 
 class TestSignedTait:
@@ -452,7 +451,7 @@ class TestSignedTait:
     def test_one_vertex_reversal_flips_sign(self):
         d = catalogue.load_diagram(catalogue.get("tetrahedron"))
         w = underlying_web(d)
-        orders = diagram_vertex_orders(d)
+        orders = dict(w.slot_edges)
         base = signed_tait_web(w, orders)
         assert base != 0
         for v in list(orders):
@@ -566,7 +565,7 @@ class TestOneSets:
         # the complement of every 1-set, as a multigraph: each vertex keeps
         # degree 2 (a loop counts twice), so each component is one circle
         with_circles = [
-            make_web(w.vertices, [(e, *ends) for e, ends in w.edge_ends.items()], ["o1", "o2"])
+            Web(w.vertices, [(e, *ends) for e, ends in w.edge_ends.items()], ["o1", "o2"])
             for w in (theta_web(), handcuffs_web())
         ]
         pool = census_webs() + [prism_web(k) for k in range(3, 13)] + with_circles + [unknot_web()]
@@ -605,7 +604,7 @@ class TestPlanarDim:
 
     def test_circle_multiplies_by_three(self):
         w = theta_web()
-        wc = make_web(w.vertices, [(e, *w.edge_ends[e]) for e in w.edge_ends], ["c"])
+        wc = Web(w.vertices, [(e, *w.edge_ends[e]) for e in w.edge_ends], ["c"])
         assert planar_lsharp_dim(wc) == 3 * planar_lsharp_dim(w)
         assert tait_count(wc) == 3 * tait_count(w)
 
@@ -646,7 +645,7 @@ examples = settings(max_examples=100, deadline=None, derandomize=True, database=
 def web_pool():
     webs = [w for n in (2, 4, 6) for w in cubic_multigraphs(n, allow_loops=True)]
     theta = theta_web()
-    theta_circle = make_web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], ["c"])
+    theta_circle = Web(theta.vertices, [(e, *theta.edge_ends[e]) for e in theta.edge_ends], ["c"])
     return webs + [prism_web(5), unknot_web(), theta_circle]
 
 
@@ -665,7 +664,7 @@ def relabelled(w, data):
     new = dict(zip([*vertices, *edges, *circles], names))
     slot = {v: data.draw(st.permutations((0, 1, 2))) for v in vertices}
     ends = [(new[e], *((new[v], slot[v][i]) for v, i in w.edge_ends[e])) for e in edges]
-    return make_web([new[v] for v in vertices], ends, [new[c] for c in circles])
+    return Web([new[v] for v in vertices], ends, [new[c] for c in circles])
 
 
 @examples

@@ -29,7 +29,6 @@ from webfoam.webs import (
     _union_find,
     disjoint_union_diagrams,
     flip_crossing,
-    make_web,
     parse_diagram,
     parse_web,
     resolve_crossing,
@@ -367,20 +366,20 @@ def test_loop_occupies_two_slots():
     assert w.is_loop("l") and w.is_loop("m") and not w.is_loop("b")
 
 
-def test_make_web_rejects_reused_slot():
+def test_web_rejects_reused_slot():
     with pytest.raises(WebError):
-        make_web(("v", "w"), [("a", ("v", 0), ("w", 0)), ("b", ("v", 0), ("w", 1)),
+        Web(("v", "w"), [("a", ("v", 0), ("w", 0)), ("b", ("v", 0), ("w", 1)),
                              ("c", ("v", 1), ("w", 2))])
 
 
 class TestRepeatedLabels:
-    def test_make_web_rejects_repeated_circle(self):
+    def test_web_rejects_repeated_circle(self):
         with pytest.raises(WebError, match="circle id 'a'"):
-            make_web((), [], ["a", "a"])
+            Web((), [], ["a", "a"])
 
-    def test_make_web_rejects_repeated_edge(self):
+    def test_web_rejects_repeated_edge(self):
         with pytest.raises(WebError, match="edge id 'e'"):
-            make_web(("u", "w"), [("e", ("u", 0), ("w", 0)), ("e", ("u", 1), ("w", 1)),
+            Web(("u", "w"), [("e", ("u", 0), ("w", 0)), ("e", ("u", 1), ("w", 1)),
                                   ("f", ("u", 2), ("w", 2))])
 
     def test_parse_web_rejects_repeated_circle_record(self):
@@ -405,11 +404,11 @@ class TestRepeatedLabels:
         with pytest.raises(WebError, match="vertex id 'u'"):
             parse_web(json.dumps(doc))
         with pytest.raises(WebError, match="vertex id 'u'"):
-            make_web(("u", "u"), [])
-        # the constructor itself refuses the copies too
-        ends = {f"e{k}": (("u", k), ("w", k)) for k in range(3)}
+            Web(("u", "u"), [])
+        # with the ends complete, the copies alone are refused
+        ends = [(f"e{k}", ("u", k), ("w", k)) for k in range(3)]
         with pytest.raises(WebError, match="vertex id 'u' is used more than once"):
-            Web(("u", "w", "u", "w"), ends, frozenset())
+            Web(("u", "w", "u", "w"), ends)
 
 
 NOT_IDS = [1.5, 1.0, True, False, None, float("nan"), float("inf")]
@@ -464,19 +463,35 @@ class TestIdRule:
             (lambda: Diagram((), (kink,), ("2",)), "arc 2 and circle '2'"),
             (lambda: Diagram((), (kink, Crossing(1, ("a", "a", "b", "b")), Crossing("1", ("c", "c", "d", "d")))),
              "node id 1 and node id '1'"),
-            (lambda: make_web((7, "7"), [(f"e{k}", (7, k), ("7", k)) for k in range(3)]), "vertex id 7 and vertex id '7'"),
-            (lambda: make_web((), [], [0, "0"]), "edge id 0 and edge id '0'"),
-            (lambda: Web((), {}, frozenset({3, "3"})), "edge id (3 and edge id '3'|'3' and edge id 3)"),
+            (lambda: Web((7, "7"), [(f"e{k}", (7, k), ("7", k)) for k in range(3)]), "vertex id 7 and vertex id '7'"),
+            (lambda: Web((), [], [0, "0"]), "edge id 0 and edge id '0'"),
+            (lambda: Web(("u", "w"), [(k, ("u", k - 3), ("w", k - 3)) for k in (3, 4, 5)], ["3"]),
+             "edge id (3 and edge id '3'|'3' and edge id 3)"),
         ]
         for build, both in cases:
             with pytest.raises(WebError, match=f"^{both} print alike$"):
                 build()
 
+    @pytest.mark.parametrize("x", [("w", 1), ("w", True)])
+    def test_tuples_are_not_ids(self, x):
+        # ("w", True) == ("w", 1), though they print apart: the fault the rule mends for True and 1, inside a tuple
+        refused = r"must be a string or a number$"
+        with pytest.raises(WebError, match=rf"^node id {re.escape(repr(x))} {refused}"):
+            Diagram((), (Crossing(x, ("A", "A", "B", "B")),))
+        with pytest.raises(WebError, match=rf"^arc {re.escape(repr(x))} {refused}"):
+            Diagram((), (Crossing("c", (x, x, "B", "B")),))
+        with pytest.raises(WebError, match=rf"^vertex id {re.escape(repr(x))} {refused}"):
+            Web((x, "w"), [(f"e{k}", (x, k), ("w", k)) for k in range(3)])
+        with pytest.raises(WebError, match=rf"^edge id {re.escape(repr(x))} {refused}"):
+            Web(("u", "w"), [(x, ("u", 0), ("w", 0)), *((f"e{k}", ("u", k), ("w", k)) for k in (1, 2))])
+        with pytest.raises(WebError, match=rf"^unknown crossing id {re.escape(repr(x))}$"):
+            parse_diagram(KINK_DOC).crossing(x)
+
     def test_kinds_may_print_alike(self):
         # a node "1" beside an arc 1, a vertex 0 beside an edge "0"
         d = Diagram((), (Crossing("1", (1, 1, 2, 2)),))
         assert underlying_web(d).circles == {"1"}
-        assert make_web((0, 1), [(str(k), (0, k), (1, k)) for k in range(3)]).edges == ["0", "1", "2"]
+        assert Web((0, 1), [(str(k), (0, k), (1, k)) for k in range(3)]).edges == ["0", "1", "2"]
 
     def test_found_document_refused_by_both_commands(self):
         # arcs 0 and "0": erasing crossings used to name two circles "0"
@@ -546,7 +561,7 @@ def test_slot_table_matches_a_scan_of_the_ends():
     for w in webs:
         assert list(w.slot_edges) == list(w.vertices)
         for v in w.vertices:
-            assert w.vertex_edges(v) == list(w.slot_edges[v]) == scanned_vertex_edges(w, v)
+            assert list(w.slot_edges[v]) == scanned_vertex_edges(w, v)
 
 
 def test_stored_involution_matches_the_node_records():
@@ -594,7 +609,7 @@ def tuple_walk_underlying_web(d) -> Web:
             cur = partner[(cur[0], cur[1] ^ 2)]
         if labels:
             circles.append(str(min(labels, key=str)))
-    return make_web([n.id for n in d.vertices], edges, circles)
+    return Web([n.id for n in d.vertices], edges, circles)
 
 
 def test_underlying_web_matches_the_tuple_walk():
@@ -665,8 +680,13 @@ def model_resolution(d, cid, kind) -> str:
 
 def model_sites(w, e, f) -> dict:
     """``site_modifications(w, e, f)`` as ``model_move`` at the virtual
-    crossing ("site",) and the web its docstring gives, serialized."""
+    crossing ("site",) and the web its docstring gives, serialized: the
+    inserted vertices ("w", ("site",), i) are named by the first two of
+    "site.w0", "site.w1", ... that do not print like a vertex of ``w``."""
     cid = ("site",)
+    taken = {str(v) for v in w.vertices}
+    names = [x for x in (f"site.w{k}" for k in range(len(taken) + 2)) if x not in taken]
+    new = {("w", cid, i): names[i] for i in (0, 1)}
     ends = dict(w.edge_ends)
     for x, (p, q) in ((e, (0, 2)), (f, (1, 3))):
         a, b = ends.pop(x, ((cid, q), (cid, p)))  # a circle joins p to q
@@ -675,13 +695,14 @@ def model_sites(w, e, f) -> dict:
     out = {}
     for key, kind in (("recon_a", SMOOTH_A), ("recon_b", SMOOTH_B), ("bar_a", EDGE_A), ("bar_b", EDGE_B)):
         moved, closed = model_move(links, cid, kind)
+        moved = {(new.get(x, x), i): (new.get(y, y), j) for (x, i), (y, j) in moved.items()}
         edges, done = [], set()
         for x in sorted(moved, key=lambda x: (str(x[0]), x[1])):
             if x not in done:
                 done.update((x, moved[x]))
                 edges.append((f"s{len(edges)}", x, moved[x]))
         circles = [f"s{k}" for k in range(len(edges), len(edges) + len(w.circles - {e, f}) + closed)]
-        out[key] = serialize_web(make_web(sorted({x[0] for x in moved}, key=str), edges, circles))
+        out[key] = serialize_web(Web(sorted({x[0] for x in moved}, key=str), edges, circles))
     return out
 
 
@@ -731,8 +752,9 @@ def test_resolutions_match_the_slot_model():
 
 def test_tutte_sites_match_the_slot_model():
     census = [w for n in (2, 4, 6) for w in cubic_multigraphs(n, allow_loops=True)]
-    webs = census + [make_web(w.vertices, [(e, *ends) for e, ends in w.edge_ends.items()], ["o1", "o2"]) for w in census[:8]]
-    webs += [make_web((), (), ["o1", "o2"]), make_web((), (), ["o1", "o2", "o3"]), prism_web(3), prism_web(4)]
+    webs = census + [Web(w.vertices, [(e, *ends) for e, ends in w.edge_ends.items()], ["o1", "o2"]) for w in census[:8]]
+    webs += [Web((), (), ["o1", "o2"]), Web((), (), ["o1", "o2", "o3"]), prism_web(3), prism_web(4)]
+    webs.append(Web(("site.w0", "u"), [(f"e{k}", ("site.w0", k), ("u", k)) for k in range(3)]))  # the next name is taken
     assert any(w.has_loop() for w in webs)
     for w in webs:
         for e, f in permutations(w.edges, 2):
