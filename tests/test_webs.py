@@ -369,7 +369,7 @@ def test_loop_occupies_two_slots():
 def test_web_rejects_reused_slot():
     with pytest.raises(WebError):
         Web(("v", "w"), [("a", ("v", 0), ("w", 0)), ("b", ("v", 0), ("w", 1)),
-                             ("c", ("v", 1), ("w", 2))])
+                         ("c", ("v", 1), ("w", 2))])
 
 
 class TestRepeatedLabels:
@@ -380,7 +380,7 @@ class TestRepeatedLabels:
     def test_web_rejects_repeated_edge(self):
         with pytest.raises(WebError, match="edge id 'e'"):
             Web(("u", "w"), [("e", ("u", 0), ("w", 0)), ("e", ("u", 1), ("w", 1)),
-                                  ("f", ("u", 2), ("w", 2))])
+                             ("f", ("u", 2), ("w", 2))])
 
     def test_parse_web_rejects_repeated_circle_record(self):
         doc = {"edges": [{"id": "a", "circle": True}, {"id": "a", "circle": True}]}
