@@ -13,9 +13,10 @@ interpreter's teardown of its modules and objects would add several more
 without changing any output.  ``main(argv)`` returns the status instead,
 for callers in the same process.
 
-Each command imports only the layers it uses.  Only ``adhm-verify``
-loads numpy: the exact GF(2) layers behind ``module`` and ``catalogue``
-work on packed Python integers.  No module of the package loads networkx.
+Each command imports only the layers it uses, and none loads numpy or
+networkx: the exact GF(2) layers behind ``module`` and ``catalogue``
+work on packed Python integers, and ``adhm-verify`` on Python complex
+numbers.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Each module carries a commuting family of edge operators satisfying
 u^3 + u = 0, so the space splits into simultaneous kernel/image pieces
 indexed by edge subsets; only 1-sets contribute.  Presentations are
 realized by degree-bounded linear algebra on the monomial slice.  All
-of it is exact arithmetic on ``gf2.Mat``; numpy is imported only by the
-``F2Module.operators`` export.
+of it is exact arithmetic on ``gf2.Mat``.  numpy, a test-only dependency
+(the ``test`` extra), is imported only by the ``F2Module.operators``
+export, for numpy callers.
 """
 
 from __future__ import annotations

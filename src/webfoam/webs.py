@@ -61,7 +61,10 @@ class Web(Frozen):
 
     def __init__(self, vertices: Iterable, edges: Iterable, circles: Iterable = ()):
         vertices, edges, circles = tuple(vertices), list(edges), list(circles)
-        names = [e for e, _, _ in edges]
+        try:
+            names = [e for e, _, _ in edges]
+        except (TypeError, ValueError):
+            raise _shape_error(edges) from None
         _check_ids(("edge id", names + circles))
         for what, ids in (("edge", names), ("circle", circles)):
             if len(set(ids)) != len(ids):  # then name the first repeat
@@ -71,16 +74,21 @@ class Web(Frozen):
         if len(table) != len(vertices):
             raise WebError(f"vertex id {next(v for v, k in Counter(vertices).items() if k > 1)!r} is used more than once")
         edge_ends = {}
-        for e, (x, i), (y, j) in edges:  # each end a (vertex, slot) pair, kept as a tuple
-            edge_ends[e] = ends = (x, i), (y, j)
-            for v, slot in ends:
-                if not _is_id(v) or (at := table.get(v)) is None:
-                    raise WebError(f"edge {e!r} meets unknown vertex {v!r}")
-                if type(slot) is not int or slot not in (0, 1, 2):  # a bool or float slot would pass ==
-                    raise WebError(f"edge {e!r} uses slot {slot!r}; a slot is the integer 0, 1 or 2")
-                if slot in at:
-                    raise WebError(f"vertex {v!r} slot {slot} used twice")
-                at[slot] = e
+        try:
+            for e, (x, i), (y, j) in edges:  # each end a (vertex, slot) pair, kept as a tuple
+                edge_ends[e] = ends = (x, i), (y, j)
+                for v, slot in ends:
+                    if not _is_id(v) or (at := table.get(v)) is None:
+                        raise WebError(f"edge {e!r} meets unknown vertex {v!r}")
+                    if type(slot) is not int or slot not in (0, 1, 2):  # a bool or float slot would pass ==
+                        raise WebError(f"edge {e!r} uses slot {slot!r}; a slot is the integer 0, 1 or 2")
+                    if slot in at:
+                        raise WebError(f"vertex {v!r} slot {slot} used twice")
+                    at[slot] = e
+        except WebError:
+            raise
+        except (TypeError, ValueError):  # an end that is not a pair
+            raise _shape_error(edges) from None
         for v, at in table.items():
             if len(at) != 3:
                 raise WebError(f"vertex {v!r} has degree {len(at)}, not 3")
@@ -109,6 +117,26 @@ class Web(Frozen):
 
     def has_loop(self) -> bool:
         return any(self.is_loop(e) for e in self.edge_ends)
+
+
+def _shape_error(edges: list) -> WebError:
+    """The refusal of the first of ``edges`` that does not unpack as
+    ``(edge id, (vertex, slot), (vertex, slot))``.  ``Web`` builds it
+    only after an unpacking failed, so the checks cost a well-formed web
+    nothing."""
+    for edge in edges:
+        try:
+            e, *ends = edge
+        except (TypeError, ValueError):
+            ends = ()
+        if len(ends) != 2:
+            return WebError(f"edge {edge!r} is not an (edge id, end, end) triple")
+        for end in ends:
+            try:
+                _, _ = end
+            except (TypeError, ValueError):
+                return WebError(f"edge {e!r} has the end {end!r}; an end is a (vertex, slot) pair")
+    raise AssertionError("every edge unpacks")
 
 
 def web_from_incidences(vertex_edges: Mapping, circles: Iterable = ()) -> Web:

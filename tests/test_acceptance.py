@@ -259,10 +259,11 @@ def test_criterion_8_adhm_appendix():
     rep = build_rep(3)
     inter = find_intertwiners(rep)
     eye = np.eye(3)
-    assert np.max(np.abs(np.linalg.matrix_power(rep.rho_g, 3) - eye)) < 1e-12
-    assert np.max(np.abs(np.linalg.matrix_power(rep.rho_h, 3) - eye)) < 1e-12
-    comm = rep.rho_g @ rep.rho_h @ np.linalg.inv(rep.rho_g) @ np.linalg.inv(rep.rho_h)
-    assert np.max(np.abs(comm - rep.rho_gamma)) < 1e-12
+    g, h = np.array(rep.rho_g.tolist()), np.array(rep.rho_h.tolist())
+    assert np.max(np.abs(np.linalg.matrix_power(g, 3) - eye)) < 1e-12
+    assert np.max(np.abs(np.linalg.matrix_power(h, 3) - eye)) < 1e-12
+    comm = g @ h @ np.linalg.inv(g) @ np.linalg.inv(h)
+    assert np.max(np.abs(comm - np.array(rep.rho_gamma.tolist()))) < 1e-12
 
     rng = np.random.default_rng(8)
     mags = [10.0 ** (k / 3 - 1.5) for k in range(10)]
@@ -280,17 +281,17 @@ def test_criterion_8_adhm_appendix():
             assert res["complex"] < 1e-10 * scale
             assert res["moment"] < 1e-10 * scale
             for z in zs[:10]:
-                alpha, beta = adhm_operators(d, z)
+                alpha, beta = (np.array(op.tolist()) for op in adhm_operators(d, z))
                 zscale = max(1.0, abs(t1 * t2), abs(z[0] * z[1]))
                 assert np.max(np.abs(beta @ alpha)) < 1e-10 * zscale
             z = zs[rng.integers(len(zs))]
-            alpha, beta = adhm_operators(d, z)
+            alpha, beta = (np.array(op.tolist()) for op in adhm_operators(d, z))
             assert np.linalg.svd(alpha, compute_uv=False)[-1] > 1e-6
             assert np.linalg.svd(beta, compute_uv=False)[-1] > 1e-6
 
-    alpha, beta = homogeneous_operators(inter, DEGENERATE_ALPHA_POINT)
+    alpha, beta = (np.array(op.tolist()) for op in homogeneous_operators(inter, DEGENERATE_ALPHA_POINT))
     assert np.linalg.svd(alpha, compute_uv=False)[-1] < 1e-12
-    alpha, beta = homogeneous_operators(inter, DEGENERATE_BETA_POINT)
+    alpha, beta = (np.array(op.tolist()) for op in homogeneous_operators(inter, DEGENERATE_BETA_POINT))
     assert np.linalg.svd(beta, compute_uv=False)[-1] < 1e-12
 
     for n in range(1, 9):

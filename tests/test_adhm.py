@@ -26,6 +26,11 @@ from webfoam.adhm import (
 )
 
 
+def dense(m):
+    """The matrix as a numpy array, through its ``tolist()`` rows."""
+    return np.array(m.tolist())
+
+
 @pytest.fixture(scope="module")
 def rep3():
     return build_rep(3)
@@ -39,40 +44,32 @@ def inter3(rep3):
 class TestRepresentation:
     def test_displayed_matrices(self, rep3):
         w = cmath.exp(2j * cmath.pi / 3)
-        assert np.allclose(rep3.rho_g, np.diag([w, 1, w ** -1]), atol=1e-12)
-        assert np.allclose(rep3.rho_h, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], atol=1e-12)
-        assert np.allclose(rep3.rho_gamma, w * np.eye(3), atol=1e-12)
+        assert np.allclose(dense(rep3.rho_g), np.diag([w, 1, w ** -1]), atol=1e-12)
+        assert np.allclose(dense(rep3.rho_h), [[0, 1, 0], [0, 0, 1], [1, 0, 0]], atol=1e-12)
+        assert np.allclose(dense(rep3.rho_gamma), w * np.eye(3), atol=1e-12)
 
     def test_order_three(self, rep3):
         for m in (rep3.rho_g, rep3.rho_h):
-            assert np.max(np.abs(np.linalg.matrix_power(m, 3) - np.eye(3))) < 1e-12
+            assert np.max(np.abs(np.linalg.matrix_power(dense(m), 3) - np.eye(3))) < 1e-12
 
     def test_commutator(self, rep3):
-        comm = (
-            rep3.rho_g
-            @ rep3.rho_h
-            @ np.linalg.inv(rep3.rho_g)
-            @ np.linalg.inv(rep3.rho_h)
-        )
-        assert np.max(np.abs(comm - rep3.rho_gamma)) < 1e-12
+        g, h = dense(rep3.rho_g), dense(rep3.rho_h)
+        comm = g @ h @ np.linalg.inv(g) @ np.linalg.inv(h)
+        assert np.max(np.abs(comm - dense(rep3.rho_gamma))) < 1e-12
 
     def test_even_rank(self):
         rep = build_rep(2)
         # the determinant-one lift squares to minus the identity
         assert abs(rep.epsilon ** 2 + 1) < 1e-12
-        assert np.max(np.abs(np.linalg.matrix_power(rep.rho_g, 2) + np.eye(2))) < 1e-12
+        assert np.max(np.abs(np.linalg.matrix_power(dense(rep.rho_g), 2) + np.eye(2))) < 1e-12
         for m in (rep.rho_g, rep.rho_h):
-            assert abs(np.linalg.det(m) - 1) < 1e-12
+            assert abs(np.linalg.det(dense(m)) - 1) < 1e-12
 
     def test_general_ranks(self):
         for n in (4, 5, 6, 7, 8):
             rep = build_rep(n)
-            comm = (
-                rep.rho_g
-                @ rep.rho_h
-                @ np.linalg.inv(rep.rho_g)
-                @ np.linalg.inv(rep.rho_h)
-            )
+            g, h = dense(rep.rho_g), dense(rep.rho_h)
+            comm = g @ h @ np.linalg.inv(g) @ np.linalg.inv(h)
             assert np.max(np.abs(comm - rep.zeta * np.eye(n))) < 1e-10
 
     def test_rank_one_rejected(self):
@@ -87,22 +84,22 @@ class TestRepresentation:
 
 class TestIntertwiners:
     def test_defining_property(self, rep3, inter3):
-        f1, f2, _, _ = inter3
+        f1, f2 = (dense(m) for m in inter3[:2])
         pairs = [
             (f1, {"g": rep3.zeta, "h": rep3.zeta}),
             (f2, {"g": rep3.zeta ** -1, "h": 1.0}),
         ]
         for f, chi in pairs:
-            for name, gen in (("g", rep3.rho_g), ("h", rep3.rho_h)):
+            for name, gen in (("g", dense(rep3.rho_g)), ("h", dense(rep3.rho_h))):
                 defect = np.max(np.abs(f @ gen - chi[name] * gen @ f))
                 assert defect < 1e-12, name
 
     def test_unitary(self, inter3):
-        for m in inter3[:3]:
+        for m in map(dense, inter3[:3]):
             assert np.max(np.abs(m @ m.conj().T - np.eye(3))) < 1e-12
 
     def test_commutator_scalar_times_unitary(self, inter3):
-        f1, f2, _, _ = inter3
+        f1, f2 = (dense(m) for m in inter3[:2])
         bracket = f1 @ f2 - f2 @ f1
         svs = np.linalg.svd(bracket, compute_uv=False)
         assert svs[0] > 1e-6
@@ -154,8 +151,8 @@ class TestOperators:
     def test_shapes(self, inter3):
         d = scalar_solution(inter3, 1, 1)
         alpha, beta = adhm_operators(d, (0.3, -0.7j))
-        assert alpha.shape == (9, 3)
-        assert beta.shape == (3, 9)
+        assert dense(alpha).shape == (9, 3)
+        assert dense(beta).shape == (3, 9)
 
     def test_complex_equation_all_z(self, inter3):
         d = scalar_solution(inter3, 1 - 2j, 0.7)
@@ -163,7 +160,7 @@ class TestOperators:
         for _ in range(100):
             z = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
             alpha, beta = adhm_operators(d, z)
-            assert np.max(np.abs(beta @ alpha)) < 1e-10
+            assert np.max(np.abs(dense(beta) @ dense(alpha))) < 1e-10
 
     def test_grid_residuals_and_ranks(self, inter3):
         rng = np.random.default_rng(2)
@@ -216,12 +213,12 @@ class TestHomogeneousFamily:
         assert report["alpha_full_rank"] and report["beta_full_rank"]
 
     def test_alpha_degenerates_only_b(self, inter3):
-        alpha, beta = homogeneous_operators(inter3, DEGENERATE_ALPHA_POINT)
+        alpha, beta = map(dense, homogeneous_operators(inter3, DEGENERATE_ALPHA_POINT))
         assert np.linalg.svd(alpha, compute_uv=False)[-1] < 1e-14
         assert np.linalg.svd(beta, compute_uv=False)[-1] > TOL_RANK
 
     def test_beta_degenerates_only_a(self, inter3):
-        alpha, beta = homogeneous_operators(inter3, DEGENERATE_BETA_POINT)
+        alpha, beta = map(dense, homogeneous_operators(inter3, DEGENERATE_BETA_POINT))
         assert np.linalg.svd(beta, compute_uv=False)[-1] < 1e-14
         assert np.linalg.svd(alpha, compute_uv=False)[-1] > TOL_RANK
 
@@ -232,6 +229,67 @@ class TestHomogeneousFamily:
     def test_off_quadric_rejected(self, inter3):
         with pytest.raises(AdhmError):
             homogeneous_rank_scan(inter3, [(1, 1, 1, 1, 1)])
+
+
+def _svd_min(op):
+    """numpy's smallest singular value of the dense ``op``, and the
+    tolerance scale max(1, |op|) with |op| its 2-norm."""
+    return np.linalg.svd(op, compute_uv=False)[-1], max(1.0, np.linalg.norm(op, 2))
+
+
+def _random_t(rng):
+    """|t1|, |t2| log-uniform in [0.1, 100] with uniform phases, as in
+    ``verify_report``."""
+    return 10.0 ** rng.uniform(-1, 2, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+
+
+def test_rank_margin_refuses_a_gram_matrix_off_the_tridiagonal():
+    """The bisection reads a periodic tridiagonal Gram matrix; a term at
+    any other shift is refused, not ignored."""
+    from webfoam.adhm import BlockOp, ShiftMat, _min_sv
+
+    n = 4
+    tridiagonal = ShiftMat(n, {0: (2, 1, 3, 1j), 1: (0.5, 1, -1, 2j)})
+    op = BlockOp((tridiagonal, ShiftMat.scalar(n, 1), ShiftMat(n, {2: (1 + 0j,) * n})), 0)
+    assert sorted(op.gram().terms) == [0, 1, 3]
+    assert _min_sv(op) == pytest.approx(np.linalg.svd(dense(op), compute_uv=False)[-1], abs=1e-12)
+    skew = BlockOp((ShiftMat.scalar(n, 1) + ShiftMat(n, {2: (1 + 0j,) * n}),) * 3, 0)
+    with pytest.raises(AdhmError, match="shift 2"):
+        _min_sv(skew)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 64])
+def test_margins_and_residuals_match_numpy(n):
+    """``min_singular_values``, ``homogeneous_rank_scan`` and
+    ``adhm_residuals`` agree with numpy's dense SVD and dense products on
+    the ``tolist()`` rows within 1e-12 max(1, |op|), at random points and
+    at both degenerate points.  For a residual |op| is the largest norm
+    its two factors can give: |alpha| |beta|, |alpha_0|^2 or |beta_0|^2."""
+    inter = find_intertwiners(build_rep(n))
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        t1, t2 = _random_t(rng)
+        z = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
+        d = scalar_solution(inter, t1, t2)
+        alpha, beta = map(dense, adhm_operators(d, z))
+        for got, op in zip(min_singular_values(d, z), (alpha, beta)):
+            ref, scale = _svd_min(op)
+            assert abs(got - ref) <= 1e-12 * scale
+        alpha0, beta0 = map(dense, adhm_operators(d, (0, 0)))
+        norms = [np.linalg.norm(op, 2) for op in (alpha, beta, alpha0, beta0)]
+        scale = max(1.0, norms[0] * norms[1], norms[2] ** 2, norms[3] ** 2)
+        res = adhm_residuals(d, z)
+        assert abs(res["complex"] - np.max(np.abs(beta @ alpha))) <= 1e-12 * scale
+        moment = alpha0.conj().T @ alpha0 - beta0 @ beta0.conj().T
+        assert abs(res["moment"] - np.max(np.abs(moment))) <= 1e-12 * scale
+    points = [quadric_point(inter, *_random_t(rng), a=10.0 ** rng.uniform(-1, 1)) for _ in range(3)]
+    points += [DEGENERATE_ALPHA_POINT, DEGENERATE_BETA_POINT]
+    scan = homogeneous_rank_scan(inter, points)
+    for row, point in zip(scan["samples"], points):
+        for key, op in zip(("alpha_min_sv", "beta_min_sv"), homogeneous_operators(inter, point)):
+            ref, scale = _svd_min(dense(op))
+            assert abs(row[key] - ref) <= 1e-12 * scale
+    assert scan["samples"][-2]["alpha_min_sv"] == scan["samples"][-1]["beta_min_sv"] == 0
 
 
 class TestChern:

@@ -372,6 +372,22 @@ def test_web_rejects_reused_slot():
                          ("c", ("v", 1), ("w", 2))])
 
 
+@pytest.mark.parametrize("edge, text", [
+    (("e", ("u", 0)), r"edge \('e', \('u', 0\)\) is not an \(edge id, end, end\) triple"),
+    ("e", "edge 'e' is not an"),
+    (7, "edge 7 is not an"),
+    (("e", ("u", 0, 1), ("w", 0)), r"edge 'e' has the end \('u', 0, 1\); an end is a \(vertex, slot\) pair"),
+    (("e", ("u", 0), 5), "edge 'e' has the end 5;"),
+])
+def test_web_names_a_malformed_edge(edge, text):
+    """An edge that is not an (id, (vertex, slot), (vertex, slot)) triple
+    is a ``WebError`` naming it, also after well-formed edges."""
+    good = ("f", ("u", 1), ("w", 1))
+    for edges in ([edge], [good, edge]):
+        with pytest.raises(WebError, match=text):
+            Web(("u", "w"), edges)
+
+
 class TestRepeatedLabels:
     def test_web_rejects_repeated_circle(self):
         with pytest.raises(WebError, match="circle id 'a'"):
