@@ -23,7 +23,7 @@ import math
 import random
 from collections import namedtuple
 from functools import reduce
-from operator import add, mul
+from operator import add, matmul, mul
 
 TOL_REL = 1e-12
 TOL_EQ = 1e-10
@@ -116,13 +116,6 @@ def _det(m: ShiftMat) -> complex:
     return math.prod(d) * (-1) ** (m.n - math.gcd(m.n, k))
 
 
-def _power(m: ShiftMat, e: int) -> ShiftMat:
-    out = ShiftMat.scalar(m.n, 1)
-    for _ in range(e):
-        out = out @ m
-    return out
-
-
 class BlockOp(namedtuple("BlockOp", "blocks axis")):
     """Three N x N ``ShiftMat`` blocks, one above the other (axis 0: the
     3N x N map alpha) or side by side (axis 1: the N x 3N map beta)."""
@@ -192,7 +185,7 @@ def _check_rep(rep: GroupRep) -> None:
         raise AdhmError("gamma must act as the scalar zeta")
     scalar = ShiftMat.scalar(N, rep.epsilon ** N)
     for name, m in (("g", rep.rho_g), ("h", rep.rho_h)):
-        if (_power(m, N) - scalar).max_abs() > TOL_REL * 100:
+        if (reduce(matmul, [m] * N) - scalar).max_abs() > TOL_REL * 100:
             raise AdhmError(f"rho({name})^N is not the scalar eps^N")
         if abs(_det(m) - 1) > TOL_REL * 100:
             raise AdhmError(f"rho({name}) must have determinant one")
@@ -293,7 +286,7 @@ def scalar_solution(inter, t1: complex, t2: complex) -> AdhmData:
 
 
 def adhm_operators(d: AdhmData, z) -> tuple[BlockOp, BlockOp]:
-    """The maps alpha_z ((2N+N) x N) and beta_z (N x (2N+N))."""
+    """The maps alpha_z ((2N+N) x N) and beta_z (N x (2N+N)), as ``BlockOp``s."""
     z1, z2 = complex(z[0]), complex(z[1])
     N = d.F1.n
     x1 = d.F1.scale(d.t1) - ShiftMat.scalar(N, z1)
@@ -364,7 +357,7 @@ def _min_eigenvalue(g: ShiftMat) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi) if hi > 0 else 0.0
+    return 0.5 * (lo + hi)
 
 
 def _min_sv(op: BlockOp) -> float:
