@@ -384,10 +384,11 @@ def homogeneous_operators(inter, point) -> tuple[BlockOp, BlockOp]:
 
 
 def on_quadric(inter, point, tol=TOL_EQ) -> bool:
-    """Whether the composite beta alpha vanishes at the point (t1 t2 + C a b = 0)."""
+    """Whether the composite beta alpha vanishes at the point (t1 t2 + C a b = 0),
+    to ``tol`` relative to max(1, |t1 t2|), as in ``scalar_solution``."""
     _, _, _, c = inter
     t1, t2, a, b, _ = (complex(x) for x in point)
-    return abs(t1 * t2 + c * a * b) < tol
+    return abs(t1 * t2 + c * a * b) < tol * max(1.0, abs(t1 * t2))
 
 
 def quadric_point(inter, t1, t2, a=1.0):

@@ -86,10 +86,11 @@ def get(name: str) -> Entry:
 
 def verify_entry(entry: Entry) -> list[str]:
     """Recompute every stored expectation; return failure messages."""
-    from . import modules, skein, tait
+    from . import modules, skein, tait, webs
 
     problems = []
-    web = load_web(entry)
+    diagram = load_diagram(entry) if entry.diagram_file else None
+    web = load_web(entry) if entry.web_file or diagram is None else webs.underlying_web(diagram)
     if entry.tait_count is not None:
         got = tait.tait_count(web)
         if got != entry.tait_count:
@@ -99,7 +100,7 @@ def verify_entry(entry: Entry) -> list[str]:
         if got != entry.planar_dim:
             problems.append(f"{entry.name}: planar_dim {got} != {entry.planar_dim}")
     if entry.chi is not None and entry.diagram_file:
-        got = skein.euler_char(load_diagram(entry))
+        got = skein.euler_char(diagram)
         if got != entry.chi:
             problems.append(f"{entry.name}: chi {got} != {entry.chi}")
     if entry.module_name is not None:

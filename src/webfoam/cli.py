@@ -83,7 +83,7 @@ def cmd_tait(args) -> dict:
         sets.append({"edges": sorted(map(str, s)), "even": even, "n": n})
     return {
         "count": tait.tait_count(web),
-        "signed": tait.signed_tait_count(diagram) if diagram is not None else None,
+        "signed": tait.signed_tait_count(web) if diagram is not None else None,
         "one_sets": sets,
         "planar_dim": sum(2 ** s["n"] for s in sets if s["even"]),
     }

@@ -366,16 +366,16 @@ def tait_count(w: Web) -> int:
     return contract(_vertex_nodes(w, VERTEX_WEIGHTS)) * 3 ** len(w.circles)
 
 
-def signed_tait_count(d: Diagram) -> int:
-    """Signed Tait count of a diagram by the contraction kernel.
+def signed_tait_count(w: Web) -> int:
+    """Signed Tait count of a diagram by the contraction kernel, on its
+    underlying web ``w`` (``underlying_web(d)``), whose slot order is the
+    diagram's counterclockwise order.
 
-    The value of ``signed_tait``: one ``contract`` node per vertex of the
-    underlying web, whose slot order is the diagram's counterclockwise
-    order, weighing the sign of the permutation its colors make; a
+    The value of ``signed_tait``: one ``contract`` node per vertex of
+    ``w``, weighing the sign of the permutation its colors make; a
     factor 3 per circle.  ``signed_tait`` stays on the
     enumeration as the oracle of ``skein.euler_char``.
     """
-    w = underlying_web(d)
     return contract(_vertex_nodes(w, SIGNED_VERTEX_WEIGHTS)) * 3 ** len(w.circles)
 
 

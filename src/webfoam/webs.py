@@ -315,14 +315,13 @@ class Diagram(Frozen):
     (nodes by ``str(id)``, a total order under the id rule, darts by
     position), in that order.
 
-    Construction counts the face orbits and the connected components c
-    on flat integer lists, with a ``bytearray`` of marks each and no
-    face list, and tests V - E + F = 2c once.  The test is exact: a
-    connected rotation system has V - E + F = 2 - 2g <= 2, so the total
-    is 2c only if every component has genus 0.  Only on failure are the
-    tables built (the joins of the nodes, their components and the face
-    orbits) to check the components one by one and name the first
-    non-planar one.
+    Construction tests V - E + F = 2 on each connected component, on
+    flat integer lists: one walk labels each node with its component and
+    counts the component's nodes and arcs, one walk of the face orbits
+    counts its faces, and the components are checked in order of their
+    first nodes, the same way whether the diagram passes or not.  A
+    refusal names the component by its first node in record order
+    (vertices, then crossings).
     Equality compares ``vertices``, ``crossings`` and ``circles``.
     """
 
@@ -363,46 +362,44 @@ class Diagram(Frozen):
             if a in first:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
         self.__dict__.update(_labels=labels, _partner=partner)
+        nv = len(vertices)
+        owner = [i for i, node in enumerate(chain(vertices, crossings)) for _ in node.arcs]  # dart -> node position
+        comp = [None] * len(ids)  # node position -> its component
+        tally = []  # per component: its first node, V and E
+        for k in range(len(ids)):
+            if comp[k] is None:
+                c = comp[k] = len(tally)
+                stack = [k]
+                v = x = 0  # nodes and crossings
+                while stack:
+                    i = stack.pop()
+                    v += 1
+                    if i < nv:
+                        lo = 3 * i
+                        hi = lo + 3
+                    else:
+                        lo = n3 + 4 * (i - nv)
+                        hi = lo + 4
+                        x += 1
+                    for d in partner[lo:hi]:
+                        j = owner[d]
+                        if comp[j] is None:
+                            comp[j] = c
+                            stack.append(j)
+                tally.append((k, v, (3 * v + x) // 2))  # 3 darts a vertex, 4 a crossing, 2 an arc
         successor = _face_successor(partner, n3)
         seen = bytearray(n)
-        n_faces = 0
+        faces = [0] * len(tally)  # per component: F
         for start in range(n):
             if not seen[start]:
-                n_faces += 1
+                faces[comp[owner[start]]] += 1
                 dart = start
                 while not seen[dart]:  # the orbit closes at start
                     seen[dart] = 1
                     dart = successor[dart]
-        nv = len(vertices)
-        owner = [i for i, node in enumerate(chain(vertices, crossings)) for _ in node.arcs]  # dart -> node position
-        marked = bytearray(len(ids))
-        n_components = 0
-        for k in range(len(ids)):
-            if not marked[k]:
-                n_components += 1
-                marked[k] = 1
-                stack = [k]
-                while stack:
-                    i = stack.pop()
-                    lo = 3 * i if i < nv else n3 + 4 * (i - nv)  # node i's first dart
-                    for d in partner[lo : lo + (3 if i < nv else 4)]:
-                        j = owner[d]
-                        if not marked[j]:
-                            marked[j] = 1
-                            stack.append(j)
-        if len(ids) - len(first) + n_faces != 2 * n_components:
-            firsts = list(first.values())  # arcs in order of their first darts
-            seconds = map(partner.__getitem__, firsts)
-            joins = [*zip(map(owner.__getitem__, firsts), map(owner.__getitem__, seconds))]  # node positions
-            root = _union_find(range(len(ids)), joins)
-            comp_e = Counter(root[u] for u, _ in joins)
-            comp_f = Counter(root[owner[face[0]]] for face in _face_orbits(successor, range(n)))
-            for r, v in Counter(root.values()).items():
-                e, f = comp_e[r], comp_f[r]
-                if v - e + f != 2:
-                    raise WebError(
-                        f"non-planar face structure: component of {ids[r]!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
-                    )
+        for (k, v, e), f in zip(tally, faces):
+            if v - e + f != 2:
+                raise WebError(f"non-planar face structure: component of {ids[k]!r} has V-E+F = {v}-{e}+{f} = {v - e + f}")
 
     def _key(self) -> tuple:
         return self.vertices, self.crossings, self.circles

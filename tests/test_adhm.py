@@ -230,6 +230,15 @@ class TestHomogeneousFamily:
         with pytest.raises(AdhmError):
             homogeneous_rank_scan(inter3, [(1, 1, 1, 1, 1)])
 
+    def test_quadric_tolerance_scales_with_t1_t2(self, inter3):
+        # |t1 t2| is about 1.5e8, so its rounding alone exceeds an absolute 1e-10
+        point = quadric_point(inter3, 1e4 * (1 + 0.3j), 1e4 * (0.7 - 1j))
+        report = homogeneous_rank_scan(inter3, [point])
+        assert report["alpha_full_rank"] and report["beta_full_rank"]
+        t1, t2, a, b, u = point
+        with pytest.raises(AdhmError, match="off the quadric"):
+            homogeneous_rank_scan(inter3, [(t1, t2, a, b * (1 + 1e-6), u)])
+
 
 def _svd_min(op):
     """numpy's smallest singular value of the dense ``op``, and the

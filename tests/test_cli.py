@@ -101,6 +101,27 @@ class TestSubcommands:
         assert (code, err) == (1, "")
         assert json.loads(out) == {"entries": len(catalogue.CATALOGUE), "failures": ["theta: tait 5 != 6"], "pass": False}
 
+    def test_catalogue_verify_parses_each_diagram_once(self, monkeypatch):
+        from webfoam import catalogue, webs
+
+        parsed = []
+        parse = webs.parse_diagram
+        monkeypatch.setattr(webs, "parse_diagram", lambda text: parsed.append(text) or parse(text))
+        assert catalogue.verify_all() == []
+        files = [e.diagram_file for e in catalogue.CATALOGUE if e.diagram_file]
+        assert sorted(parsed) == sorted(map(catalogue.data_text, files))
+
+    def test_tait_erases_the_crossings_once(self, capsys, monkeypatch):
+        from webfoam import tait, webs
+
+        erased = []
+        erase = webs.underlying_web
+        counted = lambda d: erased.append(d) or erase(d)
+        monkeypatch.setattr(webs, "underlying_web", counted)
+        monkeypatch.setattr(tait, "underlying_web", counted)
+        code, out, _ = run_cli(capsys, "tait", data_path("hopf.diagram.json"))
+        assert (code, json.loads(out)["signed"], len(erased)) == (0, 9, 1)
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "table", "foam-eval", "sphere 2")
         assert code == 0

@@ -819,18 +819,21 @@ def oracle_trace_faces(d) -> tuple:
 
 
 def oracle_check_euler(d) -> None:
-    """Euler formula V - E + F = 2, checked component by component."""
-    root = _union_find(
-        [n.id for n in d.vertices] + [c.id for c in d.crossings],
-        ((n1, n2) for (n1, _), (n2, _) in d.arc_ends.values()),
-    )
+    """Euler formula V - E + F = 2, checked component by component in
+    order of their first nodes; a component is named by its first node
+    in record order (vertices, then crossings)."""
+    ids = [n.id for n in d.vertices] + [c.id for c in d.crossings]
+    root = _union_find(ids, ((n1, n2) for (n1, _), (n2, _) in d.arc_ends.values()))
     comp_e = Counter(root[occ[0][0]] for occ in d.arc_ends.values())
     comp_f = Counter(root[face[0][0]] for face in d.faces)
+    first = {}  # root -> the component's first node
+    for x in ids:
+        first.setdefault(root[x], x)
     for r, v in Counter(root.values()).items():
         e, f = comp_e[r], comp_f[r]
         if v - e + f != 2:
             raise WebError(
-                f"non-planar face structure: component of {r!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
+                f"non-planar face structure: component of {first[r]!r} has V-E+F = {v}-{e}+{f} = {v - e + f}"
             )
 
 
@@ -893,6 +896,23 @@ def test_toroidal_second_component_named():
         parse_diagram(json.dumps({"crossings": [{"id": c.id, "darts": list(c.arcs)} for c in crossings]}))
     assert str(exc.value) == message
 
+
+
+def test_refusal_names_the_first_node_of_a_component():
+    # a planar theta, then a theta whose vertices list its edges in the same
+    # counterclockwise order (V - E + F = 2 - 3 + 1, a torus): the refusal
+    # names "u", the component's first node in record order
+    vertices = (
+        Vertex("s", ("a", "b", "c")),
+        Vertex("t", ("a", "c", "b")),
+        Vertex("u", ("x", "y", "z")),
+        Vertex("v", ("x", "y", "z")),
+    )
+    message = "non-planar face structure: component of 'u' has V-E+F = 2-3+1 = 0"
+    assert oracle(vertices, ())[0] == message
+    with pytest.raises(WebError) as exc:
+        parse_diagram(json.dumps({"vertices": [{"id": n.id, "darts": list(n.arcs)} for n in vertices]}))
+    assert str(exc.value) == message
 
 # --- fuzzed documents ----------------------------------------------------------
 
