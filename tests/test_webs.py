@@ -897,7 +897,6 @@ def test_toroidal_second_component_named():
     assert str(exc.value) == message
 
 
-
 def test_refusal_names_the_first_node_of_a_component():
     # a planar theta, then a theta whose vertices list its edges in the same
     # counterclockwise order (V - E + F = 2 - 3 + 1, a torus): the refusal
@@ -913,6 +912,7 @@ def test_refusal_names_the_first_node_of_a_component():
     with pytest.raises(WebError) as exc:
         parse_diagram(json.dumps({"vertices": [{"id": n.id, "darts": list(n.arcs)} for n in vertices]}))
     assert str(exc.value) == message
+
 
 # --- fuzzed documents ----------------------------------------------------------
 
