@@ -18,8 +18,12 @@ parent's median: ``within_bound`` when the change's median is no worse
 than the parent's by more than the bound, ``worse`` when it is, and
 ``unresolved`` when the parent's interquartile range exceeds the bound,
 unless every run of the change beats every run of the parent.  It also
-holds each run's attempted and failed op counts and its result line.
-Progress goes to standard error.
+holds each run's attempted and failed op counts and its result line,
+which records under ``bytecode`` whether ``PYTHONDONTWRITEBYTECODE`` was set and
+whether each tree's ``src/webfoam/__pycache__`` existed before and
+after the run: a run that writes bytecode caches, or one beside it that
+does, changes every later command's start-up.  Progress goes to
+standard error.
 
 The summary is written into the ``BENCH_*.json`` document named by
 ``--into``, under ``perfbench["W/seedN"]``.  A new document also gets the
@@ -52,6 +56,21 @@ def run(root: pathlib.Path, workload: str, seed: int) -> dict:
            "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def bytecode_state(trees: dict) -> dict:
+    """Whether ``PYTHONDONTWRITEBYTECODE`` is set, and for each side of
+    ``trees`` (side -> tree root) whether ``src/webfoam/__pycache__`` exists."""
+    return {"PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            **{side: (root / "src" / "webfoam" / "__pycache__").is_dir() for side, root in trees.items()}}
+
+
+def traced_run(trees: dict, side: str, workload: str, seed: int) -> dict:
+    """``run`` in ``trees[side]``, its result line with the bytecode state
+    of both trees before and after it under ``bytecode``."""
+    before = bytecode_state(trees)
+    line = run(trees[side], workload, seed)
+    return {**line, "bytecode": {"before": before, "after": bytecode_state(trees)}}
 
 
 def summary(parent: list, change: list, better: str, bound: float) -> dict:
@@ -153,9 +172,10 @@ def main() -> int:
     except ValueError as exc:
         parser.error(f"{args.into}: {exc}")
     lines: dict = {"parent": [], "change": []}
+    trees = {"parent": args.parent, "change": args.change}
     for i in range(1, args.pairs + 1):
         for side in ("parent", "change") if i % 2 else ("change", "parent"):
-            lines[side].append(run(getattr(args, side), args.workload, args.seed))
+            lines[side].append(traced_run(trees, side, args.workload, args.seed))
             print(f"pair {i} {side}: {lines[side][-1]['metrics']}", file=sys.stderr)
     doc = merge(doc, shared, key, pairs_summary(lines))
     args.into.write_text(json.dumps(doc, indent=1) + "\n")

@@ -16,10 +16,12 @@ class Frozen:
 
     A subclass's ``__init__`` sets its fields in its ``__dict__``, and
     ``_key`` returns the fields that count.  Two records are equal when
-    they are of one class with equal keys; a record hashes as its key and
-    refuses assignment.  The standard library's frozen-record decorator
-    would write these methods, but importing it loads ``inspect`` (and
-    ``ast``, ``dis``, ``tokenize``), 7-11 ms of every command's start-up.
+    they are of one class with equal keys.  A record hashes as its key,
+    each dict in it as the set of its items, so equal records hash alike
+    whatever the order their dicts were filled in; it refuses assignment.
+    The standard library's frozen-record decorator would write these
+    methods, but importing it loads ``inspect`` (and ``ast``, ``dis``,
+    ``tokenize``), 7-11 ms of every command's start-up.
     """
 
     __slots__ = ()
@@ -28,7 +30,7 @@ class Frozen:
         return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(frozenset(x.items()) if isinstance(x, dict) else x for x in self._key()))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(repr, self._key()))})"

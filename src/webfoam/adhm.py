@@ -3,8 +3,8 @@ second Chern class of the basepoint bundle.
 
 The finite group generated by clock and shift matrices acts on charge-N
 framed instantons on C^2; invariant solutions reduce to two complex
-scalars (t1, t2).  The code builds the representation, finds the
-intertwiners by monomial search, solves the reduced ADHM equations,
+scalars (t1, t2).  The code builds the representation, reads the
+intertwiners off its commutator, solves the reduced ADHM equations,
 checks the matrix equations and the rank conditions numerically, and
 computes the Chern number of the basepoint bundle exactly from the
 series (1 - h^2)^(-N).
@@ -13,7 +13,8 @@ Every matrix the check builds is a sum of monomial matrices, a diagonal
 times a power of the cyclic shift, and is held as one (``ShiftMat``) on
 plain Python complex numbers; no numpy is imported.  The rank margins
 are the smallest eigenvalues of Gram matrices that are Hermitian
-periodic tridiagonal, found by bisection on a Cholesky test.
+periodic tridiagonal, found by bisection on a Cholesky test, and
+certified by one more test with a bound on its rounding.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ TOL_REL = 1e-12
 TOL_EQ = 1e-10
 TOL_RANK = 1e-6
 
-# Largest rank ``build_rep`` accepts.  ``verify_report(64)`` takes 0.26 s
-# (0.53 s with the dense SVDs of numpy that the bisection replaced): most
-# of it goes to its 202 rank margins, each about 50 Cholesky tests of an
-# N x N periodic tridiagonal matrix.  The time grows about like N (0.7 s
-# at 128, 2.2 s at 512); the bound is the one the dense check needed.
+# Largest rank ``build_rep`` accepts.  ``verify_report(64)`` takes about
+# 0.1 s, mostly building operators: it bisects 8 of its 200 rank margins.
+# The time grows about like N; the bound is the one the dense check needed.
 MAX_RANK = 64
 
 
@@ -204,38 +203,25 @@ def find_intertwiners(rep: GroupRep):
 
     The group acts on the coordinate plane by (zeta, zeta^-1) and
     (zeta, 1); F_i must satisfy F_i rho(x) = chi_i(x) rho(x) F_i.  By the
-    irreducibility of the representation the intertwiners are monomials
-    rho(g)^p rho(h)^q up to phase, so a 9-element search suffices (N^2 in
-    general).  Returns (F1, F2, S, C) with S = C [F1, F2] unitary and C
-    on the negative real axis, which makes the reduced ADHM equation
-    t1 t2 + C a b = 0 solvable with a, b carrying the phases of t1, t2.
+    irreducibility of the representation the intertwiner is unique up to
+    phase, and [rho(g), rho(h)] = zeta names it: F = rho(g)^p rho(h)^q
+    conjugates rho(h) to zeta^p rho(h) and rho(g) to zeta^-q rho(g), so
+    p = log_zeta chi(h) and q = -log_zeta chi(g) mod N.  The relation and
+    unitarity are checked on that one candidate.  Returns (F1, F2, S, C)
+    with S = C [F1, F2] unitary and C on the negative real axis, which
+    makes the reduced ADHM equation t1 t2 + C a b = 0 solvable with a, b
+    carrying the phases of t1, t2.
     """
-    N, zeta = rep.N, rep.zeta
-    chars = [
-        {"g": zeta, "h": zeta},  # coordinate 1
-        {"g": zeta ** -1, "h": 1.0},  # coordinate 2
-    ]
-    g_powers, h_powers = [ShiftMat.scalar(N, 1)], [ShiftMat.scalar(N, 1)]
-    for _ in range(N - 1):
-        g_powers.append(g_powers[-1] @ rep.rho_g)
-        h_powers.append(h_powers[-1] @ rep.rho_h)
+    N, zeta, one = rep.N, rep.zeta, ShiftMat.scalar(rep.N, 1)
     found = []
-    for chi in chars:
-        hit = None
-        for gp in g_powers:
-            for hq in h_powers:
-                m = gp @ hq
-                if all((m @ gen - (gen @ m).scale(chi[name])).max_abs() <= TOL_REL * 100
-                       for name, gen in (("g", rep.rho_g), ("h", rep.rho_h))):
-                    hit = m
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            raise AdhmError("no monomial intertwiner found; contradicts Schur uniqueness")
-        if not _is_unitary(hit):
+    for log_g, log_h in ((1, 1), (-1, 0)):  # chi(g), chi(h) as powers of zeta, for coordinates 1 and 2
+        f = reduce(matmul, [rep.rho_g] * (log_h % N), one) @ reduce(matmul, [rep.rho_h] * (-log_g % N), one)
+        for gen, log in ((rep.rho_g, log_g), (rep.rho_h, log_h)):
+            if (f @ gen - (gen @ f).scale(zeta ** log)).max_abs() > TOL_REL * 100:
+                raise AdhmError("rho(g)^p rho(h)^q does not intertwine; contradicts [g, h] = zeta")
+        if not _is_unitary(f):
             raise AdhmError("monomial intertwiner is not unitary")
-        found.append(hit)
+        found.append(f)
     f1, f2 = found
     bracket = f1 @ f2 - f2 @ f1
     norm = bracket.max_abs()  # a monomial: its operator norm is its largest entry
@@ -307,22 +293,22 @@ def adhm_residuals(d: AdhmData, z=(0, 0)) -> dict:
     return {"complex": complex_eq, "moment": moment}
 
 
-def _positive_definite(first, rows, corner, tail, last, lam: float) -> bool:
+def _positive_definite(parts, lam: float) -> bool:
     """Whether the Cholesky factorisation of A - lam I succeeds, for a
-    Hermitian periodic tridiagonal n x n matrix A given as its entry
-    A[0][0]; one (|A[i][i-1]|^2, conj A[i][i-1], A[i][i]) per row i in
-    1..n-2; its corner A[n-1][0]; A[n-1][n-2]; and A[n-1][n-1].
+    Hermitian periodic tridiagonal n x n matrix A given by the ``parts``
+    of ``_tridiagonal``.
 
     The rows are taken in order, and the factor fills the last column
     (cf. Barth-Martin-Wilkinson, Numer. Math. 9, 1967).  In the LDL^H
     form, ``p`` is the current pivot, ``w`` the current entry of the last
     row and ``last`` the last pivot as the eliminations reduce it.
     """
-    p = first - lam
+    diag, rows, corner, tail = parts
+    p = diag[0] - lam
     if p <= 0:
         return False
     w = corner
-    last -= lam
+    last = diag[-1] - lam
     for e2, ec, x in rows:
         last -= (w.real * w.real + w.imag * w.imag) / p
         w = -w * ec / p
@@ -333,13 +319,11 @@ def _positive_definite(first, rows, corner, tail, last, lam: float) -> bool:
     return last - (w.real * w.real + w.imag * w.imag) / p > 0
 
 
-def _min_eigenvalue(g: ShiftMat) -> float:
-    """The smallest eigenvalue of the positive semidefinite Gram matrix
-    ``g``, which must be periodic tridiagonal (shifts 0 and +-1), by
-    bisection: lam is below it exactly when A - lam I has a Cholesky
-    factorisation.  The bracket starts at [0, smallest diagonal entry]
-    and ends within 2^-52 of its top, or of 2^-52 times its starting
-    top, so the square root is good to about eps * |op|^2 / sigma_min."""
+def _tridiagonal(g: ShiftMat) -> tuple:
+    """The Gram matrix ``g``, which must be periodic tridiagonal (shifts 0
+    and +-1), as ``_positive_definite`` reads it: its real diagonal; one
+    (|A[i][i-1]|^2, conj A[i][i-1], A[i][i]) per row i in 1..n-2; its
+    corner A[n-1][0]; and A[n-1][n-2]."""
     n = g.n
     for k in g.terms:
         if k not in (0, 1, n - 1):
@@ -349,11 +333,32 @@ def _min_eigenvalue(g: ShiftMat) -> float:
     sub = g.terms.get(1, zero)  # sub[i] = A[i][i-1]
     rows = [(e.real * e.real + e.imag * e.imag, e.conjugate(), x) for e, x in zip(sub[1:-1], diag[1:-1])]
     corner = g.terms.get(n - 1, zero)[n - 1] if n > 2 else 0j
+    return diag, rows, corner, sub[-1]
+
+
+def _certified_above(parts, lam: float) -> bool:
+    """Whether the smallest eigenvalue provably exceeds lam: the Cholesky
+    test passes at lam + gamma / (1 - 2 gamma) tr(A), Rump's bound on its
+    rounding (Verification of positive definiteness, BIT 46, 2006), with
+    gamma = k u / (1 - k u) and k = 8 (n + 1), eight times his real k to
+    cover the complex operations."""
+    ku = 8 * (len(parts[0]) + 1) * 2.0 ** -53
+    gamma = ku / (1 - ku)
+    return _positive_definite(parts, lam + gamma / (1 - 2 * gamma) * sum(parts[0]))
+
+
+def _min_eigenvalue(parts) -> float:
+    """The smallest eigenvalue of a positive semidefinite Gram matrix,
+    given by its ``_tridiagonal`` parts, by bisection: lam is below it
+    exactly when A - lam I has a Cholesky factorisation.  The bracket
+    starts at [0, smallest diagonal entry] and ends within 2^-52 of its
+    top, or of 2^-52 times its starting top, so the square root is good
+    to about eps * |op|^2 / sigma_min."""
     lo = 0.0
-    hi = top = min(diag)
+    hi = top = min(parts[0])
     while hi - lo > 2.0 ** -52 * max(hi, 2.0 ** -52 * top):
         mid = 0.5 * (lo + hi)
-        if _positive_definite(diag[0], rows, corner, sub[-1], diag[-1], mid):
+        if _positive_definite(parts, mid):
             lo = mid
         else:
             hi = mid
@@ -363,7 +368,22 @@ def _min_eigenvalue(g: ShiftMat) -> float:
 def _min_sv(op: BlockOp) -> float:
     """Smallest singular value of ``op``: the square root of the smallest
     eigenvalue of its N x N Gram matrix."""
-    return math.sqrt(_min_eigenvalue(op.gram()))
+    return math.sqrt(_min_eigenvalue(_tridiagonal(op.gram())))
+
+
+def _rank_margin(grams) -> tuple[float, bool, int]:
+    """The smallest singular value the Gram matrices ``grams`` give,
+    whether each is certified above TOL_RANK^2, and how many were
+    bisected: only those not certified above the running minimum squared
+    times 1 + 2^-20, for the bisection is good to far less than that."""
+    worst, certified, bisections = float("inf"), True, 0
+    for g in grams:
+        parts = _tridiagonal(g)
+        certified = certified and _certified_above(parts, TOL_RANK ** 2)
+        if not _certified_above(parts, worst * worst * (1 + 2.0 ** -20)):
+            bisections += 1
+            worst = min(worst, math.sqrt(_min_eigenvalue(parts)))
+    return worst, certified, bisections
 
 
 def min_singular_values(d: AdhmData, z) -> tuple[float, float]:
@@ -480,14 +500,15 @@ def verify_report(N: int) -> dict:
     the smallest singular value of alpha_z, beta_z at a random z (normal
     coordinates from the same generator), computes nu_N exactly, and
     gives the smallest singular value of each map at its degenerate
-    point.  ``pass`` holds when the residuals are below TOL_EQ, the rank
-    margin is above TOL_RANK and nu_N == N.
+    point; only Gram matrices that may lower the rank margin are bisected
+    (``_rank_margin``).  ``pass`` holds when the residuals are below
+    TOL_EQ, the rank margin is above TOL_RANK, every Gram matrix is
+    certified above TOL_RANK^2 (``_certified_above``) and nu_N == N.
     """
-    rep = build_rep(N)
-    inter = find_intertwiners(rep)
+    inter = find_intertwiners(build_rep(N))
     worst_complex = 0.0
     worst_moment = 0.0
-    worst_rank_margin = float("inf")
+    grams = []
     rng = random.Random(0)
     grid = [10.0 ** (k / 3 - 1) for k in range(10)]
     for t1m in grid:
@@ -500,19 +521,10 @@ def verify_report(N: int) -> dict:
             worst_complex = max(worst_complex, res["complex"] / scale)
             worst_moment = max(worst_moment, res["moment"] / scale)
             z = (complex(rng.gauss(0, 1), rng.gauss(0, 1)), complex(rng.gauss(0, 1), rng.gauss(0, 1)))
-            sa, sb = min_singular_values(d, z)
-            worst_rank_margin = min(worst_rank_margin, sa, sb)
+            grams += [op.gram() for op in adhm_operators(d, z)]
+    worst_rank_margin, certified, _ = _rank_margin(grams)
     nu, nu_mod2 = chern_nu(N)
-    degenerate = {}
-    for label, point in (("alpha", DEGENERATE_ALPHA_POINT), ("beta", DEGENERATE_BETA_POINT)):
-        alpha, beta = homogeneous_operators(inter, point)
-        degenerate[f"{label}_min_sv_at_degenerate_point"] = _min_sv(alpha if label == "alpha" else beta)
-    ok = (
-        worst_complex < TOL_EQ
-        and worst_moment < TOL_EQ
-        and worst_rank_margin > TOL_RANK
-        and nu == N
-    )
+    ok = worst_complex < TOL_EQ and worst_moment < TOL_EQ and worst_rank_margin > TOL_RANK and certified and nu == N
     return {
         "rank": N,
         "max_complex_residual": worst_complex,
@@ -520,6 +532,7 @@ def verify_report(N: int) -> dict:
         "min_rank_margin": worst_rank_margin,
         "nu": nu,
         "nu_mod2": nu_mod2,
-        **degenerate,
-        "pass": bool(ok),
+        "alpha_min_sv_at_degenerate_point": _min_sv(homogeneous_operators(inter, DEGENERATE_ALPHA_POINT)[0]),
+        "beta_min_sv_at_degenerate_point": _min_sv(homogeneous_operators(inter, DEGENERATE_BETA_POINT)[1]),
+        "pass": ok,
     }

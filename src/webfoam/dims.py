@@ -32,13 +32,12 @@ class BifoldTopology(Frozen):
     def __init__(
         self, kappa: Rat, b_plus: int = 0, b_1: int = 0, sigma_self: Rat = Fraction(0), chi_sigma: int = 0, t: int = 0
     ):
-        self.__dict__.update(kappa=kappa, b_plus=b_plus, b_1=b_1, sigma_self=sigma_self, chi_sigma=chi_sigma, t=t)
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
-        object.__setattr__(self, "sigma_self", Fraction(self.sigma_self))
-        if (2 * self.sigma_self).denominator != 1:
+        kappa, sigma_self = Fraction(kappa), Fraction(sigma_self)
+        if (2 * sigma_self).denominator != 1:
             raise DimensionError("the self-intersection must be a half-integer")
-        if self.t < 0:
+        if t < 0:
             raise DimensionError("tetrahedral point count is non-negative")
+        self.__dict__.update(kappa=kappa, b_plus=b_plus, b_1=b_1, sigma_self=sigma_self, chi_sigma=chi_sigma, t=t)
 
     def _key(self) -> tuple:
         return self.kappa, self.b_plus, self.b_1, self.sigma_self, self.chi_sigma, self.t
@@ -135,14 +134,13 @@ class SemiFraming(Frozen):
     ``offsets`` maps each edge to a Fraction, a multiple of 1/2."""
 
     def __init__(self, offsets: Mapping):
-        self.__dict__["offsets"] = offsets
         clean = {}
-        for e, x in self.offsets.items():
+        for e, x in offsets.items():
             f = Fraction(x)
             if (2 * f).denominator != 1:
                 raise DimensionError(f"offset of edge {e!r} must be a half-integer")
             clean[e] = f
-        object.__setattr__(self, "offsets", clean)
+        self.__dict__["offsets"] = clean
 
     def _key(self) -> tuple:
         return (self.offsets,)

@@ -33,27 +33,26 @@ class F2Module(Frozen):
     """
 
     def __init__(self, dim: int, basis: tuple, ops: dict, grading: tuple | None = None):
-        self.__dict__.update(dim=dim, basis=basis, ops=ops, grading=grading)
-        ops = {}
-        for name, m in self.ops.items():
+        packed = {}
+        for name, m in ops.items():
             if not isinstance(m, gf2.Mat):
                 try:
                     m = gf2.asmat(m)
                 except (TypeError, ValueError) as exc:
                     raise ModuleError(f"operator {name!r} is not a 0/1 matrix: {exc}") from None
-            if m.shape != (self.dim, self.dim):
-                raise ModuleError(f"operator {name!r} has shape {m.shape}, dim is {self.dim}")
+            if m.shape != (dim, dim):
+                raise ModuleError(f"operator {name!r} has shape {m.shape}, dim is {dim}")
             if gf2.matmul(gf2.matmul(m, m), m) != m:
                 raise ModuleError(f"operator {name!r} violates u^3 + u = 0")
-            ops[name] = m
-        names = list(ops)
+            packed[name] = m
+        names = list(packed)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                if gf2.matmul(ops[a], ops[b]) != gf2.matmul(ops[b], ops[a]):
+                if gf2.matmul(packed[a], packed[b]) != gf2.matmul(packed[b], packed[a]):
                     raise ModuleError(f"operators {a!r}, {b!r} do not commute")
-        if self.grading is not None and len(self.grading) != self.dim:
+        if grading is not None and len(grading) != dim:
             raise ModuleError("grading must label every basis vector")
-        object.__setattr__(self, "ops", ops)
+        self.__dict__.update(dim=dim, basis=basis, ops=packed, grading=grading)
 
     def _key(self) -> tuple:
         return self.dim, self.basis, self.ops, self.grading
@@ -123,28 +122,22 @@ def min_poly(m: gf2.Mat) -> str:
     """Minimal polynomial over GF(2) of an operator satisfying u^3 + u = 0.
 
     Returned as a string in u, highest power first, e.g. ``"u^2 + 1"``;
-    the zero-dimensional operator gives ``"1"``.
+    the zero-dimensional operator gives ``"1"``.  It divides
+    u^3 + u = u (u + 1)^2, so it is read off four tests, with one
+    product: m = 0, m = 1, m^2 = m, m^2 = 1 (the first that holds).
     """
     n = m.nrows
     if n == 0:
         return "1"
-    powers = [gf2.identity(n)]
-    for _ in range(3):
-        powers.append(gf2.matmul(powers[-1], m))
-    # each power as one integer, its rows side by side
-    flat = [sum(r << (i * n) for i, r in enumerate(p.rows)) for p in powers]
-    for degree in range(1, 4):
-        # the lower powers are independent, so at most one combination
-        # of them equals u^degree: that relation is the minimal polynomial
-        for coeffs in product((0, 1), repeat=degree):
-            acc = flat[degree]
-            for k, c in enumerate(coeffs):
-                if c:
-                    acc ^= flat[k]
-            if acc == 0:
-                powers_used = [degree] + [k for k in range(degree - 1, -1, -1) if coeffs[k]]
-                return " + ".join("1" if k == 0 else "u" if k == 1 else f"u^{k}" for k in powers_used)
-    return "u^3 + u"
+    rows, one = tuple(m.rows), gf2.identity(n).rows
+    if not any(rows):
+        return "u"
+    if rows == one:
+        return "u + 1"
+    square = gf2.matmul(m, m).rows
+    if square == rows:
+        return "u^2 + u"
+    return "u^2 + 1" if square == one else "u^3 + u"
 
 
 # ---------------------------------------------------------------------------

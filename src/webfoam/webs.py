@@ -326,7 +326,6 @@ class Diagram(Frozen):
     """
 
     def __init__(self, vertices: tuple = (), crossings: tuple = (), circles: tuple = ()):
-        self.__dict__.update(vertices=vertices, crossings=crossings, circles=circles)
         ids = [n.id for n in vertices] + [c.id for c in crossings]
         _check_ids(("node id", ids))
         if len(ids) != len(set(ids)):
@@ -361,7 +360,6 @@ class Diagram(Frozen):
         for a in circles:
             if a in first:
                 raise WebError(f"arc {a!r} is both a circle and attached to a node")
-        self.__dict__.update(_labels=labels, _partner=partner)
         nv = len(vertices)
         owner = [i for i, node in enumerate(chain(vertices, crossings)) for _ in node.arcs]  # dart -> node position
         comp = [None] * len(ids)  # node position -> its component
@@ -400,6 +398,7 @@ class Diagram(Frozen):
         for (k, v, e), f in zip(tally, faces):
             if v - e + f != 2:
                 raise WebError(f"non-planar face structure: component of {ids[k]!r} has V-E+F = {v}-{e}+{f} = {v - e + f}")
+        self.__dict__.update(vertices=vertices, crossings=crossings, circles=circles, _labels=labels, _partner=partner)
 
     def _key(self) -> tuple:
         return self.vertices, self.crossings, self.circles

@@ -1,14 +1,20 @@
 import cmath
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from webfoam import adhm
 from webfoam.adhm import (
     AdhmError,
     DEGENERATE_ALPHA_POINT,
     DEGENERATE_BETA_POINT,
     MAX_RANK,
+    TOL_EQ,
     TOL_RANK,
+    ShiftMat,
     adhm_operators,
     adhm_residuals,
     binomial_series,
@@ -110,6 +116,31 @@ class TestIntertwiners:
         # for rank 3 the commutator has operator norm sqrt(3)
         assert abs(abs(c) - 1 / np.sqrt(3)) < 1e-12
         assert c.real < 0 and abs(c.imag) < 1e-12
+
+
+def searched_intertwiners(rep):
+    """Oracle for ``find_intertwiners``: the first rho(g)^p rho(h)^q, p then
+    q running over 0..N-1, that intertwines each coordinate's character."""
+    N, zeta = rep.N, rep.zeta
+    g_powers, h_powers = [ShiftMat.scalar(N, 1)], [ShiftMat.scalar(N, 1)]
+    for _ in range(N - 1):
+        g_powers.append(g_powers[-1] @ rep.rho_g)
+        h_powers.append(h_powers[-1] @ rep.rho_h)
+    found = []
+    for chi in ({"g": zeta, "h": zeta}, {"g": zeta ** -1, "h": 1.0}):
+        found.append(next(
+            m for gp in g_powers for hq in h_powers for m in [gp @ hq]
+            if all((m @ gen - (gen @ m).scale(chi[name])).max_abs() <= 1e-10
+                   for name, gen in (("g", rep.rho_g), ("h", rep.rho_h)))
+        ))
+    return found
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 64])
+def test_derived_intertwiners_are_the_searched_ones(n):
+    rep = build_rep(n)
+    f1, f2, _, _ = find_intertwiners(rep)
+    assert [f1, f2] == searched_intertwiners(rep)
 
 
 class TestScalarSolution:
@@ -299,6 +330,111 @@ def test_margins_and_residuals_match_numpy(n):
             ref, scale = _svd_min(dense(op))
             assert abs(row[key] - ref) <= 1e-12 * scale
     assert scan["samples"][-2]["alpha_min_sv"] == scan["samples"][-1]["beta_min_sv"] == 0
+
+
+def grid_samples(inter):
+    """The grid solutions of ``verify_report``, each with its random point
+    z, drawn from ``random.Random(0)`` in the same order."""
+    rng = random.Random(0)
+    grid = [10.0 ** (k / 3 - 1) for k in range(10)]
+    for t1m in grid:
+        for t2m in grid:
+            t1 = t1m * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            t2 = t2m * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            z_draws = [rng.gauss(0, 1) for _ in range(4)]
+            yield scalar_solution(inter, t1, t2), (complex(*z_draws[:2]), complex(*z_draws[2:]))
+
+
+def full_bisection_report(n):
+    """Oracle for ``verify_report``: the same grid and draws, every rank
+    margin bisected, and no certificate in ``pass``."""
+    inter = find_intertwiners(build_rep(n))
+    worst = [0.0, 0.0, float("inf")]
+    for d, z in grid_samples(inter):
+        res = adhm_residuals(d)
+        scale = max(1.0, abs(d.t1 * d.t2))
+        worst[0] = max(worst[0], res["complex"] / scale)
+        worst[1] = max(worst[1], res["moment"] / scale)
+        worst[2] = min(worst[2], *min_singular_values(d, z))
+    nu, nu_mod2 = chern_nu(n)
+    alpha_sv = adhm._min_sv(homogeneous_operators(inter, DEGENERATE_ALPHA_POINT)[0])
+    beta_sv = adhm._min_sv(homogeneous_operators(inter, DEGENERATE_BETA_POINT)[1])
+    return {
+        "rank": n,
+        "max_complex_residual": worst[0],
+        "max_moment_residual": worst[1],
+        "min_rank_margin": worst[2],
+        "nu": nu,
+        "nu_mod2": nu_mod2,
+        "alpha_min_sv_at_degenerate_point": alpha_sv,
+        "beta_min_sv_at_degenerate_point": beta_sv,
+        "pass": worst[0] < TOL_EQ and worst[1] < TOL_EQ and worst[2] > TOL_RANK and nu == n,
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_report_equals_the_full_bisection(n):
+    assert adhm.verify_report(n) == full_bisection_report(n)
+
+
+def exact_positive_definite(g, lam) -> bool:
+    """Whether G - lam I is positive definite, by an exact LDL^H in
+    Gaussian rationals (pairs of Fractions), G being the Hermitian matrix
+    that the float entries of ``g`` on and below the diagonal denote."""
+    n = g.n
+    a = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in g.tolist()]
+    pivots, low = [], {}  # low[i, k]: the entry (i, k) of the unit lower factor
+    for k in range(n):
+        p = a[k][k][0] - Fraction(lam) - sum((low[k, j][0] ** 2 + low[k, j][1] ** 2) * pivots[j] for j in range(k))
+        if p <= 0:
+            return False
+        pivots.append(p)
+        for i in range(k + 1, n):
+            re, im = a[i][k]
+            for j in range(k):  # minus low[i, j] conj(low[k, j]) pivots[j]
+                (x, y), (u, v) = low[i, j], low[k, j]
+                re -= (x * u + y * v) * pivots[j]
+                im -= (y * u - x * v) * pivots[j]
+            low[i, k] = (re / p, im / p)
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certificate_and_skips_hold_exactly(n):
+    """Each rank-margin Gram matrix that the float certificate passes is
+    exactly positive definite above TOL_RANK^2, and each one the margin
+    does not bisect is exactly so above the running minimum squared."""
+    inter = find_intertwiners(build_rep(n))
+    grams = [op.gram() for d, z in grid_samples(inter) for op in adhm_operators(d, z)]
+    worst, bisected = float("inf"), 0
+    for g in grams:
+        parts = adhm._tridiagonal(g)
+        assert adhm._certified_above(parts, TOL_RANK ** 2)
+        assert exact_positive_definite(g, Fraction(TOL_RANK) ** 2)
+        if adhm._certified_above(parts, worst * worst * (1 + 2.0 ** -20)):
+            assert exact_positive_definite(g, Fraction(worst) ** 2)
+        else:
+            bisected += 1
+            worst = min(worst, math.sqrt(adhm._min_eigenvalue(parts)))
+        # sigma_min^2 from the bisection is exactly a boundary: above it, the test fails
+        lam = adhm._min_eigenvalue(parts)
+        assert exact_positive_definite(g, lam * (1 - 1e-9)) and not exact_positive_definite(g, lam * (1 + 1e-9))
+    assert adhm._rank_margin(grams) == (worst, True, bisected)
+    assert 0 < bisected < len(grams) // 10
+
+
+def test_certificate_asks_for_the_rounding_bound():
+    """[[1, c], [c, 1]] has smallest eigenvalue 1 - c, here 3e-15 above
+    TOL_RANK^2: it is exactly positive definite there, and the bisection
+    says so, but the margin is within the rounding bound (about 5e-15 at
+    this size), so it is not certified."""
+    c = 1 - (TOL_RANK ** 2 + 3e-15)
+    g = ShiftMat(2, {0: (1 + 0j, 1 + 0j), 1: (c + 0j, c + 0j)})
+    parts = adhm._tridiagonal(g)
+    assert adhm._min_eigenvalue(parts) > TOL_RANK ** 2
+    assert exact_positive_definite(g, Fraction(TOL_RANK) ** 2)
+    assert not adhm._certified_above(parts, TOL_RANK ** 2)
+    assert adhm._certified_above(parts, TOL_RANK ** 2 - 1e-14)
 
 
 class TestChern:

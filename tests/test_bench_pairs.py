@@ -85,3 +85,23 @@ def test_merge_refuses(doc, shared, match):
         doc = bench_pairs.merge(None, SHARED, "cli_cold/seed7", {})
     with pytest.raises(ValueError, match=match):
         bench_pairs.merge(doc, shared, "cli_cold/seed7", {})
+
+
+def test_each_run_records_the_bytecode_caches(tmp_path, monkeypatch):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    (trees["parent"] / "src" / "webfoam" / "__pycache__").mkdir(parents=True)
+
+    def writes_caches(root, workload, seed):  # a run that leaves bytecode caches behind
+        (root / "src" / "webfoam" / "__pycache__").mkdir(parents=True, exist_ok=True)
+        return result_line(1.0)
+
+    monkeypatch.setattr(bench_pairs, "run", writes_caches)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    line = bench_pairs.traced_run(trees, "change", "cli_cold", 7)
+    assert line["metrics"] == result_line(1.0)["metrics"]
+    assert line["bytecode"] == {
+        "before": {"PYTHONDONTWRITEBYTECODE": True, "parent": True, "change": False},
+        "after": {"PYTHONDONTWRITEBYTECODE": True, "parent": True, "change": True},
+    }
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench_pairs.bytecode_state(trees) == {"PYTHONDONTWRITEBYTECODE": False, "parent": True, "change": True}

@@ -1,4 +1,5 @@
 from itertools import product
+from operator import xor
 
 import numpy as np
 import pytest
@@ -226,10 +227,41 @@ class TestKnownModules:
         assert min_poly(gf2.zeros(2, 2)) == "u"
         assert min_poly(gf2.zeros(0, 0)) == "1"
 
+    def test_min_poly_matches_the_definition(self):
+        """Every GF(2) matrix of size 1-3 with u^3 = u: 176 of them, which
+        reach all five divisors of u^3 + u of positive degree."""
+        seen = []
+        for n in (1, 2, 3):
+            for bits in product((0, 1), repeat=n * n):
+                m = gf2.asmat([bits[i * n : (i + 1) * n] for i in range(n)])
+                if gf2.matmul(gf2.matmul(m, m), m) == m:
+                    seen.append(min_poly(m))
+                    assert seen[-1] == min_poly_by_definition(m)
+        assert len(seen) == 176
+        assert set(seen) == {"u", "u + 1", "u^2 + u", "u^2 + 1", "u^3 + u"}
+
     def test_shift_toggles(self):
         m = known_module("trefoil").shift()
         assert m.graded_dims() == (2, 5)
         assert m.euler_characteristic() == -3
+
+
+def min_poly_by_definition(m) -> str:
+    """Oracle for ``min_poly``: the monic relation of least degree among
+    the powers of ``m``, degrees and then coefficient vectors in order."""
+    powers = [gf2.identity(m.nrows)]
+    for _ in range(3):
+        powers.append(gf2.matmul(powers[-1], m))
+    for degree in range(1, 4):
+        for coeffs in product((0, 1), repeat=degree):
+            acc = powers[degree].rows
+            for k in range(degree):
+                if coeffs[k]:
+                    acc = tuple(map(xor, acc, powers[k].rows))
+            if not any(acc):
+                terms = [degree] + [k for k in range(degree - 1, -1, -1) if coeffs[k]]
+                return " + ".join("1" if k == 0 else "u" if k == 1 else f"u^{k}" for k in terms)
+    raise AssertionError("u^3 + u does not vanish")
 
 
 def cyclic_by_search(mod: F2Module) -> bool:

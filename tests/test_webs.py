@@ -361,6 +361,29 @@ def test_web_immutability():
             setattr(record, name, ())
 
 
+def test_records_hash_as_they_compare():
+    """Every ``Frozen`` record hashes, and equal records hash alike though
+    their dicts were filled in different orders, so a set holds one."""
+    from fractions import Fraction
+
+    from webfoam import Frozen, dims
+
+    theta = json.loads(THETA_DOC)
+    mod = modules.known_module("theta")
+    pairs = [
+        (parse_web(THETA_DOC), parse_web({**theta, "edges": theta["edges"][::-1]})),
+        (parse_diagram(KINK_DOC), parse_diagram(KINK_DOC)),
+        (mod, modules.F2Module(mod.dim, mod.basis, dict(reversed(mod.ops.items())), mod.grading)),
+        (dims.SemiFraming({"a": 1, "b": Fraction(1, 2)}), dims.SemiFraming({"b": 0.5, "a": 1})),
+        (dims.BifoldTopology(1, sigma_self=Fraction(1, 2)), dims.BifoldTopology(Fraction(2, 2), sigma_self=0.5)),
+        (FoamExpr.one(), FoamExpr.one()),
+    ]
+    assert {type(a) for a, _ in pairs} == set(Frozen.__subclasses__())
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+
+
 def test_loop_occupies_two_slots():
     w = web_from_incidences({"v1": ["l", "l", "b"], "v2": ["m", "b", "m"]})
     assert w.is_loop("l") and w.is_loop("m") and not w.is_loop("b")
