@@ -65,7 +65,7 @@ def bytecode_state(trees: dict) -> dict:
             **{side: (root / "src" / "webfoam" / "__pycache__").is_dir() for side, root in trees.items()}}
 
 
-def traced_run(trees: dict, side: str, workload: str, seed: int) -> dict:
+def recorded_run(trees: dict, side: str, workload: str, seed: int) -> dict:
     """``run`` in ``trees[side]``, its result line with the bytecode state
     of both trees before and after it under ``bytecode``."""
     before = bytecode_state(trees)
@@ -175,7 +175,7 @@ def main() -> int:
     trees = {"parent": args.parent, "change": args.change}
     for i in range(1, args.pairs + 1):
         for side in ("parent", "change") if i % 2 else ("change", "parent"):
-            lines[side].append(traced_run(trees, side, args.workload, args.seed))
+            lines[side].append(recorded_run(trees, side, args.workload, args.seed))
             print(f"pair {i} {side}: {lines[side][-1]['metrics']}", file=sys.stderr)
     doc = merge(doc, shared, key, pairs_summary(lines))
     args.into.write_text(json.dumps(doc, indent=1) + "\n")

@@ -31,7 +31,7 @@ TOL_EQ = 1e-10
 TOL_RANK = 1e-6
 
 # Largest rank ``build_rep`` accepts.  ``verify_report(64)`` takes about
-# 0.1 s, mostly building operators: it bisects 8 of its 200 rank margins.
+# 70 ms, mostly building operators: it bisects 8 of its 200 rank margins.
 # The time grows about like N; the bound is the one the dense check needed.
 MAX_RANK = 64
 

@@ -411,14 +411,13 @@ def test_certificate_and_skips_hold_exactly(n):
         parts = adhm._tridiagonal(g)
         assert adhm._certified_above(parts, TOL_RANK ** 2)
         assert exact_positive_definite(g, Fraction(TOL_RANK) ** 2)
+        lam = adhm._min_eigenvalue(parts)  # within a relative 1e-9 of the exact eigenvalue
+        assert exact_positive_definite(g, lam * (1 - 1e-9)) and not exact_positive_definite(g, lam * (1 + 1e-9))
         if adhm._certified_above(parts, worst * worst * (1 + 2.0 ** -20)):
             assert exact_positive_definite(g, Fraction(worst) ** 2)
         else:
             bisected += 1
-            worst = min(worst, math.sqrt(adhm._min_eigenvalue(parts)))
-        # sigma_min^2 from the bisection is exactly a boundary: above it, the test fails
-        lam = adhm._min_eigenvalue(parts)
-        assert exact_positive_definite(g, lam * (1 - 1e-9)) and not exact_positive_definite(g, lam * (1 + 1e-9))
+            worst = min(worst, math.sqrt(lam))
     assert adhm._rank_margin(grams) == (worst, True, bisected)
     assert 0 < bisected < len(grams) // 10
 

@@ -97,7 +97,7 @@ def test_each_run_records_the_bytecode_caches(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run", writes_caches)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    line = bench_pairs.traced_run(trees, "change", "cli_cold", 7)
+    line = bench_pairs.recorded_run(trees, "change", "cli_cold", 7)
     assert line["metrics"] == result_line(1.0)["metrics"]
     assert line["bytecode"] == {
         "before": {"PYTHONDONTWRITEBYTECODE": True, "parent": True, "change": False},
