@@ -26,13 +26,17 @@ class ModuleError(ValueError):
 class F2Module(Frozen):
     """Finite-dimensional GF(2) space with named commuting edge operators.
 
-    ``ops`` maps each name to its operator as a ``gf2.Mat``; the
-    constructor also takes nested lists or numpy arrays and packs them.
-    ``grading`` is a tuple of 0/1 labels per basis vector, or None when
-    the source states no grading.
+    ``basis`` names the ``dim`` basis vectors.  ``ops`` maps each name to
+    its operator as a ``gf2.Mat``; the constructor also takes nested lists
+    or numpy arrays and packs them.  ``grading`` is a tuple of 0/1 labels
+    per basis vector, or None when the source states no grading.  The
+    basis and grading are kept as tuples, so a module built from lists
+    equals its tuple twin and hashes like it.
     """
 
     def __init__(self, dim: int, basis: tuple, ops: dict, grading: tuple | None = None):
+        if len(basis := tuple(basis)) != dim:  # so a negative dim is refused too
+            raise ModuleError(f"basis names {len(basis)} vectors, dim is {dim}")
         packed = {}
         for name, m in ops.items():
             if not isinstance(m, gf2.Mat):
@@ -50,7 +54,7 @@ class F2Module(Frozen):
             for b in names[i + 1 :]:
                 if gf2.matmul(packed[a], packed[b]) != gf2.matmul(packed[b], packed[a]):
                     raise ModuleError(f"operators {a!r}, {b!r} do not commute")
-        if grading is not None and len(grading) != dim:
+        if grading is not None and len(grading := tuple(grading)) != dim:
             raise ModuleError("grading must label every basis vector")
         self.__dict__.update(dim=dim, basis=basis, ops=packed, grading=grading)
 

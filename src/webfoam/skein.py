@@ -14,11 +14,17 @@ a crossing weighs [both smoothing pairs agree] - [its inserted edge can
 be colored], the smoothing's strands sharing a color and the inserted
 edge taking the color missing from the pair it joins; a free circle is a
 factor 3.  By distributivity this equals the signed sum of the leaf Tait
-counts.  The sum is contracted node by node by ``tait.contract``, the
-kernel behind ``tait.tait_count`` too, so its cost grows with the width
-of the frontier, not with 2^n.  The four crossing tables, like the
-vertex table, are tuples of ``(colors, weight)`` items, so the kernel
-memoizes their expansion by value across diagrams.  Its value agrees
+counts.  The sum runs on the kernel behind ``tait.tait_count`` too:
+``tait.plan`` orders the diagram's nodes from their arcs alone, and
+``tait.contract`` contracts them node by node in that order, each vertex
+weighted by the vertex table and each crossing by the relation's
+crossing table, so its cost grows with the width of the frontier, not
+with 2^n.  The planned steps are memoized on the arc patterns alone
+(``tait._step``), so the two relations and ``tait_count`` share them.
+The four crossing tables, like the vertex table, are tuples of
+``(colors, weight)`` items, so the kernel memoizes their expansion by
+value across diagrams (``tait._local_table``, keyed by the table, the
+node's shape and open arcs and the tables' color symmetry).  Its value agrees
 with the signed Tait count oracle and with expanding crossings by
 ``webs.resolve_crossing`` down to leaves counted by the
 ``tait.tait_colorings`` enumeration (asserted in the tests); neither
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from itertools import count, islice, product
 
-from .tait import VERTEX_WEIGHTS, contract, tait_count
+from .tait import VERTEX_WEIGHTS, contract, plan, tait_count
 from .webs import (
     _PAIRS,
     Crossing,
@@ -72,10 +78,8 @@ _CROSSING_WEIGHTS = {
 
 def _state_sum(d: Diagram, smooth_kind: str, edge_kind: str) -> int:
     """Signed sum of the leaf Tait counts of the skein expansion of ``d``."""
-    nodes = [(n.arcs, VERTEX_WEIGHTS) for n in d.vertices]
-    crossing_weights = _CROSSING_WEIGHTS[smooth_kind, edge_kind]
-    nodes += [(c.arcs, crossing_weights) for c in d.crossings]
-    return contract(nodes) * 3 ** len(d.circles)
+    tables = [VERTEX_WEIGHTS] * len(d.vertices) + [_CROSSING_WEIGHTS[smooth_kind, edge_kind]] * len(d.crossings)
+    return contract(plan([n.arcs for n in d.vertices] + [c.arcs for c in d.crossings]), tables) * 3 ** len(d.circles)
 
 
 def euler_char(d: Diagram, pairing=CALIBRATED_PAIRING) -> int:

@@ -4,10 +4,11 @@ A Tait coloring assigns one of three colors to every edge so that all
 three colors appear at each vertex.  For a planar web the number of Tait
 colorings equals the dimension of the instanton homology, computed
 independently here as a sum of powers of two over even 1-sets.  Three
-algorithms give the number, and the tests compare them: ``contract``,
-the one contraction kernel behind ``tait_count``, ``signed_tait_count``
-and ``skein``'s state sum, whose cost follows the width of its frontier,
-not the size of the web; matching branching in ``one_sets``, summed by
+algorithms give the number, and the tests compare them: ``plan`` and
+``contract``, the one contraction kernel behind ``tait_count``,
+``signed_tait_count``, the 1-set count of ``one_sets`` and ``skein``'s
+state sum, whose cost follows the width of its frontier, not the size
+of the web; matching branching in ``one_sets``, summed by
 ``planar_lsharp_dim`` over ``one_set_summary``'s union-find count of
 each complement's circles; and the enumeration ``tait_colorings``, the
 reference oracle: a backtracker with one bitmask of used colors per
@@ -16,19 +17,23 @@ code or table with the kernel.  ``signed_tait_web`` and ``signed_tait``
 sum over it, as they are the independent check of ``skein.euler_char``.
 The kernel's vertex nodes and ``is_one_set`` read ``Web.slot_edges``.
 
-``contract`` numbers the arcs once and plans every step on those
-numbers: the node's expanded table, rows keyed by the colors of its open
-arcs, and the two projections of a frontier coloring, onto those arcs and
-onto the arcs kept.  A step depends only on the node's weight table, its
-pattern (per arc position, the arc's frontier position, or the node
-position where an arc off the frontier first occurs), the frontier's
-width and the call's color symmetry, so ``_step`` resolves it through
-an LRU cache.  Behind it, the table depends only on the weight table,
-the node's arc-multiplicity shape, which of its arcs are open and the
-color symmetry, so ``_local_table`` memoizes it on those four values;
-``_picker`` memoizes a projection by its index tuple.  Each cache,
-``_symmetry``'s too, holds ``CACHE_ENTRIES`` entries and is keyed by
-value, never by identity.  A run over many diagrams builds a few dozen
+The kernel is a planner and a state loop.  ``plan`` reads the arcs
+alone: it numbers them once, orders the nodes, and gives the widest
+frontier and, per step, the node, its arc-multiplicity shape, which of
+its arcs are open, and the two projections of a frontier coloring, onto
+those arcs and onto the arcs kept.  ``contract`` takes that plan and one
+weight table per node: it derives the color symmetry from the tables,
+expands each step's node table (rows keyed by the colors of its open
+arcs) and sums the states.  Four LRU caches stand behind them, each of
+``CACHE_ENTRIES`` entries and keyed by value, never by identity:
+``_step`` memoizes a planned step on the node's pattern (per arc
+position, the arc's frontier position, or the node position where an
+arc off the frontier first occurs) and the frontier's width, so one web
+counted with several tables plans each step once; ``_local_table``, which
+only ``contract`` calls, memoizes the expanded table on the weight table,
+the shape, the open arcs and the color symmetry; ``_picker`` memoizes a
+projection on its index tuple; ``_symmetry`` memoizes a table's color
+symmetry on the table.  A run over many diagrams builds a few dozen
 tables and pickers and a few hundred steps, not one of each per
 contraction step.  The weight tables are tuples of ``(colors, weight)``
 items so that they can be keys.
@@ -47,10 +52,11 @@ frontier.  The enumeration oracles and ``one_sets`` do not use it.
 Limits, each refused with a ``WebError`` before the work starts: webs
 with more than ``MAX_EDGES`` regular edges, by the two recursive
 searches ``tait_colorings`` and ``one_sets`` (so by ``planar_lsharp_dim``
-too); a contraction whose frontier would be wider than ``MAX_WIDTH``
-arcs; and a 1-set list longer than ``MAX_ONE_SETS``.  A contraction that
-has built more than ``MAX_STATES`` states is refused at the end of the
-step that passes the bound, so its time is bounded too.
+too); by ``plan``, a contraction whose frontier would be wider than
+``MAX_WIDTH`` arcs; and a 1-set list longer than ``MAX_ONE_SETS``.  A
+contraction that has built more than ``MAX_STATES`` states is refused
+at the end of the step that passes the bound, so its time is bounded
+too.
 """
 
 from __future__ import annotations
@@ -70,7 +76,7 @@ COLORS = (1, 2, 3)
 # recurse and has none.
 MAX_EDGES = 500
 
-# Widest frontier ``contract`` accepts.  Every catalogue entry, the census,
+# Widest frontier ``plan`` accepts.  Every catalogue entry, the census,
 # the prisms up to 166 sides and criterion 3's diagrams stay within 8 arcs.
 # Width alone does not bound time: a Tait count on an 80-vertex plane web
 # of width 15 takes 2-4 s and about 105 MB on a shared 2-vCPU host, while
@@ -89,9 +95,10 @@ MAX_STATES = 10**7
 # (15,129 sets, 2.4 MB of JSON) is refused.
 MAX_ONE_SETS = 10_000
 
-# bound of each LRU cache behind ``contract`` (planned steps, expanded node
-# tables, frontier projections, table symmetries); one cold pass over the
-# timed diagrams of perfbench's ``skein_random`` fills at most 140 of one
+# bound of each LRU cache behind ``plan`` and ``contract`` (planned steps,
+# expanded node tables, frontier projections, table symmetries); one cold
+# pass over the timed diagrams of perfbench's ``skein_random`` fills 140
+# steps, 54 projections, 31 tables and 2 symmetries
 CACHE_ENTRIES = 512
 
 _EVEN_PERMS = {(1, 2, 3), (2, 3, 1), (3, 1, 2)}
@@ -210,18 +217,19 @@ def _local_table(weights: tuple, shape: tuple, is_open: tuple, group: frozenset)
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def _step(weights: tuple, pattern: tuple, width: int, group: frozenset) -> tuple:
-    """One step of ``contract``, from its node's arc pattern.
+def _step(pattern: tuple, width: int) -> tuple:
+    """One step of ``plan``, from its node's arc pattern.
 
     ``pattern`` holds, per position of the node's arcs, the arc's position
     on the frontier of ``width`` arcs, or ``~i`` for an arc off the
     frontier whose first position in the node is ``i``, so both ends of a
-    loop give the same entry.  Returns the node's expanded table, the
-    pickers of the open arcs' colors and of the kept arcs' (in frontier
-    order), and the node positions of the new arcs, the closed ones met
-    once, which follow the kept arcs on the next frontier.
+    loop give the same entry.  Returns the node's shape and open arcs, as
+    ``_local_table`` takes them, the pickers of the open arcs' colors and
+    of the kept arcs' (in frontier order), and the node positions of the
+    new arcs, the closed ones met once, which follow the kept arcs on the
+    next frontier.
     """
-    old, fresh, shape, is_open = [], [], [], []  # shape and is_open as ``_local_table`` takes them
+    old, fresh, shape, is_open = [], [], [], []
     for i, p in enumerate(pattern):
         if p >= 0:
             shape.append(len(is_open))
@@ -237,50 +245,31 @@ def _step(weights: tuple, pattern: tuple, width: int, group: frozenset) -> tuple
     kept = [*range(width)]
     for p in old:
         kept.remove(p)
-    table = _local_table(weights, tuple(shape), tuple(is_open), group)
-    return table, _picker(tuple(old)), _picker(tuple(kept)), tuple(fresh)
+    return tuple(shape), tuple(is_open), _picker(tuple(old)), _picker(tuple(kept)), tuple(fresh)
 
 
-def contract(nodes) -> int:
-    """Sum over colorings of the arcs of the product of the node weights.
+def plan(arc_lists) -> tuple:
+    """The contraction order of nodes whose arcs are ``arc_lists``, from
+    the arcs alone: ``(width, steps)``, the widest frontier and, per step,
+    ``(node, shape, is_open, pick_old, pick_kept)`` as ``_step`` gives them
+    for the node at that position of ``arc_lists``.
 
-    ``nodes`` is a list of ``(arcs, weights)``.  ``arcs`` is a tuple of
-    arc labels, and every label occurs exactly twice among all the nodes
-    (twice in one node for a loop).  ``weights`` is a tuple of
-    ``(colors, weight)`` items: a tuple of colors 0, 1, 2, one per entry
-    of ``arcs``, and an integer; a missing tuple weighs 0, and one listed
-    twice the sum of its entries.
-
-    The nodes are contracted one at a time over a dict from colorings of
-    the frontier (arcs with one end contracted) to summed weight, zero
-    sums skipped, so the cost grows with the width of the frontier,
-    not with the number of arcs.  The next node is the one with the most
-    open arcs; ties go to the node first in breadth-first order over
-    shared arcs, started from the first node of each component, so the
-    contraction sweeps outward instead of following the order of the
-    list.  The order and every frontier depend on the arcs alone, so they
-    are planned before any state is built, on arcs numbered in order of
-    first occurrence: lists hold each arc's frontier position and the
-    nodes at its ends, and each node's open-arc count.  A step is
-    described by its node's pattern (see ``_step``), which resolves its
-    table and projections through the caches above.  A frontier wider
-    than ``MAX_WIDTH`` arcs (up to 3^width states) is refused with a
-    ``WebError`` before any state is built, and a run that has built more
-    than ``MAX_STATES`` states, counted once per step, after the step
-    that passes the bound.  A color permutation that every weight table
-    admits (``_symmetry``) leaves the sum over a component unchanged, so
-    the first node of each component keeps one coloring per orbit.  A
-    result does not depend on what the process computed before.
+    Each entry of ``arc_lists`` is a tuple of arc labels, and every label
+    occurs exactly twice among them (twice in one node for a loop).  The
+    frontier holds the arcs with one end contracted.  The next node is the
+    one with the most open arcs; ties go to the node first in
+    breadth-first order over shared arcs, started from the first node of
+    each component, so the contraction sweeps outward instead of following
+    the order of the list.  The arcs are numbered in order of first
+    occurrence: lists hold each arc's frontier position and the nodes at
+    its ends, and each node's open-arc count.  A frontier wider than
+    ``MAX_WIDTH`` arcs (up to 3^width states) is refused with a
+    ``WebError`` before any state is built.
     """
-    group = _ALL_PERMS  # the color permutations every table is invariant under
-    last = None
     number: dict = {}  # arc label -> its number
     ends: list = []  # arc number -> the sum of the positions of the two nodes holding it
     node_arcs = []  # each node's arc numbers
-    for i, (arcs, weights) in enumerate(nodes):
-        if weights is not last:  # a run of nodes sharing one table probes it once
-            last = weights
-            group &= _symmetry(weights)
+    for i, arcs in enumerate(arc_lists):
         nums = []
         for a in arcs:
             x = number.setdefault(a, len(ends))
@@ -291,8 +280,8 @@ def contract(nodes) -> int:
             nums.append(x)
         node_arcs.append(nums)
     todo: list = []  # breadth-first order over shared arcs, component by component
-    seen = bytearray(len(nodes))
-    for root in range(len(nodes)):
+    seen = bytearray(len(node_arcs))
+    for root in range(len(node_arcs)):
         if not seen[root]:
             seen[root] = 1
             queue = [root]
@@ -303,10 +292,10 @@ def contract(nodes) -> int:
                         seen[j] = 1
                         queue.append(j)
             todo += queue
-    steps: list = []  # (expanded table, picker of the open arcs' colors, of the kept arcs')
-    frontier: list = []  # arcs with exactly one end contracted
+    steps: list = []
+    frontier: list = []
     where = [-1] * len(ends)  # arc -> its frontier position, while it is on the frontier
-    n_open = [0] * len(nodes)  # open arcs of each node
+    n_open = [0] * len(node_arcs)  # open arcs of each node
     width = 0
     while todo:
         k = max(todo, key=n_open.__getitem__)  # first of the ties
@@ -316,8 +305,8 @@ def contract(nodes) -> int:
         for x in arcs:
             p = where[x]
             pattern.append(p if p >= 0 else ~arcs.index(x))
-        table, pick_old, pick_kept, fresh = _step(nodes[k][1], tuple(pattern), len(frontier), group)
-        steps.append((table, pick_old, pick_kept))
+        shape, is_open, pick_old, pick_kept, fresh = _step(tuple(pattern), len(frontier))
+        steps.append((k, shape, is_open, pick_old, pick_kept))
         frontier = [*pick_kept(frontier)]
         for i in fresh:
             x = arcs[i]
@@ -331,9 +320,35 @@ def contract(nodes) -> int:
         raise WebError(
             f"contraction frontier would reach {width} arcs; the Tait and skein counts take at most {MAX_WIDTH}"
         )
+    return width, steps
+
+
+def contract(planned: tuple, tables) -> int:
+    """Sum over colorings of the arcs of the product of the node weights.
+
+    ``planned`` is ``plan(arc_lists)`` and ``tables[i]`` the weight table
+    of the node with arcs ``arc_lists[i]``: a tuple of ``(colors, weight)``
+    items, a tuple of colors 0, 1, 2, one per entry of its arcs, and an
+    integer; a missing tuple weighs 0, and one listed twice the sum of its
+    entries.
+
+    The nodes are contracted in the planned order over a dict from
+    colorings of the frontier to summed weight, zero sums skipped, so the
+    cost grows with the width of the frontier, not with the number of
+    arcs.  Each step's expanded table comes from ``_local_table``.  A run
+    that has built more than ``MAX_STATES`` states, counted once per step,
+    is refused with a ``WebError`` after the step that passes the bound.
+    A color permutation that every weight table admits (``_symmetry``)
+    leaves the sum over a component unchanged, so the first node of each
+    component keeps one coloring per orbit.  A result does not depend on
+    what the process computed before.
+    """
+    # the color permutations every table is invariant under; each distinct table probed once
+    group = _ALL_PERMS.intersection(*map(_symmetry, {id(t): t for t in tables}.values()))
     states = {(): 1}  # frontier coloring -> summed weight
     built = 0
-    for local, pick_old, pick_kept in steps:
+    for k, shape, is_open, pick_old, pick_kept in planned[1]:
+        local = _local_table(tables[k], shape, is_open, group)
         nxt: dict = {}
         for state, weight in states.items():
             moves = local.get(pick_old(state))
@@ -351,19 +366,14 @@ def contract(nodes) -> int:
     return states.get((), 0)
 
 
-def _vertex_nodes(w: Web, weights: tuple) -> list:
-    """One ``contract`` node per vertex of ``w``: its edges in slot order,
-    weighted by ``weights``."""
-    return [(w.slot_edges[v], weights) for v in w.vertices]
-
-
 def tait_count(w: Web) -> int:
     """Number of Tait colorings; vertexless circles contribute a factor 3.
 
     One ``contract`` node per vertex, weighing 1 on three distinct
     colors.  A loop meets its vertex twice in one color, so it weighs 0.
     """
-    return contract(_vertex_nodes(w, VERTEX_WEIGHTS)) * 3 ** len(w.circles)
+    planned = plan([w.slot_edges[v] for v in w.vertices])
+    return contract(planned, [VERTEX_WEIGHTS] * len(w.vertices)) * 3 ** len(w.circles)
 
 
 def signed_tait_count(w: Web) -> int:
@@ -376,7 +386,8 @@ def signed_tait_count(w: Web) -> int:
     factor 3 per circle.  ``signed_tait`` stays on the
     enumeration as the oracle of ``skein.euler_char``.
     """
-    return contract(_vertex_nodes(w, SIGNED_VERTEX_WEIGHTS)) * 3 ** len(w.circles)
+    planned = plan([w.slot_edges[v] for v in w.vertices])
+    return contract(planned, [SIGNED_VERTEX_WEIGHTS] * len(w.vertices)) * 3 ** len(w.circles)
 
 
 def signed_tait_web(w: Web, orders: dict) -> int:
@@ -413,7 +424,8 @@ def one_sets(w: Web) -> list[frozenset]:
     by ``contract`` first.
     """
     _check_size(len(w.edge_ends))
-    count = contract(_vertex_nodes(w, MATCHING_WEIGHTS)) << len(w.circles)
+    planned = plan([w.slot_edges[v] for v in w.vertices])
+    count = contract(planned, [MATCHING_WEIGHTS] * len(w.vertices)) << len(w.circles)
     if count > MAX_ONE_SETS:
         raise WebError(f"web has {count} 1-sets; the 1-set list holds at most {MAX_ONE_SETS}")
     links: dict = {v: [] for v in w.vertices}  # vertex -> (edge, other end)

@@ -322,7 +322,9 @@ class Diagram(Frozen):
     first nodes, the same way whether the diagram passes or not.  A
     refusal names the component by its first node in record order
     (vertices, then crossings).
-    Equality compares ``vertices``, ``crossings`` and ``circles``.
+    Equality compares ``vertices``, ``crossings`` and ``circles``, kept
+    as tuples, with each node's arcs and over-pair, so a diagram built
+    from lists equals its tuple twin and hashes like it.
     """
 
     def __init__(self, vertices: tuple = (), crossings: tuple = (), circles: tuple = ()):
@@ -330,6 +332,7 @@ class Diagram(Frozen):
         _check_ids(("node id", ids))
         if len(ids) != len(set(ids)):
             raise WebError("node ids must be distinct")
+        flat = type(vertices) is type(crossings) is tuple  # so far no list to rebuild as a tuple
         for kind, nodes, k in (("vertex", vertices, 3), ("crossing", crossings, 4)):
             for n in nodes:
                 if len(n.arcs) != k:
@@ -338,6 +341,7 @@ class Diagram(Frozen):
                     raise WebError(
                         f"crossing {n.id!r}: over-pair {n.over!r} must be opposite positions [0,2] or [1,3], as integers"
                     )
+                flat &= type(n.arcs) is tuple and (k == 3 or over is n.over)
         labels = [a for n in vertices for a in n.arcs]
         n3 = len(labels)
         labels += [a for c in crossings for a in c.arcs]
@@ -398,6 +402,10 @@ class Diagram(Frozen):
         for (k, v, e), f in zip(tally, faces):
             if v - e + f != 2:
                 raise WebError(f"non-planar face structure: component of {ids[k]!r} has V-E+F = {v}-{e}+{f} = {v - e + f}")
+        if not flat:
+            vertices = tuple(Vertex(n.id, tuple(n.arcs)) for n in vertices)
+            crossings = tuple(Crossing(c.id, tuple(c.arcs), tuple(c.over)) for c in crossings)
+        circles = tuple(circles)
         self.__dict__.update(vertices=vertices, crossings=crossings, circles=circles, _labels=labels, _partner=partner)
 
     def _key(self) -> tuple:

@@ -89,6 +89,18 @@ class TestModuleInvariants:
         with pytest.raises(ModuleError, match="do not commute"):
             F2Module(2, ("x", "y"), {"p": swap, "q": idempotent})
 
+    def test_dim_and_basis_enforced(self):
+        with pytest.raises(ModuleError, match="basis names 1 vectors, dim is 3"):
+            F2Module(3, ("x",), {})
+        with pytest.raises(ModuleError, match="basis names 0 vectors, dim is -2"):
+            F2Module(-2, (), {})
+
+    def test_list_basis_and_grading_kept_as_tuples(self):
+        mod = known_module("theta")
+        twin = F2Module(mod.dim, list(mod.basis), dict(mod.ops), list(mod.grading))
+        assert twin == mod and hash(twin) == hash(mod)
+        assert type(twin.basis) is type(twin.grading) is tuple
+
     def test_commutation_enforced(self):
         a = gf2.asmat([[0, 1], [1, 0]])
         b = gf2.asmat([[1, 0], [1, 1]])  # violates u^3 + u = 0 anyway

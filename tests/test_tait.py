@@ -26,6 +26,7 @@ from webfoam.tait import (
     is_one_set,
     one_set_summary,
     one_sets,
+    plan,
     planar_lsharp_dim,
     signed_tait,
     signed_tait_count,
@@ -100,6 +101,17 @@ def wide_web():
     return nx_web(nx.random_regular_graph(3, 100, seed=1))
 
 
+def tait_cli_error(capsys, tmp_path, w) -> str:
+    """What ``webfoam tait`` on ``w``'s document prints on standard error:
+    it must exit 1 and print nothing on standard output."""
+    path = tmp_path / "in.web.json"
+    path.write_text(serialize_web(w))
+    assert main(["tait", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
 class TestSizeLimit:
     """The enumeration recurses once per edge and the 1-set search once per
     matched pair; past MAX_EDGES they refuse, not crash.  The contraction
@@ -123,10 +135,7 @@ class TestSizeLimit:
     # just over the limit, and deep enough to overflow the stack unchecked
     @pytest.mark.parametrize("sides", [MAX_EDGES // 3 + 1, 800])
     def test_cli_exits_one(self, capsys, tmp_path, sides):
-        path = tmp_path / "prism.web.json"
-        path.write_text(serialize_web(prism_web(sides)))
-        assert main(["tait", str(path)]) == 1
-        err = capsys.readouterr().err
+        err = tait_cli_error(capsys, tmp_path, prism_web(sides))
         assert err.startswith("error: ") and str(MAX_EDGES) in err
 
 
@@ -144,12 +153,8 @@ class TestWidthLimit:
         assert time.perf_counter() - start < 1.0
 
     def test_cli_exits_one(self, capsys, tmp_path):
-        path = tmp_path / "wide.web.json"
-        path.write_text(serialize_web(wide_web()))
-        assert main(["tait", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: contraction frontier") and str(MAX_WIDTH) in captured.err
+        err = tait_cli_error(capsys, tmp_path, wide_web())
+        assert err.startswith("error: contraction frontier") and str(MAX_WIDTH) in err
 
     @pytest.mark.parametrize("by_rings", [True, False])
     def test_prisms_up_to_166_sides(self, by_rings):
@@ -182,14 +187,10 @@ class TestStatesLimit:
             tait_count(prism_web(12))
 
     def test_cli_exits_one(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "prism.web.json"
-        path.write_text(serialize_web(prism_web(12)))
         monkeypatch.setattr(tait, "MAX_STATES", 100)
-        assert main(["tait", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: contraction built ") and captured.err.count("\n") == 1
-        assert captured.err.endswith("build at most 100\n")
+        err = tait_cli_error(capsys, tmp_path, prism_web(12))
+        assert err.startswith("error: contraction built ") and err.count("\n") == 1
+        assert err.endswith("build at most 100\n")
 
 
 def refused_below(monkeypatch, count, x, width: int) -> None:
@@ -201,6 +202,11 @@ def refused_below(monkeypatch, count, x, width: int) -> None:
         count(x)
     monkeypatch.setattr(tait, "MAX_WIDTH", width)
     count(x)
+
+
+def planned_width(x) -> int:
+    """The planned width of the Tait count of a web or of the skein state sum of a diagram."""
+    return plan(x.slot_edges.values() if isinstance(x, Web) else [n.arcs for n in (*x.vertices, *x.crossings)])[0]
 
 
 # planned widths of the Tait counts of the catalogue webs, of the skein
@@ -224,26 +230,31 @@ class TestPlannedWidth:
     breadth-first tie-break give; a drift in either shows here."""
 
     @pytest.mark.parametrize("k", range(3, 31))
-    def test_prisms(self, monkeypatch, k):
-        width = 4 if k == 3 else 5 if k == 4 else 6
-        refused_below(monkeypatch, tait_count, prism_web(k), width)
+    def test_prisms(self, k):
+        assert planned_width(prism_web(k)) == (4 if k == 3 else 5 if k == 4 else 6)
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE_WEB_WIDTHS))
-    def test_catalogue_webs(self, monkeypatch, name):
-        refused_below(monkeypatch, tait_count, catalogue.load_web(catalogue.get(name)), CATALOGUE_WEB_WIDTHS[name])
+    def test_catalogue_webs(self, name):
+        assert planned_width(catalogue.load_web(catalogue.get(name))) == CATALOGUE_WEB_WIDTHS[name]
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE_DIAGRAM_WIDTHS))
-    def test_catalogue_diagrams(self, monkeypatch, name):
-        d = catalogue.load_diagram(catalogue.get(name))
-        refused_below(monkeypatch, skein.euler_char, d, CATALOGUE_DIAGRAM_WIDTHS[name])
+    def test_catalogue_diagrams(self, name):
+        assert planned_width(catalogue.load_diagram(catalogue.get(name))) == CATALOGUE_DIAGRAM_WIDTHS[name]
 
     def test_every_catalogue_entry_is_pinned(self):
         assert set(CATALOGUE_WEB_WIDTHS) == {e.name for e in catalogue.CATALOGUE if e.web_file}
         assert set(CATALOGUE_DIAGRAM_WIDTHS) == {e.name for e in catalogue.CATALOGUE if e.diagram_file}
 
-    def test_criterion_3_stream(self, monkeypatch):
-        for d, width in zip(criterion_3_stream(), STREAM_WIDTHS):
-            refused_below(monkeypatch, skein.euler_char, d, width)
+    def test_criterion_3_stream(self):
+        assert [planned_width(d) for d in criterion_3_stream()[:60]] == STREAM_WIDTHS
+
+    def test_refusal_names_the_width(self, monkeypatch):
+        # one count of each kind above
+        refused_below(monkeypatch, tait_count, prism_web(3), 4)
+        refused_below(monkeypatch, tait_count, theta_web(), CATALOGUE_WEB_WIDTHS["theta"])
+        trefoil = catalogue.load_diagram(catalogue.get("trefoil"))
+        refused_below(monkeypatch, skein.euler_char, trefoil, CATALOGUE_DIAGRAM_WIDTHS["trefoil"])
+        refused_below(monkeypatch, skein.euler_char, criterion_3_stream()[0], STREAM_WIDTHS[0])
 
 
 class TestOneSetLimit:
@@ -264,42 +275,49 @@ class TestOneSetLimit:
 
     def test_cli_exits_one(self, capsys, tmp_path):
         # the 30-sided prism web: L_30 + 2 = 1,860,500 1-sets (Lucas number L_30)
-        path = tmp_path / "prism.web.json"
-        path.write_text(serialize_web(prism_web(30)))
-        assert main(["tait", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: web has 1860500 1-sets; the 1-set list holds at most {MAX_ONE_SETS}\n"
+        err = tait_cli_error(capsys, tmp_path, prism_web(30))
+        assert err == f"error: web has 1860500 1-sets; the 1-set list holds at most {MAX_ONE_SETS}\n"
+
+
+def vertex_sum(w, weights) -> int:
+    """``contract`` with every vertex of ``w`` weighted by ``weights``, times 3 per circle."""
+    return contract(plan(w.slot_edges.values()), [weights] * len(w.vertices)) * 3 ** len(w.circles)
 
 
 class TestLocalTableCache:
     """``contract`` memoizes each node's expanded table by value: an equal
     table gives the same results, a different one is never served a stale
-    expansion, and the cache stays within its bound."""
+    expansion, and the cache stays within its bound.  ``plan`` memoizes
+    each step by its pattern alone, so a second table plans nothing anew."""
 
     def test_equal_table_gives_equal_results(self):
         copy = tuple((tuple(colors), w) for colors, w in VERTEX_WEIGHTS)
         assert copy == VERTEX_WEIGHTS and copy is not VERTEX_WEIGHTS
         for w in POOL:
-            assert contract(tait._vertex_nodes(w, copy)) * 3 ** len(w.circles) == tait_count(w)
+            assert vertex_sum(w, copy) == tait_count(w)
 
     def test_other_tables_are_not_served_stale(self):
         for w in POOL:
             count = tait_count(w)
             doubled = tuple((colors, 2 * x) for colors, x in VERTEX_WEIGHTS)
-            assert contract(tait._vertex_nodes(w, doubled)) * 3 ** len(w.circles) == 2 ** len(w.vertices) * count
-            nodes = tait._vertex_nodes(w, SIGNED_VERTEX_WEIGHTS)
-            orders = {v: arcs for v, (arcs, _) in zip(w.vertices, nodes)}
-            assert contract(nodes) * 3 ** len(w.circles) == signed_tait_web(w, orders)
+            assert vertex_sum(w, doubled) == 2 ** len(w.vertices) * count
+            assert vertex_sum(w, SIGNED_VERTEX_WEIGHTS) == signed_tait_web(w, w.slot_edges)
             assert tait_count(w) == count
+
+    def test_other_tables_plan_no_step(self):
+        cube = catalogue.load_web(catalogue.get("cube"))
+        tait._step.cache_clear()
+        assert tait_count(cube) == 24 and tait._step.cache_info().misses == 8
+        signed_tait_count(cube), one_sets(cube)
+        assert tait._step.cache_info().misses == 8
 
     def test_bounded(self):
         caches = (tait._local_table, tait._symmetry, tait._picker, tait._step)
         assert [c.cache_info().maxsize for c in caches] == [CACHE_ENTRIES] * 4
         theta = theta_web()
-        for m in range(1, CACHE_ENTRIES + 50):  # each scaled table gets expansions and steps of its own
+        for m in range(1, CACHE_ENTRIES + 50):  # each scaled table gets expansions of its own
             scaled = tuple((colors, m) for colors, _ in VERTEX_WEIGHTS)
-            assert contract(tait._vertex_nodes(theta, scaled)) == 6 * m * m
+            assert vertex_sum(theta, scaled) == 6 * m * m
         assert tait_count(theta) == 6
         for i in range(CACHE_ENTRIES + 50):  # evicts every projection theta used
             assert tait._picker((i + 1, 0))(tuple(range(i + 2))) == (i + 1, 0)
@@ -419,10 +437,6 @@ class TestTaitCount:
         u = disjoint_union_webs(theta_web(), catalogue.load_web(catalogue.get("tetrahedron")))
         assert tait_count(u) == 36
 
-    def test_enumeration_matches_count(self):
-        for w in (theta_web(), catalogue.load_web(catalogue.get("tetrahedron"))):
-            assert len(list(tait_colorings(w))) == tait_count(w)
-
     def test_colorings_proper(self):
         w = catalogue.load_web(catalogue.get("cube"))
         for t in tait_colorings(w):
@@ -462,10 +476,7 @@ class TestSignedTait:
 
     def test_bounded_by_tait(self):
         for name in ("theta", "k33", "cube", "hopf", "trefoil"):
-            entry = catalogue.get(name)
-            if not entry.diagram_file:
-                continue
-            d = catalogue.load_diagram(entry)
+            d = catalogue.load_diagram(catalogue.get(name))
             assert abs(signed_tait(d)) <= tait_count(underlying_web(d))
 
 
@@ -596,27 +607,11 @@ class TestPlanarDim:
     def test_cube_24(self):
         assert planar_lsharp_dim(catalogue.load_web(catalogue.get("cube"))) == 24
 
-    def test_matches_tait_on_generated_webs(self):
-        webs = planar_cubic_webs(6)
-        assert webs
-        for w in webs:
-            assert planar_lsharp_dim(w) == tait_count(w)
-
     def test_circle_multiplies_by_three(self):
         w = theta_web()
         wc = Web(w.vertices, [(e, *w.edge_ends[e]) for e in w.edge_ends], ["c"])
         assert planar_lsharp_dim(wc) == 3 * planar_lsharp_dim(w)
         assert tait_count(wc) == 3 * tait_count(w)
-
-    def test_loopy_webs_vanish(self):
-        from webfoam.generate import cubic_multigraphs, is_planar_multigraph
-
-        for w in cubic_multigraphs(4, allow_loops=True):
-            if not is_planar_multigraph(w):
-                continue
-            if w.has_loop():
-                assert tait_count(w) == 0
-                assert planar_lsharp_dim(w) == 0
 
 
 class TestThreeWayIdentity:
@@ -738,4 +733,5 @@ def networks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(networks())
 def test_contract_matches_brute_force(nodes):
-    assert contract(nodes) == brute_force(nodes)
+    arc_lists, tables = zip(*nodes)
+    assert contract(plan(arc_lists), tables) == brute_force(nodes)

@@ -384,6 +384,18 @@ def test_records_hash_as_they_compare():
     assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
 
 
+def test_diagram_from_lists_equals_its_tuple_twin():
+    """A diagram keeps its records in tuples: the outer containers, each
+    node's arcs and each over-pair, so one built from lists equals its
+    tuple twin and hashes like it."""
+    for entry in catalogue.CATALOGUE:
+        if entry.diagram_file:
+            d = catalogue.load_diagram(entry)
+            vertices = [Vertex(n.id, list(n.arcs)) for n in d.vertices]
+            twin = Diagram(vertices, [Crossing(c.id, list(c.arcs), list(c.over)) for c in d.crossings], list(d.circles))
+            assert twin == d and hash(twin) == hash(d), entry.name
+
+
 def test_loop_occupies_two_slots():
     w = web_from_incidences({"v1": ["l", "l", "b"], "v2": ["m", "b", "m"]})
     assert w.is_loop("l") and w.is_loop("m") and not w.is_loop("b")
